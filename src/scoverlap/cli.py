@@ -36,7 +36,6 @@ from .oracle import (
     GridSpec,
     build_weyl_operator,
     eigensystem,
-    exact_overlap,
     half_density_bridge,
     match_levels,
 )
@@ -252,7 +251,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> Report:
 
 
 def _bridged_overlap_case(args) -> dict:
-    (h_obs1, b1, h_obs2, b2, lam, alpha, h, kind) = args
+    (h_obs1, b1, h_obs2, b2, lam, alpha, h) = args
     amp = overlap((h_obs1, b1), (h_obs2, b2), lam, alpha, h)
     bridged = half_density_bridge(amp.value, amp.curve1, amp.curve2, h)
     return {
@@ -265,13 +264,6 @@ def _bridged_overlap_case(args) -> dict:
         "n_terms": len(amp.terms),
         "_terms": amp.term_dump(),
     }
-
-
-def _oracle_density(h_obs, grid, h, n, q, retain_below=None):
-    es = eigensystem(build_weyl_operator(h_obs, grid, h), retain_below=retain_below)
-    idx = int(round((q + grid.half_width) / grid.dq))
-    qsnap = float(grid.qs[idx])
-    return abs(es.state(n).at(qsnap)) ** 2, qsnap, es
 
 
 def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report:
@@ -328,7 +320,7 @@ def _run_overlap(cfg: ExperimentConfig) -> Report:
     b1s = cfg.floats("levels1")
     b2s = cfg.floats("levels2")
     payloads = [
-        (h_obs1, b1, h_obs2, b2, cfg.lam, cfg.alpha, h, "overlap")
+        (h_obs1, b1, h_obs2, b2, cfg.lam, cfg.alpha, h)
         for h in cfg.hs
         for b1 in b1s
         for b2 in b2s

@@ -349,7 +349,6 @@ class FiberCurve:
     time: np.ndarray
     closed: bool
     truncated: bool
-    orientation: int = 1
     period: float | None = None
     loop_action: float | None = None
     curve_tol_check: float = 1e-6
@@ -390,8 +389,6 @@ class FiberCurve:
                     self.arclength[j0] + t * (self.arclength[j1] - self.arclength[j0])
                 )
         return best_s
-
-    curve_tol_check: float = 1e-6
 
     def scaffold(self, s_from: float, s_to: float) -> np.ndarray:
         """Polyline guide points covering the forward arc s_from -> s_to.
@@ -503,20 +500,6 @@ def _newton_intersection(
 class IntersectionPoint:
     point: PhasePoint
     bracket: float
-    branch_1: int = -1  # sample index on the first traced fiber, once known
-    branch_2: int = -1
-
-
-def locate_on_curves(
-    ip: IntersectionPoint, curve1: "FiberCurve", curve2: "FiberCurve"
-) -> IntersectionPoint:
-    """Fill in the sample-list indices of an intersection on both fibers."""
-    return IntersectionPoint(
-        point=ip.point,
-        bracket=ip.bracket,
-        branch_1=curve1.nearest_index(ip.point),
-        branch_2=curve2.nearest_index(ip.point),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +946,32 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> float:
     return total
 
 
+def arc_action(
+    curve: FiberCurve,
+    level: float,
+    a: PhasePoint,
+    b: PhasePoint,
+    s_a: float,
+    s_b: float,
+) -> float:
+    """p dq integral from a to b along the (possibly level-shifted) fiber.
+
+    The traced curve provides the homotopy scaffold between its arclength
+    parameters ``s_a`` and ``s_b``; the endpoints are exact points on
+    {H = level}, which may differ from the trace level by a finite
+    difference step.  Closed curves integrate forward (wrapping), open
+    curves signed along the curve.
+    """
+    h_obs = curve.observable
+    if curve.closed or s_b >= s_a:
+        guide = curve.scaffold(s_a, s_b)
+        guide[0], guide[-1] = a, b
+        return chart_action(h_obs, level, guide)
+    guide = curve.scaffold(s_b, s_a)
+    guide[0], guide[-1] = b, a
+    return -chart_action(h_obs, level, guide)
+
+
 def action_along_fiber(
     curve: FiberCurve,
     start: PhasePoint,
@@ -985,20 +994,7 @@ def action_along_fiber(
             )
     a = project_to_fiber(curve.observable, curve.level, start)
     bpt = project_to_fiber(curve.observable, curve.level, end)
-    s_a = curve.locate(a)
-    s_b = curve.locate(bpt)
     gauge = alpha.gauge_value(bpt) - alpha.gauge_value(a)
-    if curve.closed:
-        guide = curve.scaffold(s_a, s_b)
-        guide[0] = a
-        guide[-1] = bpt
-        return chart_action(curve.observable, curve.level, guide) + gauge
-    sign = 1.0
-    if s_b < s_a:
-        a, bpt = bpt, a
-        s_a, s_b = s_b, s_a
-        sign = -1.0
-    guide = curve.scaffold(s_a, s_b)
-    guide[0] = a
-    guide[-1] = bpt
-    return sign * chart_action(curve.observable, curve.level, guide) + gauge
+    return arc_action(
+        curve, curve.level, a, bpt, curve.locate(a), curve.locate(bpt)
+    ) + gauge

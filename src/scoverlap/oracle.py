@@ -47,31 +47,45 @@ def momentum_matrix(grid: GridSpec, h: float, power: int = 1) -> np.ndarray:
 
 
 def weyl_monomial_matrix(
-    coeff_q: np.ndarray, p_power: int, grid: GridSpec, h: float,
-    p_mat: np.ndarray | None = None,
+    coeff_q: np.ndarray, p_power: int, grid: GridSpec, h: float, p1: np.ndarray
 ) -> np.ndarray:
-    """Weyl-ordered operator for c(q) p^b, b <= 2.
+    """Weyl-ordered operator for c(q) p^b, b <= 2, given P = ``p1``.
 
     b = 1 uses (CP + PC)/2 and b = 2 the fully symmetrized
     (C P^2 + 2 P C P + P^2 C)/4, which is the exact Weyl ordering at
     quadratic momentum degree; constant c(q) collapses to c * P^b.
     """
-    n = grid.points
-    if p_power == 0:
-        return np.diag(coeff_q.astype(complex))
-    if p_power > 2:
-        raise UnsupportedOrdering(
-            f"momentum degree {p_power} > 2 is not representable on the grid"
-        )
-    if np.ptp(coeff_q) < 1e-15 * max(1.0, float(np.max(np.abs(coeff_q)))):
-        return complex(coeff_q[0]) * momentum_matrix(grid, h, p_power)
-    p1 = momentum_matrix(grid, h, 1) if p_mat is None else p_mat
     c = coeff_q.astype(complex)
+    if p_power == 0:
+        return np.diag(c)
+    spread = np.ptp(c.real) + np.ptp(c.imag)
+    if spread < 1e-15 * max(1.0, float(np.max(np.abs(c)))):
+        return c[0] * momentum_matrix(grid, h, p_power)
     if p_power == 1:
         return 0.5 * (c[:, None] * p1 + p1 * c[None, :])
     p2 = p1 @ p1
     pcp = p1 @ (c[:, None] * p1)
     return 0.25 * (c[:, None] * p2 + 2.0 * pcp + p2 * c[None, :])
+
+
+def weyl_operator(
+    slices: dict[int, np.ndarray], grid: GridSpec, h: float
+) -> np.ndarray:
+    """Weyl-ordered grid operator of sum_b c_b(q) p^b from ``{b: c_b(qs)}``.
+
+    Each slice is a real or complex array over ``grid.qs``; momentum
+    degree at most 2.
+    """
+    degree = max(slices, default=0)
+    if degree > 2:
+        raise UnsupportedOrdering(
+            f"momentum degree {degree} > 2 is not representable on the grid"
+        )
+    op = np.zeros((grid.points, grid.points), dtype=complex)
+    p1 = momentum_matrix(grid, h, 1)
+    for b, c in sorted(slices.items()):
+        op += weyl_monomial_matrix(c, b, grid, h, p1)
+    return op
 
 
 @dataclass(frozen=True)
@@ -90,19 +104,14 @@ def build_weyl_operator(
     h_obs: Observable, grid: GridSpec, h: float
 ) -> GridQuantization:
     """Quantize an observable of momentum degree <= 2 on the grid."""
-    decomp = h_obs.momentum_decomposition()
-    if any(b > 2 for b in decomp):
-        raise UnsupportedOrdering(
-            f"observable {h_obs} has momentum degree "
-            f"{max(decomp)} > 2"
-        )
     qs = grid.qs
-    op = np.zeros((grid.points, grid.points), dtype=complex)
-    p1 = momentum_matrix(grid, h, 1)
-    for b, cfn in sorted(decomp.items()):
-        cq = np.asarray(cfn(qs), dtype=float)
-        op += weyl_monomial_matrix(cq, b, grid, h, p_mat=p1)
-    return GridQuantization(grid=grid, h=h, operator=op, observable=h_obs)
+    slices = {
+        b: np.asarray(cfn(qs), dtype=float)
+        for b, cfn in h_obs.momentum_decomposition().items()
+    }
+    return GridQuantization(
+        grid=grid, h=h, operator=weyl_operator(slices, grid, h), observable=h_obs
+    )
 
 
 @dataclass(frozen=True)

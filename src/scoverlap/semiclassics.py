@@ -45,7 +45,6 @@ from .geometry import (
     DOMAIN_BOUND,
     TRANS_TOL,
     FiberCurve,
-    IntersectionPoint,
     Observable,
     PhasePoint,
     PrequantumForm,
@@ -54,9 +53,9 @@ from .geometry import (
     _bracket_gradient,
     _newton_intersection,
     _newton_on_lagrangian,
+    arc_action,
     chart_action,
     find_intersections,
-    locate_on_curves,
     loop_data,
     poisson_bracket,
     project_to_fiber,
@@ -372,31 +371,6 @@ class SemiclassicalAmplitude:
         ]
 
 
-def _arc_action(
-    curve: FiberCurve,
-    level: float,
-    a: PhasePoint,
-    b: PhasePoint,
-    s_a: float,
-    s_b: float,
-) -> float:
-    """p dq integral from a to b along the (possibly level-shifted) fiber.
-
-    The traced curve provides the homotopy scaffold; the endpoints are exact
-    points on {H = level}, which may differ from the trace level by a finite
-    difference step.  Closed curves integrate forward (wrapping), open
-    curves signed along the curve.
-    """
-    h_obs = curve.observable
-    if curve.closed or s_b >= s_a:
-        guide = curve.scaffold(s_a, s_b)
-        guide[0], guide[-1] = a, b
-        return chart_action(h_obs, level, guide)
-    guide = curve.scaffold(s_b, s_a)
-    guide[0], guide[-1] = b, a
-    return -chart_action(h_obs, level, guide)
-
-
 @dataclass(frozen=True)
 class _PairGeometry:
     h1: Observable
@@ -437,8 +411,8 @@ class _PairGeometry:
             raise SingularFiber("reference continuation failed in stencil")
         x1p = PhasePoint(q1, float(self.lam.value(q1)))
         x2p = PhasePoint(q2, float(self.lam.value(q2)))
-        s1 = _arc_action(self.curve1, b1p, x1p, c, self.s_x1, s_c1)
-        s2 = _arc_action(self.curve2, b2p, x2p, c, self.s_x2, s_c2)
+        s1 = arc_action(self.curve1, b1p, x1p, c, self.s_x1, s_c1)
+        s2 = arc_action(self.curve2, b2p, x2p, c, self.s_x2, s_c2)
         if not include_gauge:
             return s1 - s2
         gauge = self.alpha.gauge_value(x2p) - self.alpha.gauge_value(x1p)
@@ -510,7 +484,6 @@ def overlap(
 
     terms = []
     for ip in points:
-        ip = locate_on_curves(ip, curve1, curve2)
         c = ip.point
         s_c1 = curve1.locate(c)
         s_c2 = curve2.locate(c)
@@ -580,7 +553,7 @@ def complementary_overlap_term(
         curve2, guide_rev, transverse, -1.0, TRANS_TOL
     )
     # S = S1 - S2 and the gauge part are unchanged except through S2
-    s2_forward = _arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
+    s2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
     action = t.action + s2_forward - s2_complement
     contribution = (
         t.weight
@@ -758,20 +731,13 @@ class ComposedAmplitude:
     value: complex
 
 
-def _eval_kernel(fn, b: float, light: bool) -> SemiclassicalAmplitude:
-    try:
-        return fn(b, light=light)
-    except TypeError:
-        return fn(b)
-
-
 def _sorted_terms(amp: SemiclassicalAmplitude) -> list[OverlapTerm]:
     return sorted(amp.terms, key=lambda t: (t.point.p, t.point.q))
 
 
 def compose_kernels(
-    u20: Callable[[float], SemiclassicalAmplitude],
-    u01: Callable[[float], SemiclassicalAmplitude],
+    u20: Callable[..., SemiclassicalAmplitude],
+    u01: Callable[..., SemiclassicalAmplitude],
     h: float,
     interval: tuple[float, float],
     n_grid: int = 33,
@@ -782,11 +748,13 @@ def compose_kernels(
     Locates zeros of d/db [S20 + S01] per branch pair on the supplied
     bracketing interval, applies the Gaussian factor sqrt(2 pi h / |phi''|)
     and the signature phase exp(+- i pi / 4), and sums the contributions.
+    Both kernels are called as ``u(b, light=...)``, as ``overlap_kernel``
+    builds them.
     """
     b_lo, b_hi = interval
     grid = np.linspace(b_lo, b_hi, n_grid)
-    amps20 = [_eval_kernel(u20, float(b), True) for b in grid]
-    amps01 = [_eval_kernel(u01, float(b), True) for b in grid]
+    amps20 = [u20(float(b), light=True) for b in grid]
+    amps01 = [u01(float(b), light=True) for b in grid]
     n2 = {len(a.terms) for a in amps20}
     n1 = {len(a.terms) for a in amps01}
     if len(n2) != 1 or len(n1) != 1:
@@ -806,8 +774,8 @@ def compose_kernels(
 
     def phase_pair(j: int, k: int):
         def phi(b: float) -> float:
-            a20 = _eval_kernel(u20, b, True)
-            a01 = _eval_kernel(u01, b, True)
+            a20 = u20(b, light=True)
+            a01 = u01(b, light=True)
             return (
                 _sorted_terms(a20)[j].action + _sorted_terms(a01)[k].action
             )
@@ -854,8 +822,8 @@ def compose_kernels(
                     raise DegenerateStationaryPoint(
                         f"second derivative {d2:.3e} below tolerance at b = {b_star:.6g}"
                     )
-                a20 = _eval_kernel(u20, float(b_star), False)
-                a01 = _eval_kernel(u01, float(b_star), False)
+                a20 = u20(float(b_star), light=False)
+                a01 = u01(float(b_star), light=False)
                 t20 = _sorted_terms(a20)[j]
                 t01 = _sorted_terms(a01)[k]
                 amp_factor = (

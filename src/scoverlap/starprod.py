@@ -5,9 +5,10 @@ The product is the constant-symplectic-structure bidifferential series
     f * g = sum_n (i h / 2)^n / n!  Lambda^n(f, g),
     Lambda(f, g) = f_q g_p - f_p g_q,
 
-held as a formal power series in h with polynomial coefficients over exact
-complex rationals, so associativity is an identity rather than an
-approximation.  The module also carries the symmetric-ordered operator
+summed monomial pair by monomial pair through its closed-form (Groenewold)
+coefficients and held as a formal power series in h with polynomial
+coefficients over exact complex rationals, so associativity is an identity
+rather than an approximation.  The module also carries the symmetric-ordered operator
 correspondence and the matrix-element representation built on the overlap
 engine.
 """
@@ -21,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OrderOverflow, UnsupportedOrdering
+from .errors import OrderOverflow
 from .geometry import Observable, PhasePoint, PrequantumForm, ReferenceLagrangian
 from .monomials import format_monomials, parse_monomials
-from .oracle import GridSpec, momentum_matrix, weyl_monomial_matrix
+from .oracle import GridSpec, weyl_operator
 from .semiclassics import (
     SemiclassicalAmplitude,
     compose_kernels,
@@ -63,6 +64,12 @@ class QQi:
     def scale(self, r: Fraction) -> "QQi":
         return QQi(self.re * r, self.im * r)
 
+    def quarter_turn(self, n: int) -> "QQi":
+        """The product i^n * self, by rotating the parts."""
+        re, im = ((self.re, self.im), (-self.im, self.re),
+                  (-self.re, -self.im), (self.im, -self.re))[n % 4]
+        return QQi(re, im)
+
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
@@ -74,13 +81,8 @@ class QQi:
         if isinstance(value, QQi):
             return value
         if isinstance(value, complex):
-            return QQi(Fraction(value.real).limit_denominator(10**12),
-                       Fraction(value.imag).limit_denominator(10**12))
+            return QQi(Fraction(value.real), Fraction(value.imag))
         return QQi(Fraction(value))
-
-
-_I = QQi(Fraction(0), Fraction(1))
-_ONE = QQi(Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,6 @@ class PolynomialObservable:
         return max((a + b for (a, b), _ in self.terms), default=0)
 
     @property
-    def momentum_degree(self) -> int:
-        return max((b for (_, b), _ in self.terms), default=0)
-
-    @property
     def is_real(self) -> bool:
         return all(v.im == 0 for _, v in self.terms)
 
@@ -225,18 +223,12 @@ class FormalSeries:
         return all(c.is_zero for c in self.coeffs)
 
     def at(self, h: float) -> PolynomialObservable:
-        """Sum the series at a numeric h (coefficients become inexact)."""
-        out: dict[tuple[int, int], complex] = {}
+        """Sum the series exactly at the rational value of the float h."""
+        x = Fraction(h)
+        out = PolynomialObservable.zero()
         for n, poly in enumerate(self.coeffs):
-            for k, c in poly.terms:
-                out[k] = out.get(k, 0.0 + 0.0j) + complex(c) * h**n
-        table = {}
-        for k, v in out.items():
-            re = Fraction(v.real).limit_denominator(10**15)
-            im = Fraction(v.imag).limit_denominator(10**15)
-            if re or im:
-                table[k] = QQi(re, im)
-        return PolynomialObservable.from_dict(table)
+            out = out + poly.scale(QQi(x**n))
+        return out
 
     def __str__(self) -> str:
         return " + ".join(
@@ -244,37 +236,45 @@ class FormalSeries:
         ) or "0"
 
 
-def _bidiff(f: PolynomialObservable, g: PolynomialObservable, n: int) -> PolynomialObservable:
-    """Lambda^n(f, g) = sum_k C(n,k) (-1)^(n-k) d_q^k d_p^(n-k) f  d_p^k d_q^(n-k) g."""
-    out = PolynomialObservable.zero()
-    for k in range(n + 1):
-        sign = Fraction((-1) ** (n - k) * math.comb(n, k))
-        term = (f.diff(k, n - k) * g.diff(n - k, k)).scale(QQi(sign))
-        out = out + term
-    return out
+def _moyal_coefficient(a: int, b: int, c: int, d: int, n: int) -> Fraction:
+    """h^n coefficient of q^a p^b * q^c p^d, without its factor i^n.
+
+    Lambda^n(f, g) = sum_k C(n,k) (-1)^(n-k) d_q^k d_p^(n-k) f d_p^k d_q^(n-k) g
+    applied to the two monomials gives falling factorials of the exponents.
+    """
+    total = sum(
+        math.comb(n, k) * (-1) ** (n - k)
+        * math.perm(a, k) * math.perm(b, n - k) * math.perm(c, n - k) * math.perm(d, k)
+        for k in range(n + 1)
+    )
+    return Fraction(total, 2**n * math.factorial(n))
 
 
 def moyal_product(f, g, order: int) -> FormalSeries:
-    """Star product truncated at h^order (order <= 8)."""
+    """Star product truncated at h^order (order <= 8).
+
+    Monomial pairs use the closed-form Moyal coefficients: the h^n term of
+    q^a p^b * q^c p^d is i^n _moyal_coefficient(a, b, c, d, n) q^(a+c-n)
+    p^(b+d-n), and it vanishes once n > min(a, d) + min(b, c).
+    """
     if order > MAX_ORDER:
         raise OrderOverflow(f"truncation order {order} exceeds {MAX_ORDER}")
     fs = FormalSeries.lift(f, order)
     gs = FormalSeries.lift(g, order)
-    out = [PolynomialObservable.zero() for _ in range(order + 1)]
-    # (i/2)^n / n! as an exact complex rational
-    for r in range(order + 1):
-        if fs.coeffs[r].is_zero:
-            continue
-        for s in range(order + 1 - r):
-            if gs.coeffs[s].is_zero:
-                continue
-            half_i = _ONE
-            for n in range(order + 1 - r - s):
-                coeff = half_i.scale(Fraction(1, math.factorial(n)))
-                term = _bidiff(fs.coeffs[r], gs.coeffs[s], n).scale(coeff)
-                out[r + s + n] = out[r + s + n] + term
-                half_i = half_i * _I.scale(Fraction(1, 2))
-    return FormalSeries(order, tuple(out))
+    out: list[dict[tuple[int, int], QQi]] = [{} for _ in range(order + 1)]
+    for r, f_r in enumerate(fs.coeffs):
+        for s, g_s in enumerate(gs.coeffs[: order + 1 - r]):
+            for (a, b), u in f_r.terms:
+                for (c, d), v in g_s.terms:
+                    uv = u * v
+                    for n in range(min(order - r - s, min(a, d) + min(b, c)) + 1):
+                        w = _moyal_coefficient(a, b, c, d, n)
+                        if w:
+                            term = uv.scale(w).quarter_turn(n)
+                            table = out[r + s + n]
+                            key = (a + c - n, b + d - n)
+                            table[key] = table.get(key, QQi()) + term
+    return FormalSeries(order, tuple(PolynomialObservable.from_dict(t) for t in out))
 
 
 def associativity_defect(f, g, k, order: int) -> FormalSeries:
@@ -301,30 +301,25 @@ def weyl_operator_of(
     """Symmetric-ordered grid operator of a polynomial (momentum degree <= 2)."""
     if isinstance(f, FormalSeries):
         f = f.at(h)
-    if f.momentum_degree > 2:
-        raise UnsupportedOrdering(
-            f"momentum degree {f.momentum_degree} > 2 is not representable"
-        )
     qs = grid.qs
-    n = grid.points
-    op = np.zeros((n, n), dtype=complex)
-    p1 = momentum_matrix(grid, h, 1)
-    by_power: dict[int, np.ndarray] = {}
+    slices: dict[int, np.ndarray] = {}
     for (a, b), c in f.terms:
-        by_power.setdefault(b, np.zeros(n, dtype=complex))
-        by_power[b] = by_power[b] + complex(c) * qs**a
-    for b, cq in sorted(by_power.items()):
-        if np.max(np.abs(cq.imag)) == 0.0:
-            op += weyl_monomial_matrix(cq.real, b, grid, h, p_mat=p1)
-        else:
-            op += weyl_monomial_matrix(cq.real, b, grid, h, p_mat=p1)
-            op += 1j * weyl_monomial_matrix(cq.imag, b, grid, h, p_mat=p1)
-    return op
+        slices[b] = slices.get(b, 0) + complex(c) * qs**a
+    return weyl_operator(slices, grid, h)
 
 
 # ---------------------------------------------------------------------------
 # Matrix elements and the homomorphism check
 # ---------------------------------------------------------------------------
+
+def _weight_at(
+    f: PolynomialObservable | FormalSeries, h: float
+) -> Callable[[PhasePoint], complex]:
+    """f, summed at h if it is a series, as an intersection weight."""
+    if isinstance(f, FormalSeries):
+        f = f.at(h)
+    return lambda c: f.eval(c.q, c.p)
+
 
 def semiclassical_matrix_element(
     f: PolynomialObservable | FormalSeries,
@@ -336,13 +331,9 @@ def semiclassical_matrix_element(
     **overlap_kwargs,
 ) -> SemiclassicalAmplitude:
     """Overlap with every intersection weighted by f at that point."""
-    if isinstance(f, FormalSeries):
-        f = f.at(h)
-
-    def weight(c: PhasePoint) -> complex:
-        return f.eval(c.q, c.p)
-
-    return overlap(sys1, sys2, lam, alpha, h, weight_fn=weight, **overlap_kwargs)
+    return overlap(
+        sys1, sys2, lam, alpha, h, weight_fn=_weight_at(f, h), **overlap_kwargs
+    )
 
 
 def matrix_element_kernel(
@@ -354,14 +345,8 @@ def matrix_element_kernel(
     h: float,
     fixed_slot: int,
 ) -> Callable[[float], SemiclassicalAmplitude]:
-    if isinstance(f, FormalSeries):
-        f = f.at(h)
-
-    def weight(c: PhasePoint) -> complex:
-        return f.eval(c.q, c.p)
-
     return overlap_kernel(
-        fixed_sys, intermediate, lam, alpha, h, fixed_slot, weight_fn=weight
+        fixed_sys, intermediate, lam, alpha, h, fixed_slot, weight_fn=_weight_at(f, h)
     )
 
 

@@ -243,6 +243,30 @@ dir = {out}
         b = json.loads((out_b / "report.json").read_text())
         assert a["cases"] == b["cases"]
 
+    def test_star_check_scenario(self, tmp_path):
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            f"""
+[systems]
+ho = 1/2 q^2 + 1/2 p^2
+
+[scenario]
+kind = star-check
+h = 0.1
+order = 4
+degree = 2
+
+[output]
+dir = {out}
+"""
+        )
+        assert main(["star-check", "--config", str(cfg_file)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        counts, series = report["cases"]
+        assert counts == {"checked": 6**3, "defects": 0, "order": 4}
+        assert series["q2_star_p2"] == series["expected"]
+
     def test_numerical_warnings_exit_2(self, tmp_path, monkeypatch):
         import warnings as w
 

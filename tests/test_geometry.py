@@ -166,18 +166,6 @@ class TestIntersections:
             find_intersections(HO, 0.5, Q, 1.0)
         assert err.value.points
 
-    def test_branch_indices_locate_samples(self):
-        from scoverlap.geometry import locate_on_curves
-
-        pts = find_intersections(HO, 0.5, Q, 0.6)
-        c1 = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
-        c2 = trace_level_curve(Q, 0.6, PhasePoint(0.6, 0.0))
-        for ip in pts:
-            located = locate_on_curves(ip, c1, c2)
-            assert located.branch_1 >= 0 and located.branch_2 >= 0
-            sample = c1.point(located.branch_1)
-            assert math.hypot(sample.q - ip.point.q, sample.p - ip.point.p) < 0.1
-
 
 class TestActions:
     def test_vertical_segment_vanishes(self):

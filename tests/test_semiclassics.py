@@ -344,6 +344,22 @@ class TestComposition:
         quarter = cmath.phase(composed.value / direct.value) / (math.pi / 4)
         assert abs(quarter - round(quarter)) < 1e-6
 
+    def test_kernel_type_error_propagates(self):
+        h = 0.1
+        u01 = overlap_kernel((Q, 0.3), P, LAM, ALPHA, h, fixed_slot=1)
+        good = overlap_kernel((Q, 0.7), P, LAM, ALPHA, h, fixed_slot=2)
+        calls = []
+
+        def u20(b, light=False):
+            calls.append(light)
+            if light:
+                raise TypeError("bug on the light path")
+            return good(b)
+
+        with pytest.raises(TypeError, match="light path"):
+            compose_kernels(u20, u01, h, (-2.0, 2.0))
+        assert calls == [True]
+
     def test_oscillator_intermediate_within_5h(self):
         b1, b2 = 0.6, 0.8
         b_star = (b1 * b1 + b2 * b2) / 2

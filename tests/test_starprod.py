@@ -44,6 +44,30 @@ def polynomials(draw, max_degree=3, max_terms=4):
     return PO.from_dict(table)
 
 
+@st.composite
+def complex_polynomials(draw, max_degree=4, max_terms=3):
+    table = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        a = draw(st.integers(0, max_degree))
+        b = draw(st.integers(0, max_degree - a))
+        table[(a, b)] = QQi(draw(rational), draw(rational))
+    return PO.from_dict(table)
+
+
+def bidifferential_product(f, g, order):
+    """sum_n (i h / 2)^n / n! Lambda^n(f, g) with Lambda^n built from diff."""
+    coeffs = []
+    i_power = QQi(Fraction(1))
+    for n in range(order + 1):
+        lam_n = PO.zero()
+        for k in range(n + 1):
+            sign = QQi(Fraction((-1) ** (n - k) * math.comb(n, k)))
+            lam_n = lam_n + (f.diff(k, n - k) * g.diff(n - k, k)).scale(sign)
+        coeffs.append(lam_n.scale(i_power.scale(Fraction(1, 2**n * math.factorial(n)))))
+        i_power = i_power * QQi(Fraction(0), Fraction(1))
+    return FormalSeries(order, tuple(coeffs))
+
+
 class TestMonomialText:
     def test_parse_example(self):
         table = parse_monomials("2 q^2 p - 0.5 p^3")
@@ -100,9 +124,28 @@ class TestMoyal:
         rhs = moyal_product(g.conjugate(), f.conjugate(), 5)
         assert (lhs - rhs).is_zero
 
+    @given(f=complex_polynomials(), g=complex_polynomials(), order=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bidifferential_definition(self, f, g, order):
+        assert moyal_product(f, g, order) == bidifferential_product(f, g, order)
+
     def test_order_overflow(self):
         with pytest.raises(OrderOverflow):
             moyal_product(MQ, MP, 9)
+
+
+class TestExactNumerics:
+    def test_series_sums_exactly(self):
+        one_plus_h = FormalSeries(1, (PO.one(), PO.one()))
+        assert one_plus_h.at(0.1).table() == {(0, 0): QQi(1 + Fraction(0.1))}
+        tiny = 2.0**-60
+        series = FormalSeries(1, (PO.one(), PO.monomial(0, 0, 3)))
+        assert series.at(tiny).table() == {(0, 0): QQi(1 + 3 * Fraction(tiny))}
+
+    def test_complex_conversion_is_exact(self):
+        z = QQi.of(0.1 + 0.2j)
+        assert z == QQi(Fraction(0.1), Fraction(0.2))
+        assert complex(z) == 0.1 + 0.2j
 
 
 class TestAssociativity:

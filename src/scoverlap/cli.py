@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import semiclassics
-from .errors import CausticNearby, ConfigError, DegenerateFit
+from .errors import CausticNearby, ConfigError, DegenerateFit, DuplicatePosition
 from .geometry import (
     Observable,
     PhasePoint,
@@ -289,8 +289,17 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
             )
             spacing = 2 * math.pi * h / curve.period
             turning = math.sqrt(2 * level.b)
+            seen: set[int] = set()
             for u in us:
                 idx = int(round((u * turning + grid.half_width) / grid.dq))
+                if idx in seen:
+                    warnings.warn(
+                        f"h={h} n={level.n}: position {u} snaps to grid index "
+                        f"{idx}, already computed; the repeat is dropped",
+                        DuplicatePosition,
+                    )
+                    continue
+                seen.add(idx)
                 q1 = float(grid.qs[idx])
                 p_sc = transition_probability(
                     (qobs, q1), (h_obs2, level.b), h, cfg.lam, cfg.alpha
@@ -440,16 +449,22 @@ _PIPELINES = {
 
 
 def run(cfg: ExperimentConfig) -> tuple[Report, int]:
-    """Execute the scenario; returns the report and the exit status."""
+    """Execute the scenario; returns the report and the exit status.
+
+    The status is 2 when a ``CausticNearby`` warning fired; ``report.warnings``
+    also keeps ``DuplicatePosition`` messages, which leave the status alone.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = _PIPELINES[cfg.kind](cfg)
-    numeric_warnings = [
-        str(w.message) for w in caught if issubclass(w.category, CausticNearby)
+    report.warnings = [
+        str(w.message)
+        for w in caught
+        if issubclass(w.category, (CausticNearby, DuplicatePosition))
     ]
-    report.warnings = numeric_warnings
+    caustic = any(issubclass(w.category, CausticNearby) for w in caught)
     _write_outputs(cfg, report)
-    return report, (2 if numeric_warnings else 0)
+    return report, (2 if caustic else 0)
 
 
 def _write_outputs(cfg: ExperimentConfig, report: Report) -> None:

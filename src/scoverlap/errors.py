@@ -68,6 +68,10 @@ class DoubleRoot(UserWarning):
     """The transversality bracket touches zero without changing sign."""
 
 
+class DuplicatePosition(UserWarning):
+    """Two requested positions snap to the same grid point; the repeat is dropped."""
+
+
 class HessianCrossCheck(UserWarning):
     """Finite-difference Hessian deviates from the bracket identity."""
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import circulant
 
 from .errors import CountMismatch, GridMismatch, OpenFiber, UnsupportedOrdering
 from .geometry import FiberCurve, Observable
@@ -40,27 +41,45 @@ class GridSpec:
 
 
 def momentum_matrix(grid: GridSpec, h: float, power: int = 1) -> np.ndarray:
-    """Dense matrix of (h k)^power acting through the Fourier basis."""
-    diag = (h * grid.wavenumbers) ** power
-    eye = np.eye(grid.points, dtype=complex)
-    return np.fft.ifft(diag[:, None] * np.fft.fft(eye, axis=0), axis=0)
+    """Dense circulant of (h k)^power, from one inverse FFT of the symbol.
+
+    An even power has a symbol symmetric under k -> -k, so its column is
+    real; it is averaged with its reflection c[n - k] so that the matrix is
+    exactly symmetric.
+    """
+    col = np.fft.ifft((h * grid.wavenumbers) ** power)
+    if power % 2 == 0:
+        col = col.real
+        col = 0.5 * (col + np.roll(col[::-1], 1))
+    return circulant(col)
+
+
+def _is_constant(c: np.ndarray) -> bool:
+    """Whether a slice c(q) is constant over the grid, up to rounding."""
+    spread = np.ptp(c.real) + np.ptp(c.imag)
+    return bool(spread < 1e-15 * max(1.0, float(np.max(np.abs(c)))))
 
 
 def weyl_monomial_matrix(
-    coeff_q: np.ndarray, p_power: int, grid: GridSpec, h: float, p1: np.ndarray
+    coeff_q: np.ndarray,
+    p_power: int,
+    grid: GridSpec,
+    h: float,
+    p1: np.ndarray | None,
 ) -> np.ndarray:
     """Weyl-ordered operator for c(q) p^b, b <= 2, given P = ``p1``.
 
     b = 1 uses (CP + PC)/2 and b = 2 the fully symmetrized
     (C P^2 + 2 P C P + P^2 C)/4, which is the exact Weyl ordering at
-    quadratic momentum degree; constant c(q) collapses to c * P^b.
+    quadratic momentum degree; constant c(q) collapses to c * P^b, with
+    P^2 the real circulant of (h k)^2.  ``p1`` is read only for b = 1 and
+    for a q-dependent b = 2 slice, so it may be None otherwise.
     """
-    c = coeff_q.astype(complex)
+    c = np.asarray(coeff_q)
     if p_power == 0:
         return np.diag(c)
-    spread = np.ptp(c.real) + np.ptp(c.imag)
-    if spread < 1e-15 * max(1.0, float(np.max(np.abs(c)))):
-        return c[0] * momentum_matrix(grid, h, p_power)
+    if _is_constant(c):
+        return c[0] * (p1 if p_power == 1 else momentum_matrix(grid, h, 2))
     if p_power == 1:
         return 0.5 * (c[:, None] * p1 + p1 * c[None, :])
     p2 = p1 @ p1
@@ -74,15 +93,20 @@ def weyl_operator(
     """Weyl-ordered grid operator of sum_b c_b(q) p^b from ``{b: c_b(qs)}``.
 
     Each slice is a real or complex array over ``grid.qs``; momentum
-    degree at most 2.
+    degree at most 2.  The operator is real (float64) when every slice is
+    real and every momentum piece is an even power with a constant
+    coefficient; otherwise it is complex128.  P is built only when a
+    b = 1 slice or a q-dependent b = 2 slice needs it.
     """
     degree = max(slices, default=0)
     if degree > 2:
         raise UnsupportedOrdering(
             f"momentum degree {degree} > 2 is not representable on the grid"
         )
-    op = np.zeros((grid.points, grid.points), dtype=complex)
-    p1 = momentum_matrix(grid, h, 1)
+    needs_p1 = 1 in slices or (2 in slices and not _is_constant(slices[2]))
+    real = not needs_p1 and all(np.isrealobj(c) for c in slices.values())
+    op = np.zeros((grid.points, grid.points), dtype=float if real else complex)
+    p1 = momentum_matrix(grid, h, 1) if needs_p1 else None
     for b, c in sorted(slices.items()):
         op += weyl_monomial_matrix(c, b, grid, h, p1)
     return op
@@ -151,18 +175,29 @@ class Eigensystem:
         return float(np.linalg.norm(operator @ v - self.eigenvalues[n] * v))
 
     def export(self, directory) -> None:
-        """CSV eigenvalues, raw row-major float64 eigenvectors, JSON sidecar."""
+        """CSV eigenvalues, raw row-major eigenvectors, JSON sidecar.
+
+        Real states go to ``eigenvectors.f64`` as float64, complex states
+        to ``eigenvectors.c128`` as complex128; ``grid.json`` names the
+        file and its dtype.
+        """
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         np.savetxt(d / "eigenvalues.csv", self.eigenvalues, delimiter=",",
                    header="eigenvalue", comments="")
-        np.real(self.states.T).astype(np.float64).tofile(d / "eigenvectors.f64")
+        if np.isrealobj(self.states):
+            name, dtype = "eigenvectors.f64", np.float64
+        else:
+            name, dtype = "eigenvectors.c128", np.complex128
+        self.states.T.astype(dtype).tofile(d / name)
         sidecar = {
             "half_width": self.grid.half_width,
             "points": self.grid.points,
             "h": self.h,
             "count": self.count,
-            "layout": "row-major, one state per row, real part",
+            "file": name,
+            "dtype": np.dtype(dtype).name,
+            "layout": "row-major, one state per row",
         }
         (d / "grid.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 

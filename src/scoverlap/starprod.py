@@ -304,7 +304,8 @@ def weyl_operator_of(
     qs = grid.qs
     slices: dict[int, np.ndarray] = {}
     for (a, b), c in f.terms:
-        slices[b] = slices.get(b, 0) + complex(c) * qs**a
+        coeff = float(c.re) if c.im == 0 else complex(c)
+        slices[b] = slices.get(b, 0) + coeff * qs**a
     return weyl_operator(slices, grid, h)
 
 

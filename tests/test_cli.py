@@ -171,6 +171,27 @@ class TestPipelines:
         worst = max(c["rel_error"] for c in report["cases"] if c["h"] == finest)
         assert worst < 0.15
 
+    def test_sweep_drops_positions_that_snap_to_one_grid_point(self, tmp_path):
+        # at h = 0.2 the level near 0.54 is n = 2 (b = 0.5, turning point 1),
+        # and 0.115 and 0.125 both snap to grid index 518 (q = 0.1171875)
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            SWEEP.format(out=out)
+            .replace("kind = sweep", "kind = probability")
+            .replace("h = 0.2, 0.1, 0.05", "h = 0.2")
+            .replace("levels = 0.55", "levels = 0.54")
+            .replace("positions = 0.15, 0.45", "positions = 0.115, 0.125")
+            .replace("grid_points = 512", "grid_points = 1024")
+        )
+        report, status = run(parse_config(cfg_file, "probability", None, None))
+        assert status == 0
+        assert [c["b1"] for c in report.cases] == [0.1171875]
+        assert len(report.warnings) == 1
+        assert "0.125 snaps to grid index 518" in report.warnings[0]
+        saved = json.loads((out / "report.json").read_text())
+        assert saved["warnings"] == report.warnings
+
     def test_reproducible_outputs(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
         out = tmp_path / "out"

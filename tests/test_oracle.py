@@ -81,6 +81,70 @@ class TestOperatorBuild:
         assert slope >= 2.0 - 0.2
 
 
+def _reference_operator(obs, grid, h):
+    """Weyl operator from P = FFT of the n x n identity, all in complex."""
+    eye = np.eye(grid.points, dtype=complex)
+    p1 = np.fft.ifft(
+        (h * grid.wavenumbers)[:, None] * np.fft.fft(eye, axis=0), axis=0
+    )
+    p2 = p1 @ p1
+    op = np.zeros((grid.points, grid.points), dtype=complex)
+    for b, fn in obs.momentum_decomposition().items():
+        c = np.asarray(fn(grid.qs), dtype=complex)
+        if b == 0:
+            op += np.diag(c)
+        elif b == 1:
+            op += 0.5 * (c[:, None] * p1 + p1 * c[None, :])
+        else:
+            op += 0.25 * (c[:, None] * p2 + 2.0 * p1 @ (c[:, None] * p1) + p2 * c[None, :])
+    return op
+
+
+SMALL_GRID = GridSpec(8.0, 128)
+REAL_SYSTEMS = {
+    "oscillator": (HO, SMALL_GRID),
+    "pendulum": (PEND, GridSpec(math.pi, 128)),
+    "quartic": (Observable.from_coeffs({(4, 0): 0.1, (2, 0): -0.5, (0, 2): 0.5}), SMALL_GRID),
+}
+COMPLEX_SYSTEMS = {
+    "q p": (Observable.from_coeffs({(1, 1): 1.0}), SMALL_GRID),
+    "1/2 p^2 + q p": (Observable.from_coeffs({(0, 2): 0.5, (1, 1): 1.0}), SMALL_GRID),
+    "(1/2 + q^2/10) p^2": (
+        Observable.from_coeffs({(0, 2): 0.5, (2, 2): 0.1, (2, 0): 0.5}), SMALL_GRID
+    ),
+}
+
+
+class TestOperatorDtype:
+    @pytest.mark.parametrize("name", sorted(REAL_SYSTEMS))
+    def test_even_constant_momentum_builds_real_symmetric(self, name):
+        obs, grid = REAL_SYSTEMS[name]
+        gq = build_weyl_operator(obs, grid, 0.1)
+        assert gq.operator.dtype == np.float64
+        assert gq.hermiticity_defect == 0.0
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_SYSTEMS))
+    def test_odd_or_q_dependent_momentum_builds_complex(self, name):
+        obs, grid = COMPLEX_SYSTEMS[name]
+        assert build_weyl_operator(obs, grid, 0.1).operator.dtype == np.complex128
+
+    @pytest.mark.parametrize("name", sorted(REAL_SYSTEMS) + sorted(COMPLEX_SYSTEMS))
+    def test_matches_fft_of_identity_reference(self, name):
+        obs, grid = {**REAL_SYSTEMS, **COMPLEX_SYSTEMS}[name]
+        op = build_weyl_operator(obs, grid, 0.1).operator
+        ref = _reference_operator(obs, grid, 0.1)
+        assert np.max(np.abs(op - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(REAL_SYSTEMS))
+    def test_real_eigh_matches_complex_eigh(self, name):
+        obs, grid = REAL_SYSTEMS[name]
+        gq = build_weyl_operator(obs, grid, 0.1)
+        es = eigensystem(gq, retain_below=np.inf)
+        assert np.isrealobj(es.states)
+        ref = np.linalg.eigvalsh(gq.operator.astype(complex))
+        assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestOverlaps:
     def test_self_overlap_is_one(self, ho_system):
         _, es = ho_system
@@ -200,13 +264,27 @@ class TestLevelPairing:
 
 
 def test_export_roundtrip(tmp_path, ho_system):
-    _, es = ho_system
-    es.export(tmp_path)
-    vals = np.loadtxt(tmp_path / "eigenvalues.csv", skiprows=1)
-    assert vals[0] == pytest.approx(0.05, abs=1e-10)
     import json
 
-    sidecar = json.loads((tmp_path / "grid.json").read_text())
-    assert sidecar["points"] == 512
-    raw = np.fromfile(tmp_path / "eigenvectors.f64", dtype=np.float64)
-    assert raw.size == es.count * 512
+    _, es = ho_system
+    # a momentum-shifted oscillator has a complex operator and complex states
+    shifted = Observable.from_coeffs({(2, 0): 0.5, (0, 2): 0.5, (0, 1): 0.3})
+    es_complex = eigensystem(build_weyl_operator(shifted, GridSpec(10.0, 128), 0.1))
+    assert np.iscomplexobj(es_complex.states)
+    for system, name, dtype in (
+        (es, "eigenvectors.f64", "float64"),
+        (es_complex, "eigenvectors.c128", "complex128"),
+    ):
+        out = tmp_path / dtype
+        system.export(out)
+        vals = np.loadtxt(out / "eigenvalues.csv", skiprows=1)
+        assert np.array_equal(vals, system.eigenvalues)
+        sidecar = json.loads((out / "grid.json").read_text())
+        assert sidecar["points"] == system.grid.points
+        assert (sidecar["file"], sidecar["dtype"]) == (name, dtype)
+        assert sorted(f.name for f in out.iterdir()) == sorted(
+            ["eigenvalues.csv", "grid.json", name]
+        )
+        raw = np.fromfile(out / name, dtype=dtype)
+        rows = raw.reshape(sidecar["count"], sidecar["points"])
+        assert np.array_equal(rows, system.states.T)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scoverlap.errors import OrderOverflow, UnsupportedOrdering
 from scoverlap.geometry import Observable, PrequantumForm, ReferenceLagrangian
 from scoverlap.monomials import format_monomials, parse_monomials
-from scoverlap.oracle import GridSpec
+from scoverlap.oracle import GridSpec, build_weyl_operator
 from scoverlap.semiclassics import overlap
 from scoverlap.starprod import (
     QQi,
@@ -222,6 +222,12 @@ class TestOperatorCorrespondence:
         assert np.array_equal(
             weyl_operator_of(PO.one(), grid, 0.1), np.eye(grid.points)
         )
+
+    def test_real_polynomial_builds_the_observable_operator(self, probe_vectors):
+        grid, _ = probe_vectors
+        op = weyl_operator_of(PO.from_text("1/2 q^2 + 1/2 p^2"), grid, 0.1)
+        assert op.dtype == np.float64
+        assert np.array_equal(op, build_weyl_operator(Observable.harmonic(), grid, 0.1).operator)
 
     def test_star_product_intertwines(self, probe_vectors):
         grid, probes = probe_vectors

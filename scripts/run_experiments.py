@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run every example experiment config and report the exit statuses."""
+"""Run every example experiment config and report its exit status and wall time."""
 
 import sys
+import time
 from pathlib import Path
 
 from scoverlap.cli import main
@@ -19,7 +20,8 @@ RUNS = [
 if __name__ == "__main__":
     worst = 0
     for command, config in RUNS:
+        start = time.perf_counter()
         status = main([command, "--config", str(HERE / "configs" / config)])
-        print(f"  -> {config}: exit {status}")
+        print(f"  -> {config}: exit {status}, {time.perf_counter() - start:.2f} s")
         worst = max(worst, status)
     sys.exit(worst)

@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import semiclassics
-from .errors import CausticNearby, ConfigError, DegenerateFit, DuplicatePosition
+from .errors import (
+    CausticNearby,
+    ConfigError,
+    DegenerateFit,
+    DuplicatePosition,
+    QuadratureLimit,
+)
 from .geometry import (
     Observable,
     PhasePoint,
@@ -112,6 +118,7 @@ class Report:
     cases: list[dict] = field(default_factory=list)
     slope: float | None = None
     slope_residual: float | None = None
+    error_floor: float | None = None
     exact_plateau: bool = False
     warnings: list[str] = field(default_factory=list)
 
@@ -121,6 +128,7 @@ class Report:
             "cases": self.cases,
             "slope": self.slope,
             "slope_residual": self.slope_residual,
+            "error_floor": self.error_floor,
             "exact_plateau": self.exact_plateau,
             "warnings": self.warnings,
         }
@@ -428,13 +436,25 @@ def _run_glue_check(cfg: ExperimentConfig) -> Report:
 
 
 def _attach_slope(rep: Report, errs: list[tuple[float, float]]) -> None:
+    """Fit the convergence slope, or report an error floor instead.
+
+    A fitted error that changes by less than a factor of 2 across the whole
+    h range is a floor, not an order: ``error_floor`` then holds the median
+    error and ``slope`` stays None.
+    """
     if len(errs) >= 3:
         try:
-            rep.slope, rep.slope_residual = regress_error_slope(errs)
+            slope, resid = regress_error_slope(errs)
         except DegenerateFit:
             rep.exact_plateau = True
+            return
         except ValueError:
-            pass
+            return
+        hs = [h for h, _ in errs]
+        if abs(slope) * math.log(max(hs) / min(hs)) < math.log(2.0):
+            rep.error_floor = float(np.median([e for _, e in errs]))
+        else:
+            rep.slope, rep.slope_residual = slope, resid
 
 
 _PIPELINES = {
@@ -452,7 +472,8 @@ def run(cfg: ExperimentConfig) -> tuple[Report, int]:
     """Execute the scenario; returns the report and the exit status.
 
     The status is 2 when a ``CausticNearby`` warning fired; ``report.warnings``
-    also keeps ``DuplicatePosition`` messages, which leave the status alone.
+    also keeps ``DuplicatePosition`` and ``QuadratureLimit`` messages and
+    failed fiber dumps, which leave the status alone.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -460,7 +481,7 @@ def run(cfg: ExperimentConfig) -> tuple[Report, int]:
     report.warnings = [
         str(w.message)
         for w in caught
-        if issubclass(w.category, (CausticNearby, DuplicatePosition))
+        if issubclass(w.category, (CausticNearby, DuplicatePosition, QuadratureLimit))
     ]
     caustic = any(issubclass(w.category, CausticNearby) for w in caught)
     _write_outputs(cfg, report)
@@ -469,6 +490,23 @@ def run(cfg: ExperimentConfig) -> tuple[Report, int]:
 
 def _write_outputs(cfg: ExperimentConfig, report: Report) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    # fiber dumps go first, so a level that cannot be traced is listed in
+    # report.json
+    if cfg.dump_fibers and cfg.kind in ("overlap", "probability", "sweep"):
+        h_obs2 = cfg.system("system2")
+        levels = cfg.floats("levels", required=False) or cfg.floats(
+            "levels2", required=False
+        )
+        for i, b in enumerate(levels[:4]):
+            try:
+                curve = trace_level_curve(
+                    h_obs2, b, semiclassics._seed_on_level(h_obs2, b, 8.0)
+                )
+                curve.to_csv(cfg.out_dir / f"fiber_{i}.csv")
+            except Exception as exc:
+                report.warnings.append(
+                    f"fiber dump {i} at level {b} failed: {type(exc).__name__}: {exc}"
+                )
     # per-term debugging dumps travel to terms.json, not the case table
     term_dumps = []
     for i, case in enumerate(report.cases):
@@ -490,19 +528,6 @@ def _write_outputs(cfg: ExperimentConfig, report: Report) -> None:
         writer.writeheader()
         for case in report.cases:
             writer.writerow(case)
-    if cfg.dump_fibers and cfg.kind in ("overlap", "probability", "sweep"):
-        h_obs2 = cfg.system("system2")
-        levels = cfg.floats("levels", required=False) or cfg.floats(
-            "levels2", required=False
-        )
-        for i, b in enumerate(levels[:4]):
-            try:
-                curve = trace_level_curve(
-                    h_obs2, b, semiclassics._seed_on_level(h_obs2, b, 8.0)
-                )
-                curve.to_csv(cfg.out_dir / f"fiber_{i}.csv")
-            except Exception:
-                continue
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -527,8 +552,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     n = len(report.cases)
-    slope_txt = f", slope {report.slope:.3f}" if report.slope is not None else ""
-    print(f"{cfg.kind}: {n} case(s){slope_txt} -> {cfg.out_dir}")
+    if report.slope is not None:
+        fit_txt = f", slope {report.slope:.3f}"
+    elif report.error_floor is not None:
+        fit_txt = f", error floor {report.error_floor:.3g}"
+    else:
+        fit_txt = ""
+    print(f"{cfg.kind}: {n} case(s){fit_txt} -> {cfg.out_dir}")
     return status
 
 

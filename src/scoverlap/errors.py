@@ -82,3 +82,7 @@ class LevelSkipped(UserWarning):
 
 class DegenerateFit(RuntimeError):
     """All errors sit at machine precision; no slope can be fitted."""
+
+
+class QuadratureLimit(UserWarning):
+    """Adaptive quadrature reached its panel limit before its tolerance."""

@@ -19,18 +19,18 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import (
     NoReferencePoint,
     PointNotOnFiber,
+    QuadratureLimit,
     SingularFiber,
     TangentialIntersection,
 )
 from .monomials import format_monomials, parse_monomials, to_float_table
 
 CURVE_TOL = 1e-9
-QUAD_TOL = 1e-8
 NEWTON_TOL = 1e-10
 TRANS_TOL = 1e-6
 DEDUP_RADIUS = 1e-6
@@ -403,26 +403,15 @@ class FiberCurve:
             span = (s_to - s_from) % total
             if span == 0.0:
                 span = total
-            stops = [s_from + span]
-            svals = [s_from]
-            cur = s_from
-            # walk sample grid forward, unwrapping
-            idx = int(np.searchsorted(s, s_from % total, side="right"))
-            offset = s_from - (s_from % total)
-            while True:
-                if idx >= len(s) - 1:
-                    idx = 0
-                    offset += total
-                sv = s[idx] + offset
-                if sv >= stops[0] - 1e-12:
-                    break
-                if sv > cur + 1e-12:
-                    svals.append(sv)
-                    cur = sv
-                idx += 1
-            svals.append(stops[0])
-            pts = np.array([self._interp_point(v % total) for v in svals])
-            return pts
+            # samples more than 1e-12 inside the arc, in the order the flow
+            # meets them; s[-1] repeats s[0] and is left out
+            ahead = (s[:-1] - s_from) % total
+            keep = np.flatnonzero((ahead > 1e-12) & (ahead < span - 1e-12))
+            keep = keep[np.argsort(ahead[keep], kind="stable")]
+            a = self._interp_point(s_from % total)
+            b = self._interp_point((s_from + span) % total)
+            inner = np.stack([self.qs[keep], self.ps[keep]], axis=1)
+            return np.vstack([a, inner, b])
         lo, hi = min(s_from, s_to), max(s_from, s_to)
         mask = (s > lo + 1e-12) & (s < hi - 1e-12)
         inner = np.stack([self.qs[mask], self.ps[mask]], axis=1)
@@ -842,32 +831,141 @@ def reference_point(curve: FiberCurve, lam: ReferenceLagrangian) -> PhasePoint:
 # Chart quadrature for fiber line integrals
 # ---------------------------------------------------------------------------
 
-def _solve_p(h: Observable, b: float, q: float, p_guess: float) -> float:
-    p = float(p_guess)
-    scale = max(1.0, abs(b))
-    for _ in range(60):
-        r = float(h.value(q, p)) - b
-        if abs(r) <= _PROJ_TOL * scale:
-            return p
-        d = float(h.dp(q, p))
-        if abs(d) < 1e-14:
-            break
-        p -= r / d
-    raise PointNotOnFiber(f"cannot solve H({q:.6g}, p) = {b} near p = {p_guess:.6g}")
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983): Kronrod
+# nodes on [-1, 1] and their weights, and the weights of the embedded
+# 10-point Gauss rule, which uses every second node.
+_XGK = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077600525478480,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:10:2] = _WG
+_G_WEIGHTS[11:20:2] = _WG[::-1]
+
+_QUAD_TOL = 1e-13
+_QUAD_LIMIT = 200
 
 
-def _solve_q(h: Observable, b: float, p: float, q_guess: float) -> float:
-    q = float(q_guess)
+def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK21 estimates and QUADPACK error bounds on panels [lo_i, hi_i].
+
+    ``f`` is called once, on the nodes of every panel.
+    """
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fv = f((center[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, 21)
+    resk = fv @ _GK_WEIGHTS
+    resg = fv @ _G_WEIGHTS
+    width = np.abs(half)
+    resabs = width * (np.abs(fv) @ _GK_WEIGHTS)
+    resasc = width * (np.abs(fv - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
+    err = np.abs((resk - resg) * half)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    err[scaled] = resasc[scaled] * np.minimum(
+        1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5
+    )
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return resk * half, err
+
+
+def _adaptive_gk21(f, a: float, b: float) -> float:
+    """Globally adaptive GK21 integral of a vectorized ``f`` from a to b.
+
+    Stops when the summed error bound meets max(_QUAD_TOL, _QUAD_TOL |I|).
+    Each round bisects every panel whose bound exceeds its even share of
+    that tolerance, worst first and at most _QUAD_LIMIT panels in all, and
+    evaluates the new panels in one call; a :class:`QuadratureLimit`
+    warning is emitted when the panel limit is reached first.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    vals, errs = _gk21_panels(f, lo, hi)
+    while True:
+        total = float(vals.sum())
+        tol = max(_QUAD_TOL, _QUAD_TOL * abs(total))
+        err = float(errs.sum())
+        if err <= tol:
+            return total
+        room = _QUAD_LIMIT - lo.size
+        if room <= 0:
+            warnings.warn(
+                f"adaptive GK21 on [{a:.6g}, {b:.6g}] reached {_QUAD_LIMIT} panels "
+                f"with error bound {err:.3e} above {tol:.3e}",
+                QuadratureLimit,
+            )
+            return total
+        worst = np.argsort(errs)[::-1]
+        split = worst[~(errs[worst] <= tol / lo.size)][:room]  # NaN included
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_vals, new_errs = _gk21_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
+
+
+def _solve_on_fiber(
+    h: Observable, b: float, known: np.ndarray, guess: np.ndarray, solve_p: bool
+) -> np.ndarray:
+    """Newton for p(q) (``solve_p``) or q(p) on {H = b} at every node at once.
+
+    ``known`` holds the fixed coordinate and ``guess`` the starting values.
+    Each node stops once |H - b| <= _PROJ_TOL max(1, |b|); a node that needs
+    more than 60 steps or meets a derivative below 1e-14 raises
+    :class:`PointNotOnFiber`.
+    """
+    out = np.array(guess, dtype=float)
+    todo = np.arange(out.size)
     scale = max(1.0, abs(b))
     for _ in range(60):
-        r = float(h.value(q, p)) - b
-        if abs(r) <= _PROJ_TOL * scale:
-            return q
-        d = float(h.dq(q, p))
-        if abs(d) < 1e-14:
+        x, y = known[todo], out[todo]
+        q, p = (x, y) if solve_p else (y, x)
+        r = h.value(q, p) - b
+        live = ~(np.abs(r) <= _PROJ_TOL * scale)  # a NaN residual stays live
+        todo, r, q, p = todo[live], r[live], q[live], p[live]
+        if todo.size == 0:
+            return out
+        d = h.dp(q, p) if solve_p else h.dq(q, p)
+        if np.any(np.abs(d) < 1e-14):
             break
-        q -= r / d
-    raise PointNotOnFiber(f"cannot solve H(q, {p:.6g}) = {b} near q = {q_guess:.6g}")
+        out[todo] -= r / d
+    k = todo[0]
+    args = f"{known[k]:.6g}, p" if solve_p else f"q, {known[k]:.6g}"
+    raise PointNotOnFiber(f"cannot solve H({args}) = {b} near {guess[k]:.6g}")
 
 
 def chart_action(h: Observable, b: float, guide: np.ndarray) -> float:
@@ -877,72 +975,47 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> float:
     last entries are taken as the exact, already-on-fiber endpoints.  The arc
     is split into graph charts (p as a function of q, or q as a function of
     p, switching where |H_p| and |H_q| cross), each integrated by adaptive
-    Gauss-Kronrod quadrature with Newton-polished integrand evaluations, so
-    the result is accurate to machine precision and varies smoothly with b.
+    21-point Gauss-Kronrod quadrature on arrays, with every node polished
+    onto the fiber by Newton, so the result is accurate to machine precision
+    and varies smoothly with b.
     """
     guide = np.asarray(guide, dtype=float)
-    if len(guide) < 2:
+    n = len(guide)
+    if n < 2:
         return 0.0
     gq = np.abs(np.asarray(h.dq(guide[:, 0], guide[:, 1]), dtype=float))
     gp = np.abs(np.asarray(h.dp(guide[:, 0], guide[:, 1]), dtype=float))
     chart = (gp < gq).astype(int)  # 0: q-chart (p(q)), 1: p-chart (q(p))
 
-    # split guide into runs of constant chart; each junction becomes an
-    # on-fiber subdivision node (any on-fiber point near the switch works,
-    # the sub-integrals telescope)
-    nodes: list[tuple[float, float]] = [tuple(guide[0])]
-    charts: list[int] = []
-    run_pts: list[list[tuple[float, float]]] = [[tuple(guide[0])]]
-    cur = int(chart[0])
-    for k in range(1, len(guide)):
-        if int(chart[k]) != cur and k < len(guide) - 1:
-            mid = project_to_fiber(h, b, PhasePoint(*guide[k]))
-            nodes.append(tuple(mid))
-            charts.append(cur)
-            run_pts[-1].append(tuple(mid))
-            run_pts.append([tuple(mid)])
-            cur = int(chart[k])
-        run_pts[-1].append(tuple(guide[k]))
-    nodes.append(tuple(guide[-1]))
-    charts.append(cur)
+    # each chart switch before the last guide point becomes an on-fiber
+    # subdivision node (any on-fiber point near the switch works, the
+    # sub-integrals telescope); run k spans nodes k and k + 1 and the guide
+    # points bounds[k]:bounds[k + 1] between them
+    switches = np.flatnonzero(chart[1:-1] != chart[:-2]) + 1
+    nodes = np.vstack(
+        [guide[:1]]
+        + [project_to_fiber(h, b, PhasePoint(*guide[k])) for k in switches]
+        + [guide[-1:]]
+    )
+    bounds = np.concatenate([[1], switches, [n - 1]])
+    run_charts = chart[np.concatenate([[0], switches])]
 
     total = 0.0
-    for (xa, xb, ch, pts) in zip(nodes[:-1], nodes[1:], charts, run_pts):
-        pts_arr = np.asarray(pts)
-        if ch == 0:
-            qa, qb = xa[0], xb[0]
-            if qa == qb:
-                continue
-            order = np.argsort(pts_arr[:, 0])
-            q_knots = pts_arr[order, 0]
-            p_knots = pts_arr[order, 1]
+    for k, ch in enumerate(run_charts):
+        xa, xb = nodes[k], nodes[k + 1]
+        pts = np.vstack([xa, guide[bounds[k]:bounds[k + 1]], xb])
+        solve_p = ch == 0
+        axis = 0 if solve_p else 1
+        ua, ub = xa[axis], xb[axis]
+        order = np.argsort(pts[:, axis])
+        u_knots, v_knots = pts[order, axis], pts[order, 1 - axis]
 
-            def integrand(q):
-                p0 = float(np.interp(q, q_knots, p_knots))
-                return _solve_p(h, b, float(q), p0)
+        def integrand(u):
+            return _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
 
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(integrand, qa, qb, epsabs=1e-13, epsrel=1e-13, limit=200)
-            total += val
-        else:
-            pa, pb = xa[1], xb[1]
-            boundary = xb[1] * xb[0] - xa[1] * xa[0]
-            if pa == pb:
-                total += boundary
-                continue
-            order = np.argsort(pts_arr[:, 1])
-            p_knots = pts_arr[order, 1]
-            q_knots = pts_arr[order, 0]
-
-            def integrand(p):
-                q0 = float(np.interp(p, p_knots, q_knots))
-                return _solve_q(h, b, float(p), q0)
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(integrand, pa, pb, epsabs=1e-13, epsrel=1e-13, limit=200)
-            total += boundary - val
+        val = 0.0 if ua == ub else _adaptive_gk21(integrand, ua, ub)
+        # q(p) charts integrate q dp; p dq = d(pq) - q dp
+        total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
     return total
 
 

@@ -6,8 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from scoverlap.cli import main, parse_config, regress_error_slope, run
+from scoverlap.cli import (
+    Report,
+    _attach_slope,
+    main,
+    parse_config,
+    regress_error_slope,
+    run,
+)
 from scoverlap.errors import ConfigError, DegenerateFit
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 HO_SPECTRUM = """
 [systems]
@@ -93,6 +102,39 @@ class TestSlopeRegression:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             regress_error_slope([(0.1, 1e-3), (0.05, 5e-4)])
+
+
+class TestErrorFloor:
+    # over h = 0.2 .. 0.05 an order k changes the error by 4^k: a factor 2
+    # is order 0.5, the boundary between a floor and a slope
+    @pytest.mark.parametrize("order, is_floor", [(0.0, True), (0.4, True), (0.6, False)])
+    def test_factor_two_rule(self, order, is_floor):
+        rep = Report(kind="sweep")
+        _attach_slope(rep, [(h, 3e-9 * h**order) for h in (0.2, 0.1, 0.05)])
+        if is_floor:
+            assert rep.slope is None and rep.slope_residual is None
+            assert rep.error_floor == pytest.approx(3e-9 * 0.1**order, rel=1e-12)
+        else:
+            assert rep.slope == pytest.approx(order, abs=1e-12)
+            assert rep.error_floor is None
+
+    def test_glue_example_reports_a_floor(self, tmp_path, capsys):
+        config = EXAMPLES / "glue_q_ho_p.ini"
+        assert main(["glue-check", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert "error floor" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        devs = sorted(c["rel_deviation"] for c in report["cases"])
+        assert report["slope"] is None
+        assert report["error_floor"] == devs[1]
+        assert 1e-9 < report["error_floor"] < 1e-8
+
+    def test_sweep_example_reports_a_slope(self, tmp_path, capsys):
+        config = EXAMPLES / "q_vs_ho_sweep.ini"
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert "slope 1.24" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["slope"] == pytest.approx(1.24, abs=0.01)
+        assert report["error_floor"] is None
 
 
 class TestConfigValidation:
@@ -189,6 +231,30 @@ class TestPipelines:
         assert [c["b1"] for c in report.cases] == [0.1171875]
         assert len(report.warnings) == 1
         assert "0.125 snaps to grid index 518" in report.warnings[0]
+        saved = json.loads((out / "report.json").read_text())
+        assert saved["warnings"] == report.warnings
+
+    def test_failed_fiber_dump_is_reported(self, tmp_path):
+        # the oscillator has no fiber at level -0.5; the pipeline itself
+        # snaps that target to the nearest quantized level and runs
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            SWEEP.format(out=out)
+            .replace("kind = sweep", "kind = probability")
+            .replace("h = 0.2, 0.1, 0.05", "h = 0.1")
+            .replace("levels = 0.55", "levels = 0.55, -0.5")
+            .replace("positions = 0.15, 0.45", "positions = 0.15")
+            + "dump_fibers = true\n"
+        )
+        report, status = run(parse_config(cfg_file, "probability", None, None))
+        assert status == 0
+        assert len(report.cases) == 2
+        assert (out / "fiber_0.csv").exists()
+        assert not (out / "fiber_1.csv").exists()
+        assert len(report.warnings) == 1
+        assert "level -0.5" in report.warnings[0]
+        assert "SingularFiber" in report.warnings[0]
         saved = json.loads((out / "report.json").read_text())
         assert saved["warnings"] == report.warnings
 

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scoverlap.errors import (
     NoReferencePoint,
     PointNotOnFiber,
+    QuadratureLimit,
     SingularFiber,
     TangentialIntersection,
 )
@@ -19,7 +20,9 @@ from scoverlap.geometry import (
     PhasePoint,
     PrequantumForm,
     ReferenceLagrangian,
+    _adaptive_gk21,
     action_along_fiber,
+    chart_action,
     find_intersections,
     loop_data,
     poisson_bracket,
@@ -214,6 +217,112 @@ class TestActions:
         c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
         with pytest.raises(PointNotOnFiber):
             action_along_fiber(c, PhasePoint(0.5, 0.5), PhasePoint(1.0, 0.0))
+
+
+def circle_arc(b, theta_from, sweep, n=40, wobble=0.0):
+    """Guide along the oscillator fiber H = b in flow (clockwise) direction;
+    interior points are pushed off the fiber radially by ``wobble``."""
+    theta = theta_from - np.linspace(0.0, sweep, n)
+    radius = math.sqrt(2 * b) * (1.0 + wobble * np.sin(7 * theta))
+    radius[0] = radius[-1] = math.sqrt(2 * b)
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+
+
+def parent_walk_scaffold(curve, s_from, s_to):
+    """Closed-curve guide built by walking the sample grid point by point."""
+    s = curve.arclength
+    total = curve.total_arclength
+    span = (s_to - s_from) % total
+    if span == 0.0:
+        span = total
+    stop = s_from + span
+    svals = [s_from]
+    cur = s_from
+    idx = int(np.searchsorted(s, s_from % total, side="right"))
+    offset = s_from - (s_from % total)
+    while True:
+        if idx >= len(s) - 1:
+            idx = 0
+            offset += total
+        sv = s[idx] + offset
+        if sv >= stop - 1e-12:
+            break
+        if sv > cur + 1e-12:
+            svals.append(sv)
+            cur = sv
+        idx += 1
+    svals.append(stop)
+    return np.array([curve._interp_point(v % total) for v in svals])
+
+
+class TestChartQuadrature:
+    @pytest.mark.parametrize("theta_from, sweep", [
+        (0.3, 0.8), (2.0, 2.5), (-1.0, 4.0), (1.2, 5.9),
+    ])
+    def test_oscillator_arc_is_circular_segment(self, theta_from, sweep):
+        # p dq along the arc, closed by the chord back to the start, encloses
+        # the circular segment r^2 (phi - sin phi) / 2
+        b = 0.7
+        guide = circle_arc(b, theta_from, sweep, wobble=1e-3)
+        (qa, pa), (qb, pb) = guide[0], guide[-1]
+        chord = 0.5 * (pa + pb) * (qa - qb)
+        segment = b * (sweep - math.sin(sweep))
+        assert chart_action(HO, b, guide) + chord == pytest.approx(segment, abs=1e-13)
+
+    @pytest.mark.parametrize("b", [0.05, 0.5, 1.3])
+    def test_oscillator_loop_is_2_pi_b(self, b):
+        guide = circle_arc(b, 0.4, 2 * math.pi, n=90, wobble=2e-3)
+        guide[-1] = guide[0]
+        assert chart_action(HO, b, guide) == pytest.approx(2 * math.pi * b, abs=1e-13)
+
+    @pytest.mark.parametrize("b", [-0.5, 0.4])
+    def test_pendulum_loop_matches_loop_data(self, b):
+        seed = PhasePoint(math.acos(-b), 0.0)
+        c = trace_level_curve(PEND, b, seed)
+        guide = c.scaffold(0.0, 0.0)
+        guide[0] = guide[-1] = c.point(0)
+        action, _ = loop_data(PEND, b, seed)
+        assert chart_action(PEND, b, guide) == pytest.approx(action, abs=1e-11)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
+    def test_linear_fiber_is_exact(self, theta):
+        # q cos(theta) + p sin(theta) = b: p is linear along the fiber, so
+        # p dq integrates to the trapezoid
+        line = Observable.linear(theta)
+        b = 0.45
+        ts = np.linspace(-1.3, 2.1, 12)
+        guide = np.stack(
+            [b * math.cos(theta) - ts * math.sin(theta),
+             b * math.sin(theta) + ts * math.cos(theta)], axis=1,
+        )
+        (qa, pa), (qb, pb) = guide[0], guide[-1]
+        expected = 0.5 * (pa + pb) * (qb - qa)
+        assert chart_action(line, b, guide) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("s_from, s_to", [
+        (5.1, 0.7),           # wraps past the closure point
+        (2.0, 2.0),           # the whole loop
+        (None, 3.3),          # starts exactly on a sample
+        (None, None),         # whole loop from a sample
+    ])
+    def test_closed_scaffold_matches_walk(self, s_from, s_to):
+        c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
+        s_from = float(c.arclength[137]) if s_from is None else s_from
+        s_to = s_from if s_to is None else s_to
+        got = c.scaffold(s_from, s_to)
+        want = parent_walk_scaffold(c, s_from, s_to)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_off_fiber_guide_rejected(self):
+        # |p| > |q| picks p(q), but no p solves H(1.5, p) = 0.5
+        guide = np.array([[1.5, 2.0], [1.65, 2.0], [1.8, 2.0]])
+        with pytest.raises(PointNotOnFiber):
+            chart_action(HO, 0.5, guide)
+
+    def test_panel_limit_warns(self):
+        with pytest.warns(QuadratureLimit):
+            _adaptive_gk21(lambda x: np.cos(1e5 * x), 0.0, 1.0)
 
 
 class TestReferencePoints:

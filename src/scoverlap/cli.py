@@ -32,10 +32,11 @@ from .errors import (
     QuadratureLimit,
 )
 from .geometry import (
+    DOMAIN_BOUND,
     Observable,
-    PhasePoint,
     PrequantumForm,
     ReferenceLagrangian,
+    project_to_fiber,
     trace_level_curve,
 )
 from .oracle import (
@@ -292,11 +293,10 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
         case_errs = []
         for target in b2_targets:
             level = min(levels, key=lambda l: abs(l.b - target))
-            curve = trace_level_curve(
-                h_obs2, level.b, PhasePoint(math.sqrt(2 * level.b), 0.0)
-            )
-            spacing = 2 * math.pi * h / curve.period
-            turning = math.sqrt(2 * level.b)
+            spacing = 2 * math.pi * h / level.period
+            # positions are fractions of the level's p = 0 turning radius
+            seed = semiclassics._seed_on_level(h_obs2, level.b, DOMAIN_BOUND)
+            turning = abs(project_to_fiber(h_obs2, level.b, seed).q)
             seen: set[int] = set()
             for u in us:
                 idx = int(round((u * turning + grid.half_width) / grid.dq))
@@ -500,7 +500,7 @@ def _write_outputs(cfg: ExperimentConfig, report: Report) -> None:
         for i, b in enumerate(levels[:4]):
             try:
                 curve = trace_level_curve(
-                    h_obs2, b, semiclassics._seed_on_level(h_obs2, b, 8.0)
+                    h_obs2, b, semiclassics._seed_on_level(h_obs2, b, DOMAIN_BOUND)
                 )
                 curve.to_csv(cfg.out_dir / f"fiber_{i}.csv")
             except Exception as exc:

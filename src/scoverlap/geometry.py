@@ -248,14 +248,14 @@ class Observable:
         return format_monomials(self.coeff_table())
 
 
+def _bracket_field(h1: Observable, h2: Observable, q, p):
+    """{H1, H2} = H1_q H2_p - H1_p H2_q at scalar or array points."""
+    return h1.dq(q, p) * h2.dp(q, p) - h1.dp(q, p) * h2.dq(q, p)
+
+
 def poisson_bracket(h1: Observable, h2: Observable, x: PhasePoint) -> float:
     """{H1, H2}(x) with the convention {q, p} = 1."""
-    q, p = x
-    return float(h1.dq(q, p) * h2.dp(q, p) - h1.dp(q, p) * h2.dq(q, p))
-
-
-def _bracket_field(h1: Observable, h2: Observable, q, p):
-    return h1.dq(q, p) * h2.dp(q, p) - h1.dp(q, p) * h2.dq(q, p)
+    return float(_bracket_field(h1, h2, x[0], x[1]))
 
 
 def _bracket_gradient(h1: Observable, h2: Observable, x: PhasePoint) -> tuple[float, float]:

@@ -50,12 +50,14 @@ from .geometry import (
     PrequantumForm,
     ReferenceLagrangian,
     TraceOptions,
+    _bracket_field,
     _bracket_gradient,
     _newton_intersection,
     _newton_on_lagrangian,
     arc_action,
     chart_action,
     find_intersections,
+    lagrangian_intersections,
     loop_data,
     poisson_bracket,
     project_to_fiber,
@@ -69,6 +71,8 @@ BS_TOL = 1e-9
 HESS_CHECK_TOL = 1e-4
 
 _BS_TRACE = TraceOptions(n_samples=160)
+_BS_PROBES = 17
+_BS_NEWTON_MAX = 30
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +129,7 @@ def _maslov_over_guide(
     endpoint_check: bool = True,
 ) -> int:
     h2, b2 = curve.observable, curve.level
-    beta = np.asarray(
-        transverse.dq(guide[:, 0], guide[:, 1]) * h2.dp(guide[:, 0], guide[:, 1])
-        - transverse.dp(guide[:, 0], guide[:, 1]) * h2.dq(guide[:, 0], guide[:, 1]),
-        dtype=float,
-    )
+    beta = np.asarray(_bracket_field(transverse, h2, guide[:, 0], guide[:, 1]), float)
     if endpoint_check and (abs(beta[0]) <= trans_tol or abs(beta[-1]) <= trans_tol):
         raise TangencyAtEndpoint(
             "transversality bracket vanishes at a segment endpoint"
@@ -202,14 +202,7 @@ def maslov_loop_index(curve: FiberCurve, transverse: Observable) -> int:
     """Tangency index of a full closed fiber (starts at maximal |bracket|)."""
     if not curve.closed:
         raise ValueError("loop index requested for an open fiber")
-    beta = np.abs(
-        np.asarray(
-            transverse.dq(curve.qs, curve.ps) * curve.observable.dp(curve.qs, curve.ps)
-            - transverse.dp(curve.qs, curve.ps)
-            * curve.observable.dq(curve.qs, curve.ps),
-            dtype=float,
-        )
-    )
+    beta = np.abs(_bracket_field(transverse, curve.observable, curve.qs, curve.ps))
     s0 = float(curve.arclength[int(np.argmax(beta))])
     guide = curve.scaffold(s0, s0)
     return _maslov_over_guide(
@@ -227,6 +220,7 @@ class BSLevel:
     b: float
     loop_action: float
     loop_maslov: int
+    period: float
 
 
 def _seed_on_level(h_obs: Observable, b: float, domain: float) -> PhasePoint:
@@ -253,77 +247,67 @@ def _seed_on_level(h_obs: Observable, b: float, domain: float) -> PhasePoint:
 
 
 def bohr_sommerfeld_levels(
-    h_obs: Observable,
-    h: float,
-    b_range: tuple[float, float],
-    transverse: Observable | None = None,
-    domain: float = DOMAIN_BOUND,
-    probes: int = 17,
+    h_obs: Observable, h: float, b_range: tuple[float, float]
 ) -> list[BSLevel]:
-    """Solve loop-action(b) = 2 pi h (n + mu/4) on a monotone closed family."""
-    transverse = Observable.position() if transverse is None else transverse
-    b_lo, b_hi = b_range
-    cache: dict[float, float] = {}
-    loop_maslov: int | None = None
+    """Solve loop-action(b) = 2 pi h (n + mu/4) on a closed family.
 
-    def loop_action(b: float) -> float:
-        if b in cache:
-            return cache[b]
-        seed = _seed_on_level(h_obs, b, domain)
-        nonlocal loop_maslov
-        if loop_maslov is None:
-            curve = trace_level_curve(h_obs, b, seed, _BS_TRACE)
-            if not curve.closed:
-                raise SingularFiber(f"fiber at {b} is not closed")
-            loop_maslov = maslov_loop_index(curve, transverse)
-            cache[b] = float(curve.loop_action)
-            return cache[b]
-        act, _ = loop_data(h_obs, b, seed, _BS_TRACE)
-        cache[b] = act
-        return act
-
-    probe_bs, probe_as = [], []
-    for b in np.linspace(b_lo, b_hi, probes):
+    The loop action A(b) has slope dA/db = T(b), the flow period, and
+    ``loop_data`` returns both from one pass.  Each level starts from the
+    inverse cubic Hermite interpolant of b(A) on its bracketing probes
+    (slopes 1/T) and is polished by Newton steps; the Maslov index is the
+    position fibration's count on the first traced probe.
+    """
+    probes: list[tuple[float, float, float]] = []  # (b, A, T)
+    mu = None
+    for b in np.linspace(b_range[0], b_range[1], _BS_PROBES):
+        b = float(b)
         try:
-            probe_as.append(loop_action(float(b)))
-            probe_bs.append(float(b))
+            seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
+            if mu is None:
+                curve = trace_level_curve(h_obs, b, seed, _BS_TRACE)
+                if not curve.closed:
+                    raise SingularFiber(f"fiber at {b} is not closed")
+                mu = maslov_loop_index(curve, Observable.position())
+                probes.append((b, curve.loop_action, curve.period))
+            else:
+                probes.append((b, *loop_data(h_obs, b, seed, _BS_TRACE)))
         except SingularFiber:
             warnings.warn(f"level {b:.6g} skipped: no closed fiber", LevelSkipped)
-    if len(probe_bs) < 2:
+    if len(probes) < 2:
         raise SingularFiber("fewer than two closed levels in the range")
-    diffs = np.diff(probe_as)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise NonMonotoneAction(
-            "loop action is not monotone on the requested range"
-        )
-    mu = loop_maslov
-    lo_a, hi_a = min(probe_as), max(probe_as)
-    n_min = math.ceil(lo_a / (2 * math.pi * h) - mu / 4.0 - 1e-12)
-    n_max = math.floor(hi_a / (2 * math.pi * h) - mu / 4.0 + 1e-12)
+    probe_as = [a for _, a, _ in probes]
+    if not np.all(np.diff(probe_as) > 0):
+        raise NonMonotoneAction("loop action is not increasing on the requested range")
+    n_min = math.ceil(probe_as[0] / (2 * math.pi * h) - mu / 4.0 - 1e-12)
+    n_max = math.floor(probe_as[-1] / (2 * math.pi * h) - mu / 4.0 + 1e-12)
     levels = []
     for n in range(max(n_min, 0), n_max + 1):
         target = 2 * math.pi * h * (n + mu / 4.0)
-        # bracket from the probe grid
-        k = int(np.searchsorted(probe_as, target)) if diffs[0] > 0 else None
-        if diffs[0] > 0:
-            k = min(max(k, 1), len(probe_bs) - 1)
-            blo, bhi = probe_bs[k - 1], probe_bs[k]
-        else:
-            rev_as = probe_as[::-1]
-            k = int(np.searchsorted(rev_as, target))
-            k = min(max(k, 1), len(probe_bs) - 1)
-            bhi = probe_bs[::-1][k]
-            blo = probe_bs[::-1][k - 1]
-            blo, bhi = min(blo, bhi), max(blo, bhi)
-        b_n = brentq(
-            lambda b: loop_action(b) - target, blo, bhi, xtol=1e-13, rtol=8.9e-16
+        k = min(max(int(np.searchsorted(probe_as, target)), 1), len(probes) - 1)
+        (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
+        # inverse cubic Hermite: b(A) through both probes with db/dA = 1/T
+        da = a1 - a0
+        u = (target - a0) / da
+        b_next = (
+            (1 + 2 * u) * (1 - u) ** 2 * b0
+            + u * (1 - u) ** 2 * da / t0
+            + u * u * (3 - 2 * u) * b1
+            - u * u * (1 - u) * da / t1
         )
-        act = loop_action(b_n)
+        for _ in range(_BS_NEWTON_MAX):
+            b = min(max(b_next, b0), b1)
+            seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
+            act, period = loop_data(h_obs, b, seed, _BS_TRACE)
+            b_next = b - (act - target) / period
+            if abs(b_next - b) <= 1e-13:
+                break
         if abs(act - target) > BS_TOL:
             raise NonMonotoneAction(
                 f"quantization condition missed at n={n}: residual {act - target:.3e}"
             )
-        levels.append(BSLevel(n=n, b=float(b_n), loop_action=act, loop_maslov=mu))
+        levels.append(
+            BSLevel(n=n, b=b, loop_action=act, loop_maslov=mu, period=period)
+        )
     return levels
 
 
@@ -470,7 +454,18 @@ def overlap(
     curve1 = curves[0] or trace_level_curve(h1, b1, points[0].point, opts)
     curve2 = curves[1] or trace_level_curve(h2, b2, points[0].point, opts)
     x1 = reference_point(curve1, lam)
-    x2 = reference_point(curve2, lam)
+    # the turning-point count along fiber 2 starts at x2: skip tangencies
+    x2 = min(
+        (x for x in lagrangian_intersections(curve2, lam)
+         if abs(poisson_bracket(h1, h2, x)) > TRANS_TOL),
+        key=lambda x: (x.q, x.p),
+        default=None,
+    )
+    if x2 is None:
+        raise NoReferencePoint(
+            f"fiber {h2} = {b2} has no crossing with the reference Lagrangian "
+            f"at which |{{H1, H2}}| > {TRANS_TOL:g}"
+        )
     geo = _PairGeometry(
         h1, b1, h2, b2, lam, alpha, curve1, curve2, x1, x2,
         curve1.locate(x1), curve2.locate(x2),

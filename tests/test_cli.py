@@ -82,6 +82,30 @@ grid_halfwidth = 10
 dir = {out}
 """
 
+PENDULUM_PROBABILITY = """
+[systems]
+qpos = q
+pend = pendulum
+
+[setup]
+lambda = q
+
+[scenario]
+kind = probability
+system1 = qpos
+system2 = pend
+h = 0.1
+levels = -0.5
+positions = 0.15, 0.45
+b_min = -0.9
+b_max = 0.2
+grid_points = 256
+grid_halfwidth = 3.141592653589793
+
+[output]
+dir = {out}
+"""
+
 
 class TestSlopeRegression:
     def test_linear_errors(self):
@@ -279,6 +303,17 @@ class TestPipelines:
         report = json.loads((out / "report.json").read_text())
         assert report["kind"] == "probability"
         assert all(c["rel_error"] < 0.15 for c in report["cases"])
+
+    def test_pendulum_probability_below_zero_energy(self, tmp_path):
+        # libration levels are negative, where the oscillator's turning radius
+        # sqrt(2 b) is undefined; the pendulum's is arccos(-b) on p = 0
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        cfg_file.write_text(PENDULUM_PROBABILITY.format(out=out))
+        assert main(["probability", "--config", str(cfg_file)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["cases"]) == 2
+        assert all(c["rel_error"] < 0.05 for c in report["cases"])
 
     def test_cyclic_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"

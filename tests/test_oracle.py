@@ -258,7 +258,9 @@ class TestLevelPairing:
 
     def test_count_mismatch(self, ho_system):
         _, es = ho_system
-        fake = [BSLevel(n=es.count + 3, b=1.0, loop_action=1.0, loop_maslov=2)]
+        fake = [
+            BSLevel(n=es.count + 3, b=1.0, loop_action=1.0, loop_maslov=2, period=1.0)
+        ]
         with pytest.raises(CountMismatch):
             match_levels(es, fake)
 

@@ -9,6 +9,7 @@ import pytest
 from scoverlap.errors import (
     DegenerateStationaryPoint,
     NonMonotoneAction,
+    NoReferencePoint,
     TangencyAtEndpoint,
 )
 from scoverlap.geometry import (
@@ -113,8 +114,66 @@ class TestBohrSommerfeld:
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.004, 2.0))
 
+    def test_decreasing_action_rejected(self, monkeypatch):
+        # continuous with the traced first probe (A = 2 pi b at b = 0.5) and
+        # strictly decreasing after it, with a positive period: dA/db = T > 0
+        # rules such a family out, so it is rejected, not solved
+        import scoverlap.semiclassics as sc
+
+        def fake_loop(h_obs, b, seed, opts):
+            return (math.pi + 0.5 - b, 1.0)
+
+        monkeypatch.setattr(sc, "loop_data", fake_loop)
+        with pytest.raises(NonMonotoneAction):
+            bohr_sommerfeld_levels(HO, 0.1, (0.5, 2.0))
+
+    @pytest.mark.parametrize(
+        "h_obs, h, b_range",
+        [(HO, 0.1, (0.004, 3.2)), (PEND, 0.05, (-0.92, 0.7))],
+    )
+    def test_period_is_loop_data_period(self, h_obs, h, b_range):
+        import scoverlap.semiclassics as sc
+
+        for l in bohr_sommerfeld_levels(h_obs, h, b_range):
+            seed = sc._seed_on_level(h_obs, l.b, sc.DOMAIN_BOUND)
+            _, period = sc.loop_data(h_obs, l.b, seed, sc._BS_TRACE)
+            assert l.period == pytest.approx(period, rel=1e-12)
+
+    def test_newton_needs_few_loop_data_calls(self, monkeypatch):
+        import scoverlap.semiclassics as sc
+
+        calls = []
+        real = sc.loop_data
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(sc, "loop_data", counted)
+        levels = bohr_sommerfeld_levels(PEND, 0.05, (-0.92, 0.7))
+        # the first of the 17 probes is traced, the other 16 call loop_data
+        assert (len(calls) - 16) / len(levels) <= 2.5
+        for l in levels:
+            target = 2 * math.pi * 0.05 * (l.n + l.loop_maslov / 4.0)
+            assert abs(l.loop_action - target) <= 1e-12
+
 
 class TestOverlap:
+    def test_reference_point_skips_a_tangency(self):
+        # the smallest-q crossing of the displaced fiber with p = q is (0, 0),
+        # where {H1, H2} = p vanishes; the transversal crossing (1, 1) is used
+        displaced = Observable.harmonic(center_q=1.0)
+        amp = overlap((HO, 0.5), (displaced, 0.5), LAM, h=0.1)
+        assert amp.x2 == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert [t.maslov for t in amp.terms] == [1, 2]
+        assert max(t.hessian_bracket_dev for t in amp.terms) < 1e-9
+
+    def test_reference_point_only_at_a_tangency_is_rejected(self):
+        # the oscillator fiber meets p = 0 only at its turning points q = +-1,
+        # where the bracket with the position fibration, {Q, H2} = p, vanishes
+        with pytest.raises(NoReferencePoint, match="H1, H2"):
+            overlap((Q, 0.3), (HO, 0.5), ReferenceLagrangian.flat(), h=0.1)
+
     def test_plane_wave_closed_form(self):
         b1, b2, h = 1.3, 0.4, 0.1
         amp = overlap((Q, b1), (P, b2), LAM, ALPHA, h)

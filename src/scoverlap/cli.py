@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,11 +46,11 @@ from .oracle import (
     match_levels,
 )
 from .semiclassics import (
-    bohr_sommerfeld_levels,
     compose_kernels,
     cyclic_amplitude,
     overlap,
     overlap_kernel,
+    probe_loop_actions,
     transition_probability,
 )
 from .starprod import PolynomialObservable, associativity_defect, moyal_product
@@ -79,7 +78,6 @@ class ExperimentConfig:
     hs: list[float]
     params: dict[str, str]
     out_dir: Path
-    jobs: int = 1
     dump_fibers: bool = False
 
     def system(self, key: str) -> Observable:
@@ -151,8 +149,7 @@ def regress_error_slope(points: list[tuple[float, float]]) -> tuple[float, float
     return float(coef[0]), resid
 
 
-def parse_config(path: Path, kind: str | None, out_override: str | None,
-                 jobs: int | None) -> ExperimentConfig:
+def parse_config(path: Path, kind: str | None, out_override: str | None) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -218,7 +215,6 @@ def parse_config(path: Path, kind: str | None, out_override: str | None,
         hs=hs,
         params=params,
         out_dir=out_dir,
-        jobs=jobs or int(params.get("jobs", "1")),
         dump_fibers=dump,
     )
 
@@ -240,9 +236,10 @@ def _run_spectrum(cfg: ExperimentConfig) -> Report:
     grid = _grid_from(cfg)
     b_lo, b_hi = cfg.flt("b_min"), cfg.flt("b_max")
     retain = cfg.params.get("retain_below")
+    probes = probe_loop_actions(h_obs, (b_lo, b_hi))
     errs = []
     for h in cfg.hs:
-        levels = bohr_sommerfeld_levels(h_obs, h, (b_lo, b_hi))
+        levels = probes.levels(h)
         es = eigensystem(
             build_weyl_operator(h_obs, grid, h),
             retain_below=float(retain) if retain else None,
@@ -259,22 +256,6 @@ def _run_spectrum(cfg: ExperimentConfig) -> Report:
     return rep
 
 
-def _bridged_overlap_case(args) -> dict:
-    (h_obs1, b1, h_obs2, b2, lam, alpha, h) = args
-    amp = overlap((h_obs1, b1), (h_obs2, b2), lam, alpha, h)
-    bridged = half_density_bridge(amp.value, amp.curve1, amp.curve2, h)
-    return {
-        "h": h,
-        "b1": b1,
-        "b2": b2,
-        "re": bridged.real,
-        "im": bridged.imag,
-        "abs": abs(bridged),
-        "n_terms": len(amp.terms),
-        "_terms": amp.term_dump(),
-    }
-
-
 def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report:
     """Position fibration vs a closed-fiber system: semiclassical transition
     density against the oracle's position density at matched quantum numbers."""
@@ -284,11 +265,10 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
     b2_targets = cfg.floats("levels")
     us = cfg.floats("positions")
     qobs = cfg.system("system1")
+    probes = probe_loop_actions(h_obs2, (cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2)))
     errs = []
     for h in cfg.hs:
-        levels = bohr_sommerfeld_levels(
-            h_obs2, h, (cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2))
-        )
+        levels = probes.levels(h)
         es = eigensystem(build_weyl_operator(h_obs2, grid, h))
         case_errs = []
         for target in b2_targets:
@@ -336,17 +316,23 @@ def _run_overlap(cfg: ExperimentConfig) -> Report:
     rep = Report(kind="overlap")
     b1s = cfg.floats("levels1")
     b2s = cfg.floats("levels2")
-    payloads = [
-        (h_obs1, b1, h_obs2, b2, cfg.lam, cfg.alpha, h)
-        for h in cfg.hs
-        for b1 in b1s
-        for b2 in b2s
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rep.cases = list(pool.map(_bridged_overlap_case, payloads))
-    else:
-        rep.cases = [_bridged_overlap_case(p) for p in payloads]
+    for h in cfg.hs:
+        for b1 in b1s:
+            for b2 in b2s:
+                amp = overlap((h_obs1, b1), (h_obs2, b2), cfg.lam, cfg.alpha, h)
+                bridged = half_density_bridge(amp.value, amp.curve1, amp.curve2, h)
+                rep.cases.append(
+                    {
+                        "h": h,
+                        "b1": b1,
+                        "b2": b2,
+                        "re": bridged.real,
+                        "im": bridged.imag,
+                        "abs": abs(bridged),
+                        "n_terms": len(amp.terms),
+                        "_terms": amp.term_dump(),
+                    }
+                )
     return rep
 
 
@@ -408,18 +394,24 @@ def _run_star_check(cfg: ExperimentConfig) -> Report:
 
 
 def _run_glue_check(cfg: ExperimentConfig) -> Report:
+    """Stationary-phase composition through the intermediate fibration
+    against the direct overlap.  The stationary levels, actions, Maslov
+    indices and Hessians are h-free, so both are computed once, at the first
+    h, and re-phased to every h with ``at``."""
     h_obs1 = cfg.system("system1")
     inter = cfg.system("intermediate")
     h_obs2 = cfg.system("system2")
     b1, b2 = cfg.flt("b1"), cfg.flt("b2")
     lo, hi = cfg.flt("interval_min"), cfg.flt("interval_max")
     rep = Report(kind="glue-check")
+    h0 = cfg.hs[0]
+    u01 = overlap_kernel((h_obs1, b1), inter, cfg.lam, cfg.alpha, h0, fixed_slot=1)
+    u20 = overlap_kernel((h_obs2, b2), inter, cfg.lam, cfg.alpha, h0, fixed_slot=2)
+    composed_h0 = compose_kernels(u20, u01, h0, (lo, hi))
+    direct_h0 = overlap((h_obs1, b1), (h_obs2, b2), cfg.lam, cfg.alpha, h0)
     errs = []
     for h in cfg.hs:
-        u01 = overlap_kernel((h_obs1, b1), inter, cfg.lam, cfg.alpha, h, fixed_slot=1)
-        u20 = overlap_kernel((h_obs2, b2), inter, cfg.lam, cfg.alpha, h, fixed_slot=2)
-        composed = compose_kernels(u20, u01, h, (lo, hi))
-        direct = overlap((h_obs1, b1), (h_obs2, b2), cfg.lam, cfg.alpha, h)
+        composed, direct = composed_h0.at(h), direct_h0.at(h)
         dev = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
         rep.cases.append(
             {
@@ -540,10 +532,9 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(name, help=f"run a {name} scenario")
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--jobs", type=int, default=None, help="worker processes")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config), args.command, args.out, args.jobs)
+        cfg = parse_config(Path(args.config), args.command, args.out)
         report, status = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -703,6 +703,27 @@ def trace_level_curve(
 # Intersections
 # ---------------------------------------------------------------------------
 
+_CORNER_DI = np.array([[0], [1], [0], [1]])
+_CORNER_DJ = np.array([[0], [0], [1], [1]])
+
+
+def _any_grid_corner(mask: np.ndarray) -> np.ndarray:
+    """Per cell of a node grid: does any of its four corners satisfy ``mask``?"""
+    return mask[:-1, :-1] | mask[1:, :-1] | mask[:-1, 1:] | mask[1:, 1:]
+
+
+def _straddling(f: np.ndarray, any_corner) -> np.ndarray:
+    """Cells whose corner values include one <= 0 and one >= 0.
+
+    A NaN corner rules its cell out, as a min/max test over the corners
+    would (both propagate the NaN)."""
+    cells = any_corner(f <= 0.0) & any_corner(f >= 0.0)
+    nan = np.isnan(f)
+    if nan.any():
+        cells &= ~any_corner(nan)
+    return cells
+
+
 def find_intersections(
     h1: Observable,
     b1: float,
@@ -714,21 +735,22 @@ def find_intersections(
 ) -> list[IntersectionPoint]:
     """All transversal points of {H1 = b1} and {H2 = b2} inside the box.
 
-    Dense sign-pattern scan followed by 2D Newton polish and deduplication.
-    Tangential roots (|{H1,H2}| <= trans_tol) raise
-    :class:`TangentialIntersection` carrying the offending points.
+    Sign-pattern scan followed by 2D Newton polish and deduplication.  A
+    grid cell can hold a crossing only if both level functions straddle zero
+    on its corners, so H1 is evaluated on the whole grid and H2 only at the
+    corners of H1's straddling cells.  Tangential roots (|{H1,H2}| <=
+    trans_tol) raise :class:`TangentialIntersection` carrying the offending
+    points.
     """
     axis = np.linspace(-domain, domain, grid_n + 1)
-    Q, P = np.meshgrid(axis, axis, indexing="ij")
-    f1 = np.asarray(h1.value(Q, P), dtype=float) - b1
-    f2 = np.asarray(h2.value(Q, P), dtype=float) - b2
-
-    def straddles(f):
-        c = np.stack([f[:-1, :-1], f[1:, :-1], f[:-1, 1:], f[1:, 1:]])
-        return (c.min(axis=0) <= 0.0) & (c.max(axis=0) >= 0.0)
-
-    cells = straddles(f1) & straddles(f2)
-    ii, jj = np.nonzero(cells)
+    f1 = np.asarray(h1.value(axis[:, None], axis[None, :]), dtype=float) - b1
+    ii, jj = np.nonzero(_straddling(f1, _any_grid_corner))
+    # corner k of cell (i, j) is the node (i + _CORNER_DI[k], j + _CORNER_DJ[k])
+    f2 = np.asarray(
+        h2.value(axis[ii + _CORNER_DI], axis[jj + _CORNER_DJ]), dtype=float
+    ) - b2
+    cells = _straddling(f2, lambda m: m.any(axis=0))
+    ii, jj = ii[cells], jj[cells]
     half = (axis[1] - axis[0]) / 2.0
     centers = [PhasePoint(axis[i] + half, axis[j] + half) for i, j in zip(ii, jj)]
 

@@ -24,7 +24,7 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,17 +246,69 @@ def _seed_on_level(h_obs: Observable, b: float, domain: float) -> PhasePoint:
     raise SingularFiber(f"no seed found on level {b}")
 
 
-def bohr_sommerfeld_levels(
-    h_obs: Observable, h: float, b_range: tuple[float, float]
-) -> list[BSLevel]:
-    """Solve loop-action(b) = 2 pi h (n + mu/4) on a closed family.
+@dataclass(frozen=True)
+class LoopActionProbes:
+    """The h-free part of Bohr-Sommerfeld quantization on a level range.
 
-    The loop action A(b) has slope dA/db = T(b), the flow period, and
-    ``loop_data`` returns both from one pass.  Each level starts from the
-    inverse cubic Hermite interpolant of b(A) on its bracketing probes
-    (slopes 1/T) and is polished by Newton steps; the Maslov index is the
-    position fibration's count on the first traced probe.
+    ``probes`` holds (b, loop action A, period T) at evenly spaced levels,
+    with A strictly increasing; ``maslov`` is the position fibration's loop
+    index.  Both depend only on the observable and the range, so one set
+    quantizes every h.
     """
+
+    observable: Observable
+    probes: tuple[tuple[float, float, float], ...]
+    maslov: int
+
+    def levels(self, h: float) -> list[BSLevel]:
+        """Solve A(b) = 2 pi h (n + mu/4) for every n inside the probed range.
+
+        The loop action has slope dA/db = T(b), the flow period, and
+        ``loop_data`` returns both from one pass.  Each level starts from the
+        inverse cubic Hermite interpolant of b(A) on its bracketing probes
+        (slopes 1/T) and is polished by Newton steps.
+        """
+        h_obs, probes, mu = self.observable, self.probes, self.maslov
+        probe_as = [a for _, a, _ in probes]
+        n_min = math.ceil(probe_as[0] / (2 * math.pi * h) - mu / 4.0 - 1e-12)
+        n_max = math.floor(probe_as[-1] / (2 * math.pi * h) - mu / 4.0 + 1e-12)
+        levels = []
+        for n in range(max(n_min, 0), n_max + 1):
+            target = 2 * math.pi * h * (n + mu / 4.0)
+            k = min(max(int(np.searchsorted(probe_as, target)), 1), len(probes) - 1)
+            (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
+            # inverse cubic Hermite: b(A) through both probes with db/dA = 1/T
+            da = a1 - a0
+            u = (target - a0) / da
+            b_next = (
+                (1 + 2 * u) * (1 - u) ** 2 * b0
+                + u * (1 - u) ** 2 * da / t0
+                + u * u * (3 - 2 * u) * b1
+                - u * u * (1 - u) * da / t1
+            )
+            for _ in range(_BS_NEWTON_MAX):
+                b = min(max(b_next, b0), b1)
+                seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
+                act, period = loop_data(h_obs, b, seed, _BS_TRACE)
+                b_next = b - (act - target) / period
+                if abs(b_next - b) <= 1e-13:
+                    break
+            if abs(act - target) > BS_TOL:
+                raise NonMonotoneAction(
+                    f"quantization condition missed at n={n}: residual {act - target:.3e}"
+                )
+            levels.append(
+                BSLevel(n=n, b=b, loop_action=act, loop_maslov=mu, period=period)
+            )
+        return levels
+
+
+def probe_loop_actions(
+    h_obs: Observable, b_range: tuple[float, float]
+) -> LoopActionProbes:
+    """Probe the loop action and period at evenly spaced levels of a closed
+    family; the Maslov index is the position fibration's count on the first
+    traced probe.  Levels without a closed fiber are skipped with a warning."""
     probes: list[tuple[float, float, float]] = []  # (b, A, T)
     mu = None
     for b in np.linspace(b_range[0], b_range[1], _BS_PROBES):
@@ -275,45 +327,44 @@ def bohr_sommerfeld_levels(
             warnings.warn(f"level {b:.6g} skipped: no closed fiber", LevelSkipped)
     if len(probes) < 2:
         raise SingularFiber("fewer than two closed levels in the range")
-    probe_as = [a for _, a, _ in probes]
-    if not np.all(np.diff(probe_as) > 0):
+    if not np.all(np.diff([a for _, a, _ in probes]) > 0):
         raise NonMonotoneAction("loop action is not increasing on the requested range")
-    n_min = math.ceil(probe_as[0] / (2 * math.pi * h) - mu / 4.0 - 1e-12)
-    n_max = math.floor(probe_as[-1] / (2 * math.pi * h) - mu / 4.0 + 1e-12)
-    levels = []
-    for n in range(max(n_min, 0), n_max + 1):
-        target = 2 * math.pi * h * (n + mu / 4.0)
-        k = min(max(int(np.searchsorted(probe_as, target)), 1), len(probes) - 1)
-        (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
-        # inverse cubic Hermite: b(A) through both probes with db/dA = 1/T
-        da = a1 - a0
-        u = (target - a0) / da
-        b_next = (
-            (1 + 2 * u) * (1 - u) ** 2 * b0
-            + u * (1 - u) ** 2 * da / t0
-            + u * u * (3 - 2 * u) * b1
-            - u * u * (1 - u) * da / t1
-        )
-        for _ in range(_BS_NEWTON_MAX):
-            b = min(max(b_next, b0), b1)
-            seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
-            act, period = loop_data(h_obs, b, seed, _BS_TRACE)
-            b_next = b - (act - target) / period
-            if abs(b_next - b) <= 1e-13:
-                break
-        if abs(act - target) > BS_TOL:
-            raise NonMonotoneAction(
-                f"quantization condition missed at n={n}: residual {act - target:.3e}"
-            )
-        levels.append(
-            BSLevel(n=n, b=b, loop_action=act, loop_maslov=mu, period=period)
-        )
-    return levels
+    return LoopActionProbes(observable=h_obs, probes=tuple(probes), maslov=mu)
+
+
+def bohr_sommerfeld_levels(
+    h_obs: Observable, h: float, b_range: tuple[float, float]
+) -> list[BSLevel]:
+    """Solve loop-action(b) = 2 pi h (n + mu/4) on a closed family.
+
+    Probes the range and quantizes at one h; callers that sweep h probe once
+    with ``probe_loop_actions`` and call ``levels(h)`` per h.
+    """
+    return probe_loop_actions(h_obs, b_range).levels(h)
 
 
 # ---------------------------------------------------------------------------
 # Overlap amplitudes
 # ---------------------------------------------------------------------------
+
+def _contribution(
+    amplitude: complex, action: float, maslov: int, h: float, signature: int = 0
+) -> complex:
+    """amplitude * exp(i S / h + i pi mu / 2 [+ i pi sigma / 4]).
+
+    The only place where h enters a term: actions, Maslov indices,
+    Hessians and stationary levels are all h-free."""
+    phase = 1j * action / h + 1j * math.pi * maslov / 2
+    if signature:
+        phase += 1j * math.pi * signature / 4
+    return amplitude * cmath.exp(phase)
+
+
+def _prefactor_and_value(h: float, terms) -> tuple[float, complex]:
+    """(2 pi h)^(-1/2) and that prefactor times the sum of the contributions."""
+    prefactor = 1.0 / math.sqrt(2 * math.pi * h)
+    return prefactor, prefactor * sum((t.contribution for t in terms), 0j)
+
 
 @dataclass(frozen=True)
 class OverlapTerm:
@@ -338,6 +389,18 @@ class SemiclassicalAmplitude:
     curve2: FiberCurve | None = None
     x1: PhasePoint | None = None
     x2: PhasePoint | None = None
+
+    def at(self, h: float) -> "SemiclassicalAmplitude":
+        """The same amplitude at another h: only the phases and the
+        prefactor change, so nothing is searched or traced again."""
+        terms = tuple(
+            replace(t, contribution=_contribution(
+                t.weight * math.sqrt(abs(t.hessian_det)), t.action, t.maslov, h
+            ))
+            for t in self.terms
+        )
+        prefactor, value = _prefactor_and_value(h, terms)
+        return replace(self, h=h, terms=terms, prefactor=prefactor, value=value)
 
     def term_dump(self) -> list[dict]:
         return [
@@ -441,14 +504,13 @@ def overlap(
     h1, b1 = sys1
     h2, b2 = sys2
     opts = trace_opts or TraceOptions(domain=domain)
-    prefactor = 1.0 / math.sqrt(2 * math.pi * h)
     convention = {"constant": 1.0, "power_of_2pi_h": -0.5}
 
     points = find_intersections(h1, b1, h2, b2, domain=domain)
     if not points:
+        prefactor, value = _prefactor_and_value(h, ())
         return SemiclassicalAmplitude(
-            h=h, terms=(), prefactor=prefactor, value=0.0 + 0.0j,
-            convention=convention,
+            h=h, terms=(), prefactor=prefactor, value=value, convention=convention,
         )
 
     curve1 = curves[0] or trace_level_curve(h1, b1, points[0].point, opts)
@@ -498,9 +560,7 @@ def overlap(
                     HessianCrossCheck,
                 )
         w = 1.0 + 0.0j if weight_fn is None else complex(weight_fn(c))
-        contribution = (
-            w * math.sqrt(abs(hess)) * cmath.exp(1j * action / h + 1j * math.pi * mu / 2)
-        )
+        contribution = _contribution(w * math.sqrt(abs(hess)), action, mu, h)
         terms.append(
             OverlapTerm(
                 point=c,
@@ -513,7 +573,7 @@ def overlap(
                 contribution=contribution,
             )
         )
-    value = prefactor * sum(t.contribution for t in terms)
+    prefactor, value = _prefactor_and_value(h, terms)
     return SemiclassicalAmplitude(
         h=h,
         terms=tuple(terms),
@@ -550,10 +610,8 @@ def complementary_overlap_term(
     # S = S1 - S2 and the gauge part are unchanged except through S2
     s2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
     action = t.action + s2_forward - s2_complement
-    contribution = (
-        t.weight
-        * math.sqrt(abs(t.hessian_det))
-        * cmath.exp(1j * action / amp.h + 1j * math.pi * mu_complement / 2)
+    contribution = _contribution(
+        t.weight * math.sqrt(abs(t.hessian_det)), action, mu_complement, amp.h
     )
     return OverlapTerm(
         point=t.point,
@@ -725,6 +783,18 @@ class ComposedAmplitude:
     prefactor: float
     value: complex
 
+    def at(self, h: float) -> "ComposedAmplitude":
+        """The same composition at another h: the stationary levels, actions,
+        Maslov indices, signatures and amplitudes are h-free."""
+        terms = tuple(
+            replace(t, contribution=_contribution(
+                t.amplitude, t.action, t.maslov, h, t.signature
+            ))
+            for t in self.terms
+        )
+        prefactor, value = _prefactor_and_value(h, terms)
+        return replace(self, h=h, terms=terms, prefactor=prefactor, value=value)
+
 
 def _sorted_terms(amp: SemiclassicalAmplitude) -> list[OverlapTerm]:
     return sorted(amp.terms, key=lambda t: (t.point.p, t.point.q))
@@ -758,9 +828,8 @@ def compose_kernels(
         )
     n2, n1 = n2.pop(), n1.pop()
     if n2 == 0 or n1 == 0:
-        return ComposedAmplitude(
-            h=h, terms=(), prefactor=1.0 / math.sqrt(2 * math.pi * h), value=0.0j
-        )
+        prefactor, value = _prefactor_and_value(h, ())
+        return ComposedAmplitude(h=h, terms=(), prefactor=prefactor, value=value)
 
     actions20 = np.array([[t.action for t in _sorted_terms(a)] for a in amps20])
     actions01 = np.array([[t.action for t in _sorted_terms(a)] for a in amps01])
@@ -781,7 +850,6 @@ def compose_kernels(
         return phi, dphi
 
     terms: list[ComposedTerm] = []
-    value = 0.0 + 0.0j
     margin = 2 * db
     for j in range(n2):
         for k in range(n1):
@@ -830,9 +898,6 @@ def compose_kernels(
                 action = t20.action + t01.action
                 mu = t20.maslov + t01.maslov
                 sig = 1 if d2 > 0 else -1
-                contribution = amp_factor * cmath.exp(
-                    1j * action / h + 1j * math.pi * mu / 2 + 1j * math.pi * sig / 4
-                )
                 terms.append(
                     ComposedTerm(
                         b_star=float(b_star),
@@ -840,14 +905,11 @@ def compose_kernels(
                         maslov=mu,
                         signature=sig,
                         amplitude=amp_factor,
-                        contribution=contribution,
+                        contribution=_contribution(amp_factor, action, mu, h, sig),
                     )
                 )
-                value += contribution
-    prefactor = 1.0 / math.sqrt(2 * math.pi * h)
-    return ComposedAmplitude(
-        h=h, terms=tuple(terms), prefactor=prefactor, value=prefactor * value
-    )
+    prefactor, value = _prefactor_and_value(h, terms)
+    return ComposedAmplitude(h=h, terms=tuple(terms), prefactor=prefactor, value=value)
 
 
 def overlap_kernel(

@@ -166,20 +166,11 @@ class PolynomialObservable:
     def degree(self) -> int:
         return max((a + b for (a, b), _ in self.terms), default=0)
 
-    @property
-    def is_real(self) -> bool:
-        return all(v.im == 0 for _, v in self.terms)
-
     def eval(self, q: float, p: float) -> complex:
         out = 0.0 + 0.0j
         for (a, b), c in self.terms:
             out += complex(c) * q**a * p**b
         return out
-
-    def to_observable(self) -> Observable:
-        if not self.is_real:
-            raise ValueError("geometry observables require real coefficients")
-        return Observable.from_coeffs({k: float(v.re) for k, v in self.terms})
 
     def __str__(self) -> str:
         parts = {}

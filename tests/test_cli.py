@@ -107,6 +107,43 @@ dir = {out}
 """
 
 
+GLUE = """
+[systems]
+qpos = q
+ho = 1/2 q^2 + 1/2 p^2
+pmom = p
+
+[setup]
+lambda = q
+
+[scenario]
+kind = glue-check
+system1 = qpos
+intermediate = ho
+system2 = pmom
+b1 = 0.6
+b2 = 0.8
+interval_min = 0.36
+interval_max = 0.95
+h = {h}
+
+[output]
+dir = {out}
+"""
+
+
+def _cases_per_h(tmp_path, command, template, hs):
+    """Cases of one run over all ``hs`` and of one run per h."""
+    runs = {}
+    for label, h_text in [("all", ", ".join(hs))] + [(h, h) for h in hs]:
+        out = tmp_path / f"out_{label}"
+        cfg_file = tmp_path / f"cfg_{label}.ini"
+        cfg_file.write_text(template.format(h=h_text, out=out))
+        assert main([command, "--config", str(cfg_file)]) == 0
+        runs[label] = json.loads((out / "report.json").read_text())["cases"]
+    return runs.pop("all"), [case for h in hs for case in runs[h]]
+
+
 class TestSlopeRegression:
     def test_linear_errors(self):
         pts = [(h, 0.37 * h) for h in (0.2, 0.1, 0.05, 0.025)]
@@ -164,20 +201,20 @@ class TestErrorFloor:
 class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_config(tmp_path / "nope.ini", "spectrum", None, None)
+            parse_config(tmp_path / "nope.ini", "spectrum", None)
 
     def test_bad_system_text(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[systems]\nho = 1/2 x^2\n[scenario]\nkind = spectrum\nh = 0.1\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(cfg, None, None, None)
+            parse_config(cfg, None, None)
         assert "ho" in str(err.value)
 
     def test_bad_kind(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[systems]\nho = q\n[scenario]\nkind = dance\nh = 0.1\n")
         with pytest.raises(ConfigError):
-            parse_config(cfg, None, None, None)
+            parse_config(cfg, None, None)
 
     def test_sweep_needs_decreasing_h(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -185,7 +222,7 @@ class TestConfigValidation:
             "[systems]\nho = q\n[scenario]\nkind = sweep\nh = 0.05, 0.1\n"
         )
         with pytest.raises(ConfigError):
-            parse_config(cfg, None, None, None)
+            parse_config(cfg, None, None)
 
     def test_malformed_config_exits_1_without_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -250,7 +287,7 @@ class TestPipelines:
             .replace("positions = 0.15, 0.45", "positions = 0.115, 0.125")
             .replace("grid_points = 512", "grid_points = 1024")
         )
-        report, status = run(parse_config(cfg_file, "probability", None, None))
+        report, status = run(parse_config(cfg_file, "probability", None))
         assert status == 0
         assert [c["b1"] for c in report.cases] == [0.1171875]
         assert len(report.warnings) == 1
@@ -271,7 +308,7 @@ class TestPipelines:
             .replace("positions = 0.15, 0.45", "positions = 0.15")
             + "dump_fibers = true\n"
         )
-        report, status = run(parse_config(cfg_file, "probability", None, None))
+        report, status = run(parse_config(cfg_file, "probability", None))
         assert status == 0
         assert len(report.cases) == 2
         assert (out / "fiber_0.csv").exists()
@@ -354,17 +391,6 @@ dir = {out}
         term = dumps[0]["terms"][0]
         assert {"action", "maslov", "hessian_det"} <= set(term)
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        cfg_file = tmp_path / "cfg.ini"
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg_file.write_text(LINEAR_OVERLAP.format(out=out_a))
-        main(["overlap", "--config", str(cfg_file)])
-        cfg_file.write_text(LINEAR_OVERLAP.format(out=out_b))
-        main(["overlap", "--config", str(cfg_file), "--jobs", "2"])
-        a = json.loads((out_a / "report.json").read_text())
-        b = json.loads((out_b / "report.json").read_text())
-        assert a["cases"] == b["cases"]
-
     def test_star_check_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
         out = tmp_path / "out"
@@ -416,8 +442,18 @@ dir = {out}
         # fall back to the environment variable when the config leaves it blank
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("SCOVERLAP_OUT", str(env_out))
-        cfg = parse_config(cfg_file, "overlap", None, None)
+        cfg = parse_config(cfg_file, "overlap", None)
         assert cfg.out_dir == env_out
         # an explicit --out wins
-        cfg2 = parse_config(cfg_file, "overlap", str(tmp_path / "cli_out"), None)
+        cfg2 = parse_config(cfg_file, "overlap", str(tmp_path / "cli_out"))
         assert cfg2.out_dir == tmp_path / "cli_out"
+
+    def test_glue_check_over_two_h_matches_single_h_runs(self, tmp_path):
+        together, apart = _cases_per_h(tmp_path, "glue-check", GLUE, ["0.2", "0.1"])
+        assert len(together) == 2
+        assert together == apart
+
+    def test_spectrum_over_two_h_matches_single_h_runs(self, tmp_path):
+        template = HO_SPECTRUM.replace("h = 0.1", "h = {h}")
+        together, apart = _cases_per_h(tmp_path, "spectrum", template, ["0.2", "0.1"])
+        assert together and together == apart

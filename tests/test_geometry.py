@@ -16,11 +16,15 @@ from scoverlap.errors import (
     TangentialIntersection,
 )
 from scoverlap.geometry import (
+    DEDUP_RADIUS,
+    TRANS_TOL,
+    IntersectionPoint,
     Observable,
     PhasePoint,
     PrequantumForm,
     ReferenceLagrangian,
     _adaptive_gk21,
+    _newton_intersection,
     action_along_fiber,
     chart_action,
     find_intersections,
@@ -168,6 +172,106 @@ class TestIntersections:
         with pytest.raises(TangentialIntersection) as err:
             find_intersections(HO, 0.5, Q, 1.0)
         assert err.value.points
+
+
+def dense_scan_intersections(h1, b1, h2, b2, domain=8.0, grid_n=400):
+    """Reference scan: both observables on the full meshgrid, corner min/max.
+
+    Returns the points, or ("tangential", points) where the scan raises."""
+    axis = np.linspace(-domain, domain, grid_n + 1)
+    qq, pp = np.meshgrid(axis, axis, indexing="ij")
+    f1 = np.asarray(h1.value(qq, pp), dtype=float) - b1
+    f2 = np.asarray(h2.value(qq, pp), dtype=float) - b2
+
+    def straddles(f):
+        c = np.stack([f[:-1, :-1], f[1:, :-1], f[:-1, 1:], f[1:, 1:]])
+        return (c.min(axis=0) <= 0.0) & (c.max(axis=0) >= 0.0)
+
+    ii, jj = np.nonzero(straddles(f1) & straddles(f2))
+    half = (axis[1] - axis[0]) / 2.0
+    roots = []
+    for i, j in zip(ii, jj):
+        r = _newton_intersection(h1, b1, h2, b2, PhasePoint(axis[i] + half, axis[j] + half))
+        if r is None or max(abs(r.q), abs(r.p)) > domain + 1e-9:
+            continue
+        if all((r.q - o.q) ** 2 + (r.p - o.p) ** 2 > DEDUP_RADIUS**2 for o in roots):
+            roots.append(r)
+    brackets = [(r, poisson_bracket(h1, h2, r)) for r in roots]
+    tangential = [r for r, br in brackets if abs(br) <= TRANS_TOL]
+    if tangential:
+        return ("tangential", tangential)
+    points = [IntersectionPoint(point=r, bracket=br) for r, br in brackets]
+    return sorted(points, key=lambda ip: (ip.point.q, ip.point.p))
+
+
+def scan_or_tangential(h1, b1, h2, b2):
+    try:
+        return find_intersections(h1, b1, h2, b2)
+    except TangentialIntersection as err:
+        return ("tangential", err.points)
+
+
+def quartic(a, c):
+    return Observable.from_coeffs({(0, 2): 0.5, (2, 0): a, (4, 0): c})
+
+
+class TestIntersectionScan:
+    """The H1-first scan returns exactly what the dense scan of both
+    observables returns: same points, same brackets, same raises."""
+
+    @pytest.mark.parametrize(
+        "h1, b1, h2, b2",
+        [
+            (PEND, -0.5, P, 0.3),
+            (PEND, 0.4, Q, 1.1),
+            (P, 0.3, PEND, -0.5),
+            (HO, 0.52, PEND, -0.5),
+            (HO, 0.5, Observable.harmonic(center_q=1.0), 0.3),
+            (Observable.harmonic(omega=1.7, center_q=-0.6), 0.8, HO, 0.6),
+            (quartic(0.4, 0.1), 0.9, Q, 0.7),
+            (HO, 0.55, quartic(0.2, 0.05), 0.5),
+        ],
+    )
+    def test_named_pairs_match_dense_scan(self, h1, b1, h2, b2):
+        got = scan_or_tangential(h1, b1, h2, b2)
+        assert got == dense_scan_intersections(h1, b1, h2, b2)
+        assert got and got[0] != "tangential"
+
+    def test_empty_matches_dense_scan(self):
+        assert scan_or_tangential(HO, 0.5, Q, 2.0) == []
+        assert dense_scan_intersections(HO, 0.5, Q, 2.0) == []
+
+    def test_tangential_raise_matches_dense_scan(self):
+        got = scan_or_tangential(HO, 0.5, Q, 1.0)
+        assert got[0] == "tangential" and got[1]
+        assert got == dense_scan_intersections(HO, 0.5, Q, 1.0)
+
+    def test_seeded_random_pairs_match_dense_scan(self):
+        rng = np.random.default_rng(20260418)
+
+        def draw():
+            kind = rng.integers(5)
+            if kind == 0:
+                return PEND
+            if kind == 1:
+                return Observable.harmonic(
+                    omega=rng.uniform(0.5, 2.0), center_q=rng.uniform(-2.0, 2.0)
+                )
+            if kind == 2:
+                return Observable.linear(rng.uniform(0.0, math.pi))
+            if kind == 3:
+                return quartic(rng.uniform(0.1, 1.0), rng.uniform(0.01, 0.2))
+            return Observable.from_coeffs(
+                {(a, b): rng.normal() for a in range(3) for b in range(3) if a + b <= 2}
+            )
+
+        for _ in range(24):
+            h1, h2 = draw(), draw()
+            b1 = float(h1.value(*rng.uniform(-3.0, 3.0, 2)))
+            b2 = float(h2.value(*rng.uniform(-3.0, 3.0, 2)))
+            assert scan_or_tangential(h1, b1, h2, b2) == dense_scan_intersections(
+                h1, b1, h2, b2
+            ), (str(h1), b1, str(h2), b2)
 
 
 class TestActions:

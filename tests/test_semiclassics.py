@@ -430,3 +430,59 @@ class TestComposition:
             rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
             assert rel <= 5 * h
             assert composed.terms[0].b_star == pytest.approx(b_star, abs=1e-7)
+
+
+def _amplitude_fields(amp):
+    # repr is exact for floats and, unlike ==, equates the NaN that light
+    # terms carry as hessian_bracket_dev
+    return repr((amp.h, amp.terms, amp.prefactor, amp.value, amp.x1, amp.x2))
+
+
+class TestRephasing:
+    """``at(h)`` re-phases h-free geometry: it must equal a fresh computation
+    at that h, float for float."""
+
+    @pytest.mark.parametrize(
+        "sys1, sys2",
+        [
+            ((Q, 0.6), (P, 0.8)),
+            ((Q, 0.4), (HO, 0.5)),
+            ((Q, 0.3), (Observable.linear(math.pi / 4), 0.8)),
+            ((Q, 2.0), (HO, 0.5)),
+        ],
+    )
+    def test_overlap_at_equals_fresh_overlap(self, sys1, sys2):
+        base = overlap(sys1, sys2, LAM, ALPHA, 0.2)
+        for h in (0.1, 0.05, 0.2):
+            fresh = overlap(sys1, sys2, LAM, ALPHA, h)
+            assert _amplitude_fields(base.at(h)) == _amplitude_fields(fresh)
+
+    def test_light_overlap_at_equals_fresh(self):
+        base = overlap((Q, 0.6), (HO, 0.7), LAM, ALPHA, 0.2, light=True)
+        fresh = overlap((Q, 0.6), (HO, 0.7), LAM, ALPHA, 0.05, light=True)
+        assert _amplitude_fields(base.at(0.05)) == _amplitude_fields(fresh)
+
+    @staticmethod
+    def _compose(sys01, sys20, intermediate, h, interval):
+        u01 = overlap_kernel(sys01, intermediate, LAM, ALPHA, h, fixed_slot=1)
+        u20 = overlap_kernel(sys20, intermediate, LAM, ALPHA, h, fixed_slot=2)
+        return compose_kernels(u20, u01, h, interval)
+
+    def test_composition_at_equals_fresh_oscillator_case(self):
+        args = ((Q, 0.6), (P, 0.8), HO)
+        base = self._compose(*args, 0.1, (0.36, 0.95))
+        fresh = self._compose(*args, 0.05, (0.36, 0.95))
+        assert len(base.terms) == 1
+        assert base.at(0.05) == fresh
+        assert base.at(0.1) == base
+
+    def test_composition_at_equals_fresh_linear_triple(self):
+        args = ((Q, 0.3), (Observable.linear(math.pi / 4), 0.8), P)
+        base = self._compose(*args, 0.1, (-2.5, 2.5))
+        fresh = self._compose(*args, 0.2, (-2.5, 2.5))
+        assert base.terms
+        assert base.at(0.2) == fresh
+
+    def test_empty_composition_at(self):
+        base = self._compose((Q, 0.3), (Q, 0.7), P, 0.1, (-2.0, 2.0))
+        assert base.at(0.05) == self._compose((Q, 0.3), (Q, 0.7), P, 0.05, (-2.0, 2.0))

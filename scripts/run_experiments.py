@@ -7,11 +7,17 @@ whether they write byte-identical results.
 """
 
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
 
-from scoverlap.cli import main, parse_config
+# One BLAS thread, set before numpy loads, so scenario timings compare with
+# single-thread measurements of the grid eigensolves.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from scoverlap.cli import main, parse_config  # noqa: E402
 
 HERE = Path(__file__).parent
 RUNS = [

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .geometry import (
     DOMAIN_BOUND,
+    FiberCurve,
     Observable,
     PrequantumForm,
     ReferenceLagrangian,
@@ -46,6 +47,7 @@ from .oracle import (
     match_levels,
 )
 from .semiclassics import (
+    BSLevel,
     compose_kernels,
     cyclic_amplitude,
     overlap,
@@ -268,15 +270,27 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
     probes = probe_loop_actions(h_obs2, (cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2)))
     errs = []
     for h in cfg.hs:
-        levels = probes.levels(h)
         es = eigensystem(build_weyl_operator(h_obs2, grid, h))
+        solved: dict[int, BSLevel] = {}
+        fibers: dict[int, tuple[float, FiberCurve]] = {}
         case_errs = []
         for target in b2_targets:
-            level = min(levels, key=lambda l: abs(l.b - target))
+            # only the two levels bracketing the target are solved
+            bracket = probes.bracket(h, target)
+            for n in bracket:
+                if n not in solved:
+                    solved[n] = probes.level(h, n)
+            level = min((solved[n] for n in bracket), key=lambda l: abs(l.b - target))
+            if level.n not in fibers:
+                # positions are fractions of the level's p = 0 turning radius;
+                # the fiber is traced once and shared by every position
+                seed = semiclassics._seed_on_level(h_obs2, level.b, DOMAIN_BOUND)
+                start = project_to_fiber(h_obs2, level.b, seed)
+                fibers[level.n] = (
+                    abs(start.q), trace_level_curve(h_obs2, level.b, start)
+                )
+            turning, fiber = fibers[level.n]
             spacing = 2 * math.pi * h / level.period
-            # positions are fractions of the level's p = 0 turning radius
-            seed = semiclassics._seed_on_level(h_obs2, level.b, DOMAIN_BOUND)
-            turning = abs(project_to_fiber(h_obs2, level.b, seed).q)
             seen: set[int] = set()
             for u in us:
                 idx = int(round((u * turning + grid.half_width) / grid.dq))
@@ -290,7 +304,8 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
                 seen.add(idx)
                 q1 = float(grid.qs[idx])
                 p_sc = transition_probability(
-                    (qobs, q1), (h_obs2, level.b), h, cfg.lam, cfg.alpha
+                    (qobs, q1), (h_obs2, level.b), h, cfg.lam, cfg.alpha,
+                    curves=(None, fiber),
                 ) * spacing
                 p_or = abs(es.state(level.n).at(q1)) ** 2
                 err = abs(p_sc - p_or) / p_or

@@ -33,7 +33,8 @@ class GridSpec:
 
     @property
     def qs(self) -> np.ndarray:
-        return -self.half_width + self.dq * np.arange(self.points)
+        # centred on the grid index n/2, so q[n - k] == -q[k] holds exactly
+        return self.dq * (np.arange(self.points) - self.points / 2)
 
     @property
     def wavenumbers(self) -> np.ndarray:
@@ -209,8 +210,22 @@ def eigensystem(
 
     The default cutoff is H(half_width, 0)/2; pass ``retain_below`` to
     override (e.g. on a natural compact domain there is no contamination).
+
+    A real operator on an even grid that commutes exactly (bit for bit)
+    with the reflection k -> n - k, i.e. q -> -q, is diagonalized through
+    its even and odd parity blocks, about a quarter of the dense work; its
+    states then have definite parity.  Any other operator takes one dense
+    ``eigh``.
     """
-    evals, vecs = np.linalg.eigh(gq.operator)
+    a = gq.operator
+    if _reflection_even(a):
+        evals, columns = _parity_eigh(a)
+    else:
+        evals, vecs = np.linalg.eigh(a)
+
+        def columns(keep: np.ndarray) -> np.ndarray:
+            return vecs[:, keep]
+
     if retain_below is None:
         retain_below = float(
             gq.observable.value(gq.grid.half_width, 0.0)
@@ -219,15 +234,71 @@ def eigensystem(
     if not np.any(keep):
         keep = np.zeros_like(evals, dtype=bool)
         keep[: min(8, len(evals))] = True
-    evals = evals[keep]
-    vecs = vecs[:, keep] / np.sqrt(gq.grid.dq)
+    states = columns(keep)  # a new array: normalized in place
+    states /= np.sqrt(gq.grid.dq)
     return Eigensystem(
-        eigenvalues=evals,
-        states=vecs,
+        eigenvalues=evals[keep],
+        states=states,
         grid=gq.grid,
         h=gq.h,
-        operator_norm=float(np.max(np.abs(gq.operator))),
+        operator_norm=float(np.max(np.abs(a))),
     )
+
+
+def _reflection_even(a: np.ndarray) -> bool:
+    """Whether a real operator on an even grid satisfies R A R == A exactly,
+    R the reflection k -> n - k (mod n); compared on flipped views."""
+    n = a.shape[0]
+    return bool(
+        np.isrealobj(a)
+        and n % 2 == 0
+        and np.array_equal(a[1:, 1:], a[:0:-1, :0:-1])
+        and np.array_equal(a[0, 1:], a[0, :0:-1])
+        and np.array_equal(a[1:, 0], a[:0:-1, 0])
+    )
+
+
+def _parity_eigh(a: np.ndarray):
+    """Spectrum of a reflection-even operator from its two parity blocks.
+
+    The even basis is e_0, (e_k + e_{n-k})/sqrt2 for k = 1..m-1, e_m with
+    m = n/2; the odd basis is (e_k - e_{n-k})/sqrt2.  Both blocks are read
+    off A's entries.  Returns the merged eigenvalues in ascending order and
+    a function ``columns(keep)`` that writes only the eigenvectors selected
+    by the boolean ``keep`` (over the merged order) into a new array of
+    unit-norm grid-basis columns.
+    """
+    n = a.shape[0]
+    m = n // 2
+    mirror = a[1:m, :m:-1]  # A[i, n - j] for i, j = 1..m-1
+    even = np.empty((m + 1, m + 1))
+    even[1:m, 1:m] = a[1:m, 1:m] + mirror
+    even[0, 1:m] = even[1:m, 0] = np.sqrt(2.0) * a[0, 1:m]
+    even[m, 1:m] = even[1:m, m] = np.sqrt(2.0) * a[m, 1:m]
+    even[0, 0], even[m, m] = a[0, 0], a[m, m]
+    even[0, m] = even[m, 0] = a[0, m]
+    ev_even, vec_even = np.linalg.eigh(even)
+    ev_odd, vec_odd = np.linalg.eigh(a[1:m, 1:m] - mirror)
+    evals = np.concatenate((ev_even, ev_odd))
+    order = np.argsort(evals, kind="stable")
+
+    def columns(keep: np.ndarray) -> np.ndarray:
+        picked = order[keep]
+        is_even = picked <= m
+        out = np.empty((n, picked.size))
+        cols = np.nonzero(is_even)[0]
+        v = vec_even[:, picked[is_even]]
+        out[0, cols] = v[0]
+        out[m, cols] = v[m]
+        out[1:m, cols] = v[1:m] / np.sqrt(2.0)
+        out[:m:-1, cols] = out[1:m, cols]
+        cols = np.nonzero(~is_even)[0]
+        out[0, cols] = out[m, cols] = 0.0
+        out[1:m, cols] = vec_odd[:, picked[~is_even] - (m + 1)] / np.sqrt(2.0)
+        out[:m:-1, cols] = -out[1:m, cols]
+        return out
+
+    return evals[order], columns
 
 
 def exact_overlap(u: StateVector, v: StateVector) -> complex:
@@ -274,10 +345,6 @@ class LevelPairing:
     eigenvalues: list[float]
     levels: list[float]
     deviations: list[float]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations) if self.deviations else 0.0
 
 
 def match_levels(es: Eigensystem, bs_levels) -> LevelPairing:

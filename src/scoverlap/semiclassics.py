@@ -260,47 +260,84 @@ class LoopActionProbes:
     probes: tuple[tuple[float, float, float], ...]
     maslov: int
 
+    def _quantum_numbers(self, h: float) -> range:
+        """Quantum numbers whose levels lie inside the probed range."""
+        probe_as, mu = [a for _, a, _ in self.probes], self.maslov
+        n_min = math.ceil(probe_as[0] / (2 * math.pi * h) - mu / 4.0 - 1e-12)
+        n_max = math.floor(probe_as[-1] / (2 * math.pi * h) - mu / 4.0 + 1e-12)
+        return range(max(n_min, 0), n_max + 1)
+
     def levels(self, h: float) -> list[BSLevel]:
-        """Solve A(b) = 2 pi h (n + mu/4) for every n inside the probed range.
+        """Solve A(b) = 2 pi h (n + mu/4) for every n inside the probed range."""
+        return [self.level(h, n) for n in self._quantum_numbers(h)]
+
+    def level(self, h: float, n: int) -> BSLevel:
+        """Solve A(b) = 2 pi h (n + mu/4) for one quantum number n.
 
         The loop action has slope dA/db = T(b), the flow period, and
-        ``loop_data`` returns both from one pass.  Each level starts from the
+        ``loop_data`` returns both from one pass.  The level starts from the
         inverse cubic Hermite interpolant of b(A) on its bracketing probes
         (slopes 1/T) and is polished by Newton steps.
         """
         h_obs, probes, mu = self.observable, self.probes, self.maslov
-        probe_as = [a for _, a, _ in probes]
-        n_min = math.ceil(probe_as[0] / (2 * math.pi * h) - mu / 4.0 - 1e-12)
-        n_max = math.floor(probe_as[-1] / (2 * math.pi * h) - mu / 4.0 + 1e-12)
-        levels = []
-        for n in range(max(n_min, 0), n_max + 1):
-            target = 2 * math.pi * h * (n + mu / 4.0)
-            k = min(max(int(np.searchsorted(probe_as, target)), 1), len(probes) - 1)
-            (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
-            # inverse cubic Hermite: b(A) through both probes with db/dA = 1/T
-            da = a1 - a0
-            u = (target - a0) / da
-            b_next = (
-                (1 + 2 * u) * (1 - u) ** 2 * b0
-                + u * (1 - u) ** 2 * da / t0
-                + u * u * (3 - 2 * u) * b1
-                - u * u * (1 - u) * da / t1
+        target = 2 * math.pi * h * (n + mu / 4.0)
+        k = min(
+            max(int(np.searchsorted([a for _, a, _ in probes], target)), 1),
+            len(probes) - 1,
+        )
+        (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
+        # inverse cubic Hermite: b(A) through both probes with db/dA = 1/T
+        da = a1 - a0
+        u = (target - a0) / da
+        b_next = (
+            (1 + 2 * u) * (1 - u) ** 2 * b0
+            + u * (1 - u) ** 2 * da / t0
+            + u * u * (3 - 2 * u) * b1
+            - u * u * (1 - u) * da / t1
+        )
+        for _ in range(_BS_NEWTON_MAX):
+            b = min(max(b_next, b0), b1)
+            seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
+            act, period = loop_data(h_obs, b, seed, _BS_TRACE)
+            b_next = b - (act - target) / period
+            if abs(b_next - b) <= 1e-13:
+                break
+        if abs(act - target) > BS_TOL:
+            raise NonMonotoneAction(
+                f"quantization condition missed at n={n}: residual {act - target:.3e}"
             )
-            for _ in range(_BS_NEWTON_MAX):
-                b = min(max(b_next, b0), b1)
-                seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
-                act, period = loop_data(h_obs, b, seed, _BS_TRACE)
-                b_next = b - (act - target) / period
-                if abs(b_next - b) <= 1e-13:
-                    break
-            if abs(act - target) > BS_TOL:
-                raise NonMonotoneAction(
-                    f"quantization condition missed at n={n}: residual {act - target:.3e}"
-                )
-            levels.append(
-                BSLevel(n=n, b=b, loop_action=act, loop_maslov=mu, period=period)
-            )
-        return levels
+        return BSLevel(n=n, b=b, loop_action=act, loop_maslov=mu, period=period)
+
+    def bracket(self, h: float, b: float) -> tuple[int, ...]:
+        """Quantum numbers of the (at most two) levels inside the probed range
+        nearest to ``b`` from below and above, in increasing order.
+
+        No level is solved: the loop action at ``b`` (clamped to the probed
+        range) comes from the cubic Hermite interpolant of A(b) on the probes
+        (slopes T).  Its error is far below a level spacing, so the level
+        nearest to ``b`` is always among the two returned.
+        """
+        numbers = self._quantum_numbers(h)
+        if not numbers:
+            return ()
+        probes = self.probes
+        b = min(max(b, probes[0][0]), probes[-1][0])
+        k = min(
+            max(int(np.searchsorted([p[0] for p in probes], b)), 1),
+            len(probes) - 1,
+        )
+        (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
+        db = b1 - b0
+        u = (b - b0) / db
+        action = (
+            (1 + 2 * u) * (1 - u) ** 2 * a0
+            + u * (1 - u) ** 2 * db * t0
+            + u * u * (3 - 2 * u) * a1
+            - u * u * (1 - u) * db * t1
+        )
+        below = math.floor(action / (2 * math.pi * h) - self.maslov / 4.0)
+        lo, hi = numbers[0], numbers[-1]
+        return tuple(sorted({min(max(n, lo), hi) for n in (below, below + 1)}))
 
 
 def probe_loop_actions(
@@ -657,12 +694,16 @@ def transition_probability(
     lam: ReferenceLagrangian | None = None,
     alpha: PrequantumForm = PrequantumForm(),
     domain: float = DOMAIN_BOUND,
+    curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
 ) -> float:
     """Squared-modulus transition density: the double intersection sum with
-    relative actions and turning-point indices, prefactor 1/(2 pi h)."""
+    relative actions and turning-point indices, prefactor 1/(2 pi h).
+
+    ``curves`` passes pre-traced fibers on to ``overlap``, so a caller that
+    sweeps positions at one level traces that fiber once."""
     if lam is None:
         lam = pick_reference_lagrangian(sys1, sys2, domain)
-    amp = overlap(sys1, sys2, lam, alpha, h, domain=domain)
+    amp = overlap(sys1, sys2, lam, alpha, h, domain=domain, curves=curves)
     total = 0.0 + 0.0j
     for ta in amp.terms:
         for tc in amp.terms:

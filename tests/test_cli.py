@@ -15,6 +15,8 @@ from scoverlap.cli import (
     run,
 )
 from scoverlap.errors import ConfigError, DegenerateFit
+from scoverlap.geometry import Observable
+from scoverlap.semiclassics import probe_loop_actions
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -273,6 +275,27 @@ class TestPipelines:
         finest = min(c["h"] for c in report["cases"])
         worst = max(c["rel_error"] for c in report["cases"] if c["h"] == finest)
         assert worst < 0.15
+
+    def test_sweep_levels_are_the_nearest_of_the_full_ladder(self, tmp_path):
+        # the pipeline solves only the levels bracketing each target; the
+        # pick must be the one nearest the target over every level in range
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        targets = (0.3, 0.55, 0.9)
+        cfg_file.write_text(
+            SWEEP.format(out=out)
+            .replace("levels = 0.55", "levels = " + ", ".join(map(str, targets)))
+            .replace("positions = 0.15, 0.45", "positions = 0.45")
+        )
+        report, _ = run(parse_config(cfg_file, "sweep", None))
+        probes = probe_loop_actions(Observable.harmonic(), (0.01, 1.0))
+        expected = []
+        for h in (0.2, 0.1, 0.05):
+            levels = probes.levels(h)
+            for target in targets:
+                level = min(levels, key=lambda l: abs(l.b - target))
+                expected.append((h, level.b, level.n))
+        assert [(c["h"], c["b2"], c["n"]) for c in report.cases] == expected
 
     def test_sweep_drops_positions_that_snap_to_one_grid_point(self, tmp_path):
         # at h = 0.2 the level near 0.54 is n = 2 (b = 0.5, turning point 1),

@@ -31,6 +31,7 @@ from scoverlap.semiclassics import (
     overlap,
     overlap_kernel,
     pick_reference_lagrangian,
+    probe_loop_actions,
     transition_probability,
 )
 
@@ -138,6 +139,35 @@ class TestBohrSommerfeld:
             seed = sc._seed_on_level(h_obs, l.b, sc.DOMAIN_BOUND)
             _, period = sc.loop_data(h_obs, l.b, seed, sc._BS_TRACE)
             assert l.period == pytest.approx(period, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "h_obs, h, b_range",
+        [(HO, 0.05, (0.01, 1.2)), (PEND, 0.05, (-0.92, 0.7))],
+    )
+    def test_single_level_equals_ladder_entry(self, h_obs, h, b_range):
+        probes = probe_loop_actions(h_obs, b_range)
+        for l in probes.levels(h):
+            assert probes.level(h, l.n) == l
+
+    @pytest.mark.parametrize(
+        "h_obs, b_range",
+        [(HO, (0.01, 1.2)), (PEND, (-0.92, 0.7))],
+    )
+    def test_bracket_holds_the_nearest_level(self, h_obs, b_range):
+        probes = probe_loop_actions(h_obs, b_range)
+        rng = np.random.default_rng(5)
+        for h in (0.2, 0.1, 0.05, 0.025):
+            levels = probes.levels(h)
+            by_n = {l.n: l for l in levels}
+            # targets inside, between, on and outside the quantized levels
+            targets = list(rng.uniform(b_range[0] - 0.1, b_range[1] + 0.1, 40))
+            targets += [l.b for l in levels] + [l.b + 1e-9 for l in levels]
+            for target in targets:
+                bracket = probes.bracket(h, target)
+                assert 1 <= len(bracket) <= 2
+                nearest = min(levels, key=lambda l: abs(l.b - target))
+                picked = min((by_n[n] for n in bracket), key=lambda l: abs(l.b - target))
+                assert picked == nearest
 
     def test_newton_needs_few_loop_data_calls(self, monkeypatch):
         import scoverlap.semiclassics as sc

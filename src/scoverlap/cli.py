@@ -27,7 +27,9 @@ from .errors import (
     CausticNearby,
     ConfigError,
     DegenerateFit,
+    DoubleRoot,
     DuplicatePosition,
+    LevelSkipped,
     QuadratureLimit,
 )
 from .geometry import (
@@ -479,17 +481,15 @@ def run(cfg: ExperimentConfig) -> tuple[Report, int]:
     """Execute the scenario; returns the report and the exit status.
 
     The status is 2 when a ``CausticNearby`` warning fired; ``report.warnings``
-    also keeps ``DuplicatePosition`` and ``QuadratureLimit`` messages and
-    failed fiber dumps, which leave the status alone.
+    also keeps ``DoubleRoot``, ``DuplicatePosition``, ``LevelSkipped`` and
+    ``QuadratureLimit`` messages and failed fiber dumps, which leave the
+    status alone.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = _PIPELINES[cfg.kind](cfg)
-    report.warnings = [
-        str(w.message)
-        for w in caught
-        if issubclass(w.category, (CausticNearby, DuplicatePosition, QuadratureLimit))
-    ]
+    kept = (CausticNearby, DoubleRoot, DuplicatePosition, LevelSkipped, QuadratureLimit)
+    report.warnings = [str(w.message) for w in caught if issubclass(w.category, kept)]
     caustic = any(issubclass(w.category, CausticNearby) for w in caught)
     _write_outputs(cfg, report)
     return report, (2 if caustic else 0)

@@ -72,10 +72,6 @@ class DuplicatePosition(UserWarning):
     """Two requested positions snap to the same grid point; the repeat is dropped."""
 
 
-class HessianCrossCheck(UserWarning):
-    """Finite-difference Hessian deviates from the bracket identity."""
-
-
 class LevelSkipped(UserWarning):
     """A level in a quantization scan had no closed fiber and was skipped."""
 

@@ -237,7 +237,9 @@ class Observable:
 
             def fn(qs, items=items):
                 qs = np.asarray(qs, dtype=float)
-                return sum(c * qs**a for a, c in items)
+                # even powers from |q|: numpy's q**a can round differently
+                # at q and -q, which would break an exact reflection symmetry
+                return sum(c * (qs if a % 2 else np.abs(qs)) ** a for a, c in items)
 
             out[b] = fn
         return out

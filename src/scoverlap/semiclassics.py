@@ -10,8 +10,10 @@ transversal intersections of the two level curves: each point contributes
   * ``mu``    the signed count of tangencies between the second fiber and the
               first fibration along that path (turning-point index),
   * ``hess``  the mixed second derivative of S in the two level labels,
-              computed by central finite differences and cross-checked
-              against the transversality bracket,
+              |d^2 S / db1 db2| = 1 / |{H1, H2}| in closed form (the
+              half-density pairing of two transversal fibrations);
+              ``stencil_overlap_term`` recomputes it by a Richardson cross
+              stencil as the reference,
 
 all behind an overall ``(2 pi h)^(-1/2)`` with unit constant.  Transition
 probabilities square this sum, cyclic amplitudes chain it around a loop of
@@ -34,7 +36,6 @@ from .errors import (
     CausticNearby,
     DegenerateStationaryPoint,
     DoubleRoot,
-    HessianCrossCheck,
     LevelSkipped,
     NonMonotoneAction,
     NoReferencePoint,
@@ -65,10 +66,9 @@ from .geometry import (
     trace_level_curve,
 )
 
-FD_STEP = 1e-3  # base step; the cross stencil is Richardson-extrapolated
+FD_STEP = 1e-3  # base step of the verifier's Richardson cross stencil
 HESS_TOL = 1e-6
 BS_TOL = 1e-9
-HESS_CHECK_TOL = 1e-4
 
 _BS_TRACE = TraceOptions(n_samples=160)
 _BS_PROBES = 17
@@ -136,40 +136,31 @@ def _maslov_over_guide(
         )
     total = 0
     signs = np.sign(beta)
-    n = len(beta)
-    crossing_cells = set()
-    i = 0
-    while i < n - 1:
-        if signs[i] == 0:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and signs[j] == 0:
-            j += 1
-        if j >= n:
-            break
-        if signs[j] != signs[i]:
-            crossing_cells.update(range(i, j))
-            mid = PhasePoint(*(0.5 * (guide[i] + guide[j])))
-            tp = _tangency_newton(transverse, h2, b2, mid)
-            if tp is None:
-                tp = mid
-            total += _crossing_sign(transverse, h2, tp, sigma)
-        i = j
+    crossing_cells = np.zeros(len(beta), dtype=bool)
+    # a sign change between consecutive nonzero samples i < j is a crossing
+    nonzero = np.flatnonzero(signs)
+    changes = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
+    for i, j in zip(nonzero[changes], nonzero[changes + 1]):
+        crossing_cells[i:j] = True
+        mid = PhasePoint(*(0.5 * (guide[i] + guide[j])))
+        tp = _tangency_newton(transverse, h2, b2, mid)
+        if tp is None:
+            tp = mid
+        total += _crossing_sign(transverse, h2, tp, sigma)
     # interior dips of |beta| to ~0 without a sign change: touch points
     mags = np.abs(beta)
-    for k in range(1, n - 1):
-        if (
-            mags[k] <= trans_tol
-            and mags[k] <= mags[k - 1]
-            and mags[k] <= mags[k + 1]
-            and not ({k - 1, k} & crossing_cells)
-        ):
-            warnings.warn(
-                "bracket touches zero without sign change; counted 0",
-                DoubleRoot,
-            )
-            break
+    inner = mags[1:-1]
+    touch = (
+        (inner <= trans_tol)
+        & (inner <= mags[:-2])
+        & (inner <= mags[2:])
+        & ~crossing_cells[:-2]
+        & ~crossing_cells[1:-1]
+    )
+    if touch.any():
+        warnings.warn(
+            "bracket touches zero without sign change; counted 0", DoubleRoot
+        )
     return total
 
 
@@ -457,27 +448,18 @@ class SemiclassicalAmplitude:
 
 @dataclass(frozen=True)
 class _PairGeometry:
-    h1: Observable
-    b1: float
-    h2: Observable
-    b2: float
+    """Two traced fibers (levels b1, b2) and their reference points x1, x2
+    on ``lam``."""
+
     lam: ReferenceLagrangian
     alpha: PrequantumForm
     curve1: FiberCurve
     curve2: FiberCurve
     x1: PhasePoint
     x2: PhasePoint
-    s_x1: float
-    s_x2: float
 
     def action_at(
-        self,
-        c_anchor: PhasePoint,
-        s_c1: float,
-        s_c2: float,
-        db1: float,
-        db2: float,
-        include_gauge: bool = True,
+        self, c_anchor: PhasePoint, db1: float, db2: float, include_gauge: bool = True
     ) -> float:
         """S(b1 + db1, b2 + db2) on the branch anchored at ``c_anchor``.
 
@@ -485,33 +467,37 @@ class _PairGeometry:
         finite-difference stencil omits it (its cross derivative vanishes
         identically, and keeping it would only inject rounding noise).
         """
-        b1p, b2p = self.b1 + db1, self.b2 + db2
-        c = _newton_intersection(self.h1, b1p, self.h2, b2p, c_anchor)
+        curve1, curve2, lam = self.curve1, self.curve2, self.lam
+        h1, b1p = curve1.observable, curve1.level + db1
+        h2, b2p = curve2.observable, curve2.level + db2
+        c = _newton_intersection(h1, b1p, h2, b2p, c_anchor)
         if c is None:
             raise SingularFiber("intersection continuation failed in stencil")
-        q1 = _newton_on_lagrangian(self.h1, b1p, self.lam, self.x1.q)
-        q2 = _newton_on_lagrangian(self.h2, b2p, self.lam, self.x2.q)
+        q1 = _newton_on_lagrangian(h1, b1p, lam, self.x1.q)
+        q2 = _newton_on_lagrangian(h2, b2p, lam, self.x2.q)
         if q1 is None or q2 is None:
             raise SingularFiber("reference continuation failed in stencil")
-        x1p = PhasePoint(q1, float(self.lam.value(q1)))
-        x2p = PhasePoint(q2, float(self.lam.value(q2)))
-        s1 = arc_action(self.curve1, b1p, x1p, c, self.s_x1, s_c1)
-        s2 = arc_action(self.curve2, b2p, x2p, c, self.s_x2, s_c2)
+        x1p = PhasePoint(q1, float(lam.value(q1)))
+        x2p = PhasePoint(q2, float(lam.value(q2)))
+        s1 = arc_action(
+            curve1, b1p, x1p, c, curve1.locate(self.x1), curve1.locate(c_anchor)
+        )
+        s2 = arc_action(
+            curve2, b2p, x2p, c, curve2.locate(self.x2), curve2.locate(c_anchor)
+        )
         if not include_gauge:
             return s1 - s2
         gauge = self.alpha.gauge_value(x2p) - self.alpha.gauge_value(x1p)
         return s1 - s2 + gauge
 
-    def cross_hessian(
-        self, c_anchor: PhasePoint, s_c1: float, s_c2: float, step: float
-    ) -> float:
+    def cross_hessian(self, c_anchor: PhasePoint, step: float) -> float:
         """|d^2 S / db1 db2| by a Richardson-extrapolated cross stencil."""
 
         def stencil(d: float) -> float:
-            spp = self.action_at(c_anchor, s_c1, s_c2, +d, +d, include_gauge=False)
-            spm = self.action_at(c_anchor, s_c1, s_c2, +d, -d, include_gauge=False)
-            smp = self.action_at(c_anchor, s_c1, s_c2, -d, +d, include_gauge=False)
-            smm = self.action_at(c_anchor, s_c1, s_c2, -d, -d, include_gauge=False)
+            spp = self.action_at(c_anchor, +d, +d, include_gauge=False)
+            spm = self.action_at(c_anchor, +d, -d, include_gauge=False)
+            smp = self.action_at(c_anchor, -d, +d, include_gauge=False)
+            smm = self.action_at(c_anchor, -d, -d, include_gauge=False)
             return (spp - spm - smp + smm) / (4 * d * d)
 
         d1 = stencil(step)
@@ -526,17 +512,17 @@ def overlap(
     alpha: PrequantumForm = PrequantumForm(),
     h: float = 0.1,
     domain: float = DOMAIN_BOUND,
-    fd_step: float = FD_STEP,
     trace_opts: TraceOptions | None = None,
     curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
     weight_fn: Callable[[PhasePoint], complex] | None = None,
-    light: bool = False,
 ) -> SemiclassicalAmplitude:
     """Leading-order overlap amplitude of two eigen-half-densities.
 
     ``sys1`` labels the fibration whose state sits in the linear slot of the
-    pairing, ``sys2`` the conjugated one.  ``light`` skips the Hessian cross
-    check and turning-point count (used by stationary-phase root finding).
+    pairing, ``sys2`` the conjugated one.  Every term carries the closed-form
+    Hessian ``1 / |{H1, H2}|`` and its counted turning-point index; its
+    ``hessian_bracket_dev`` is NaN (not measured), which
+    ``stencil_overlap_term`` measures.
     """
     h1, b1 = sys1
     h2, b2 = sys2
@@ -565,10 +551,7 @@ def overlap(
             f"fiber {h2} = {b2} has no crossing with the reference Lagrangian "
             f"at which |{{H1, H2}}| > {TRANS_TOL:g}"
         )
-    geo = _PairGeometry(
-        h1, b1, h2, b2, lam, alpha, curve1, curve2, x1, x2,
-        curve1.locate(x1), curve2.locate(x2),
-    )
+    geo = _PairGeometry(lam, alpha, curve1, curve2, x1, x2)
 
     if any(abs(ip.bracket) < 10 * TRANS_TOL for ip in points):
         warnings.warn(
@@ -579,23 +562,9 @@ def overlap(
     terms = []
     for ip in points:
         c = ip.point
-        s_c1 = curve1.locate(c)
-        s_c2 = curve2.locate(c)
-        action = geo.action_at(c, s_c1, s_c2, 0.0, 0.0)
-        if light:
-            mu = 0
-            hess = 1.0 / abs(ip.bracket)
-            dev = float("nan")
-        else:
-            mu = maslov_segment(curve2, x2, c, h1)
-            hess = geo.cross_hessian(c, s_c1, s_c2, fd_step)
-            dev = abs(hess - 1.0 / abs(ip.bracket)) * abs(ip.bracket)
-            if dev > HESS_CHECK_TOL:
-                warnings.warn(
-                    f"finite-difference Hessian deviates from 1/|bracket| "
-                    f"by {dev:.2e} at {tuple(c)}",
-                    HessianCrossCheck,
-                )
+        action = geo.action_at(c, 0.0, 0.0)
+        mu = maslov_segment(curve2, x2, c, h1)
+        hess = 1.0 / abs(ip.bracket)
         w = 1.0 + 0.0j if weight_fn is None else complex(weight_fn(c))
         contribution = _contribution(w * math.sqrt(abs(hess)), action, mu, h)
         terms.append(
@@ -605,7 +574,7 @@ def overlap(
                 action=action,
                 maslov=mu,
                 hessian_det=hess,
-                hessian_bracket_dev=dev,
+                hessian_bracket_dev=math.nan,
                 weight=w,
                 contribution=contribution,
             )
@@ -650,15 +619,32 @@ def complementary_overlap_term(
     contribution = _contribution(
         t.weight * math.sqrt(abs(t.hessian_det)), action, mu_complement, amp.h
     )
-    return OverlapTerm(
-        point=t.point,
-        bracket=t.bracket,
-        action=action,
-        maslov=mu_complement,
-        hessian_det=t.hessian_det,
-        hessian_bracket_dev=t.hessian_bracket_dev,
-        weight=t.weight,
-        contribution=contribution,
+    return replace(t, action=action, maslov=mu_complement, contribution=contribution)
+
+
+def stencil_overlap_term(
+    amp: SemiclassicalAmplitude, index: int, lam: ReferenceLagrangian
+) -> OverlapTerm:
+    """Recompute one term's Hessian |d^2 S / db1 db2| by the Richardson cross
+    stencil at base step ``FD_STEP``: the reference for the closed form
+    ``1 / |{H1, H2}|`` that ``overlap`` uses.
+
+    The fibers and reference points come from ``amp``; ``lam`` is the
+    reference Lagrangian it was computed with.  The term comes back with the
+    stencil ``hessian_det``, the contribution that gives, and
+    ``hessian_bracket_dev`` = |hess - 1/|bracket|| * |bracket|.
+    """
+    t = amp.terms[index]
+    # the stencil omits the gauge part, so the prequantum form is immaterial
+    geo = _PairGeometry(lam, PrequantumForm(), amp.curve1, amp.curve2, amp.x1, amp.x2)
+    hess = geo.cross_hessian(t.point, FD_STEP)
+    return replace(
+        t,
+        hessian_det=hess,
+        hessian_bracket_dev=abs(hess - 1.0 / abs(t.bracket)) * abs(t.bracket),
+        contribution=_contribution(
+            t.weight * math.sqrt(hess), t.action, t.maslov, amp.h
+        ),
     )
 
 
@@ -842,8 +828,8 @@ def _sorted_terms(amp: SemiclassicalAmplitude) -> list[OverlapTerm]:
 
 
 def compose_kernels(
-    u20: Callable[..., SemiclassicalAmplitude],
-    u01: Callable[..., SemiclassicalAmplitude],
+    u20: Callable[[float], SemiclassicalAmplitude],
+    u01: Callable[[float], SemiclassicalAmplitude],
     h: float,
     interval: tuple[float, float],
     n_grid: int = 33,
@@ -854,13 +840,17 @@ def compose_kernels(
     Locates zeros of d/db [S20 + S01] per branch pair on the supplied
     bracketing interval, applies the Gaussian factor sqrt(2 pi h / |phi''|)
     and the signature phase exp(+- i pi / 4), and sums the contributions.
-    Both kernels are called as ``u(b, light=...)``, as ``overlap_kernel``
-    builds them.
+    Both kernels are called as ``u(b)``, as ``overlap_kernel`` builds them.
+    At each stationary level b* one call of each gives phi(b*) and the
+    weights, Hessians and Maslov indices of the term.  phi'' is a
+    Richardson-extrapolated second difference at step 1e-3 max(1, |b*|):
+    a smaller step lets in the rounding of the actions, a larger one the
+    truncation error (order step^4).
     """
     b_lo, b_hi = interval
     grid = np.linspace(b_lo, b_hi, n_grid)
-    amps20 = [u20(float(b), light=True) for b in grid]
-    amps01 = [u01(float(b), light=True) for b in grid]
+    amps20 = [u20(float(b)) for b in grid]
+    amps01 = [u01(float(b)) for b in grid]
     n2 = {len(a.terms) for a in amps20}
     n1 = {len(a.terms) for a in amps01}
     if len(n2) != 1 or len(n1) != 1:
@@ -879,8 +869,8 @@ def compose_kernels(
 
     def phase_pair(j: int, k: int):
         def phi(b: float) -> float:
-            a20 = u20(b, light=True)
-            a01 = u01(b, light=True)
+            a20 = u20(b)
+            a01 = u01(b)
             return (
                 _sorted_terms(a20)[j].action + _sorted_terms(a01)[k].action
             )
@@ -915,28 +905,25 @@ def compose_kernels(
                 else:
                     b_star = brentq(dphi, lo, hi, xtol=1e-11)
 
-                phi0 = phi(b_star)
-                step = max(3e-3 * max(1.0, abs(b_star)), 4 * db)
+                t20 = _sorted_terms(u20(float(b_star)))[j]
+                t01 = _sorted_terms(u01(float(b_star)))[k]
+                action = t20.action + t01.action  # phi(b*)
+                step = max(1e-3 * max(1.0, abs(b_star)), 4 * db)
 
                 def second(d: float) -> float:
-                    return (phi(b_star + d) - 2 * phi0 + phi(b_star - d)) / (d * d)
+                    return (phi(b_star + d) - 2 * action + phi(b_star - d)) / (d * d)
 
                 d2 = (4.0 * second(step) - second(2 * step)) / 3.0
                 if abs(d2) < hess_tol:
                     raise DegenerateStationaryPoint(
                         f"second derivative {d2:.3e} below tolerance at b = {b_star:.6g}"
                     )
-                a20 = u20(float(b_star), light=False)
-                a01 = u01(float(b_star), light=False)
-                t20 = _sorted_terms(a20)[j]
-                t01 = _sorted_terms(a01)[k]
                 amp_factor = (
                     t20.weight
                     * t01.weight
                     * math.sqrt(abs(t20.hessian_det * t01.hessian_det))
                     / math.sqrt(abs(d2))
                 )
-                action = t20.action + t01.action
                 mu = t20.maslov + t01.maslov
                 sig = 1 if d2 > 0 else -1
                 terms.append(
@@ -971,7 +958,7 @@ def overlap_kernel(
     """
     cache: dict[str, FiberCurve | None] = {"curve": None}
 
-    def kernel(b: float, light: bool = False) -> SemiclassicalAmplitude:
+    def kernel(b: float) -> SemiclassicalAmplitude:
         if fixed_slot == 1:
             sys1, sys2 = fixed_sys, (intermediate, b)
             curves = (cache["curve"], None)
@@ -980,7 +967,7 @@ def overlap_kernel(
             curves = (None, cache["curve"])
         amp = overlap(
             sys1, sys2, lam, alpha, h, domain=domain,
-            curves=curves, weight_fn=weight_fn, light=light,
+            curves=curves, weight_fn=weight_fn,
         )
         if cache["curve"] is None:
             fixed_curve = amp.curve1 if fixed_slot == 1 else amp.curve2

@@ -1,0 +1,44 @@
+"""The benchmark driver in ``perfbench/`` uses the package from outside:
+its tracer wraps public names by path and its density audit reads overlap
+terms.  These tests import it unchanged and check that every name it wraps
+still exists and that the audit still runs."""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    # imported in place, so no bytecode cache is written into perfbench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    return tracing, workloads
+
+
+def test_tracer_finds_every_wrapped_name(perfbench):
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+
+
+def test_density_audit_runs(perfbench):
+    _, workloads = perfbench
+    h, n = workloads.DENSITY_HS[-1], 9
+    inputs = workloads.DensityInputs(
+        grid=workloads.oracle.GridSpec(*workloads.DENSITY_GRID),
+        cases=[(h, n, h * (n + 0.5), 0.3)],
+    )
+    (value,) = workloads.audit_density(inputs).values()
+    assert isinstance(value, float) and math.isfinite(value)

@@ -189,7 +189,8 @@ class TestErrorFloor:
         devs = sorted(c["rel_deviation"] for c in report["cases"])
         assert report["slope"] is None
         assert report["error_floor"] == devs[1]
-        assert 1e-9 < report["error_floor"] < 1e-8
+        # a floor, above the exact plateau (1e-13) and below 1e-9
+        assert 1e-13 < report["error_floor"] < 1e-9
 
     def test_sweep_example_reports_a_slope(self, tmp_path, capsys):
         config = EXAMPLES / "q_vs_ho_sweep.ini"
@@ -374,6 +375,22 @@ class TestPipelines:
         report = json.loads((out / "report.json").read_text())
         assert len(report["cases"]) == 2
         assert all(c["rel_error"] < 0.05 for c in report["cases"])
+
+    def test_spectrum_lists_skipped_levels(self, tmp_path):
+        # probes above the separatrix b = 1 find no closed fiber
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            PENDULUM_PROBABILITY.format(out=out)
+            .replace("kind = probability", "kind = spectrum\nsystem = pend")
+            .replace("b_max = 0.2", "b_max = 1.3\nretain_below = 1.0")
+        )
+        assert main(["spectrum", "--config", str(cfg_file)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["cases"]
+        assert report["warnings"] == [
+            f"level {b} skipped: no closed fiber" for b in ("1.025", "1.1625", "1.3")
+        ]
 
     def test_cyclic_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"

@@ -154,30 +154,36 @@ def _dense_eigensystem(gq, retain_below=None):
     return evals[keep], vecs[:, keep] / np.sqrt(gq.grid.dq)
 
 
-def _random_even_system(seed, parity):
-    """a q^2 + c q^4 + k p^2 with seeded a, c, k > 0 on a seeded grid of
-    even (parity 0) or odd (parity 1) size.  The even grids are dyadic
-    (L = m/4, n a power of two), so q^4 is exact and the operator
-    commutes with the reflection bit for bit; ``q**4`` rounds differently
-    at q and -q on other grids."""
+def _random_even_system(seed, parity, grid=None):
+    """a q^2 + c q^4 + k p^2 with seeded a, c, k > 0 on ``grid`` (half-width,
+    points) or else on a seeded grid of even (parity 0) or odd (parity 1)
+    size.  The seeded even grids are dyadic (L = m/4, n a power of two);
+    the given ones are not, and their nodes would break the exact reflection
+    symmetry if q^4 were not evaluated from |q|."""
     rng = np.random.default_rng(seed)
     a, c, k = rng.uniform(0.2, 1.0), rng.uniform(0.01, 0.2), rng.uniform(0.3, 1.0)
     obs = Observable.from_coeffs({(2, 0): a, (4, 0): c, (0, 2): k})
     points = int(rng.choice([64, 128, 256])) - parity
-    return obs, GridSpec(int(rng.integers(20, 33)) / 4, points)
+    half_width = int(rng.integers(20, 33)) / 4
+    return obs, GridSpec(*(grid or (half_width, points)))
 
 
-PARITY_CASES = [("quartic", seed, parity) for seed in range(6) for parity in (0, 1)] + [
-    ("pendulum", 128, 0),
-    ("pendulum", 127, 1),
+PARITY_CASES = (
+    [("quartic", seed, parity, None) for seed in range(6) for parity in (0, 1)]
+    + [("quartic", seed, 0, grid) for seed, grid in enumerate([(7.3, 300), (5.5, 76), (6.1, 128)])]
+    + [("pendulum", 128, 0, None), ("pendulum", 127, 1, None)]
+)
+PARITY_IDS = [
+    f"{kind}-{seed}-{parity}" + (f"-{grid[0]}x{grid[1]}" if grid else "")
+    for kind, seed, parity, grid in PARITY_CASES
 ]
 
 
 class TestParityBlocks:
-    @pytest.mark.parametrize("kind, seed, parity", PARITY_CASES)
-    def test_matches_dense_eigh(self, kind, seed, parity):
+    @pytest.mark.parametrize("kind, seed, parity, grid", PARITY_CASES, ids=PARITY_IDS)
+    def test_matches_dense_eigh(self, kind, seed, parity, grid):
         if kind == "quartic":
-            (obs, grid), retain = _random_even_system(seed, parity), None
+            (obs, grid), retain = _random_even_system(seed, parity, grid), None
         else:
             obs, grid, retain = PEND, GridSpec(math.pi, seed), 0.9
         gq = build_weyl_operator(obs, grid, 0.1)

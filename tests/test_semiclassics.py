@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scoverlap.errors import (
     DegenerateStationaryPoint,
@@ -32,6 +34,7 @@ from scoverlap.semiclassics import (
     overlap_kernel,
     pick_reference_lagrangian,
     probe_loop_actions,
+    stencil_overlap_term,
     transition_probability,
 )
 
@@ -41,6 +44,18 @@ P = Observable.momentum()
 PEND = Observable.pendulum()
 LAM = ReferenceLagrangian.line(1.0)
 ALPHA = PrequantumForm()
+
+# (observable, level range, turning radius on p = 0) of the closed families
+CLOSED = {
+    "oscillator": (HO, (0.1, 1.0), lambda b: math.sqrt(2 * b)),
+    "pendulum": (PEND, (-0.9, 0.6), lambda b: math.acos(-b)),
+}
+
+
+def _on_fiber(h_obs, b, turning, u, sign):
+    """The point of the fiber H = p^2/2 + V(q) = b at q = u * turning."""
+    q = u * turning
+    return PhasePoint(q, sign * math.sqrt(2 * (b - float(h_obs.value(q, 0.0)))))
 
 
 class TestMaslov:
@@ -79,6 +94,27 @@ class TestMaslov:
         a = project_to_fiber(ellipse, b, PhasePoint(0.9, 0.5))
         d = project_to_fiber(ellipse, b, PhasePoint(0.2, -0.9))
         assert maslov_segment(coarse, a, d, Q) == maslov_segment(fine, a, d, Q)
+
+    @given(
+        family=st.sampled_from(sorted(CLOSED)),
+        level=st.floats(0.0, 1.0),
+        ua=st.floats(-0.9, 0.9),
+        ub=st.floats(-0.9, 0.9),
+        signs=st.tuples(st.sampled_from((-1, 1)), st.sampled_from((-1, 1))),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_maslov_additivity(self, family, level, ua, ub, signs):
+        # distinct endpoints; |u| <= 0.9 keeps them off the turning points,
+        # where {Q, H} = p vanishes
+        assume(abs(ua - ub) > 0.05 or signs[0] != signs[1])
+        h_obs, (b_lo, b_hi), turning = CLOSED[family]
+        b = b_lo + level * (b_hi - b_lo)
+        r = turning(b)
+        c = trace_level_curve(h_obs, b, PhasePoint(r, 0.0))
+        a = _on_fiber(h_obs, b, r, ua, signs[0])
+        d = _on_fiber(h_obs, b, r, ub, signs[1])
+        loop = maslov_loop_index(c, Q)
+        assert maslov_segment(c, a, d, Q) + maslov_segment(c, d, a, Q) == loop == 2
 
     def test_tangency_at_endpoint_rejected(self):
         b2 = 0.5
@@ -196,7 +232,8 @@ class TestOverlap:
         amp = overlap((HO, 0.5), (displaced, 0.5), LAM, h=0.1)
         assert amp.x2 == pytest.approx((1.0, 1.0), abs=1e-12)
         assert [t.maslov for t in amp.terms] == [1, 2]
-        assert max(t.hessian_bracket_dev for t in amp.terms) < 1e-9
+        devs = [stencil_overlap_term(amp, i, LAM).hessian_bracket_dev for i in (0, 1)]
+        assert max(devs) < 1e-9
 
     def test_reference_point_only_at_a_tangency_is_rejected(self):
         # the oscillator fiber meets p = 0 only at its turning points q = +-1,
@@ -283,8 +320,24 @@ class TestOverlap:
 
     def test_hessian_cross_check(self):
         amp = overlap((Q, 0.3), (PEND, -0.2), LAM, ALPHA, 0.05)
-        for t in amp.terms:
-            assert t.hessian_bracket_dev < 1e-6
+        for i in range(len(amp.terms)):
+            assert stencil_overlap_term(amp, i, LAM).hessian_bracket_dev < 1e-6
+
+    @given(
+        family=st.sampled_from(["oscillator", "pendulum"]),
+        level=st.floats(0.0, 1.0),
+        u=st.floats(-0.8, 0.8),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_hessian_bracket_identity(self, family, level, u):
+        # C04's level ranges: the position fiber crosses the closed one twice
+        h_obs, b_range = {"oscillator": (HO, (0.3, 0.9)), "pendulum": (PEND, (-0.6, 0.2))}[family]
+        b2 = b_range[0] + level * (b_range[1] - b_range[0])
+        b1 = u * CLOSED[family][2](b2)
+        amp = overlap((Q, b1), (h_obs, b2), LAM, ALPHA, 0.1)
+        assert len(amp.terms) == 2
+        for i in range(2):
+            assert stencil_overlap_term(amp, i, LAM).hessian_bracket_dev <= 1e-6
 
     def test_near_caustic_warns(self):
         from scoverlap.errors import CausticNearby
@@ -292,7 +345,7 @@ class TestOverlap:
         b2 = 0.5
         b1 = math.sqrt(2 * b2 - 2.5e-11)  # intersections at |p| ~ 5e-6
         with pytest.warns(CausticNearby):
-            overlap((Q, b1), (HO, b2), LAM, ALPHA, 0.1, light=True)
+            overlap((Q, b1), (HO, b2), LAM, ALPHA, 0.1)
 
     def test_double_root_reported_and_counted_zero(self):
         from scoverlap.errors import DoubleRoot
@@ -360,6 +413,22 @@ class TestTransitionProbability:
         assert val == pytest.approx(
             transition_probability((Q, 0.4), (HO, 0.475), 0.1, lam), rel=1e-12
         )
+
+
+    def test_sweep_density_is_insensitive_to_one_ulp_of_level(self):
+        # the q_vs_ho_sweep cases: level nearest 0.54 at each h, positions
+        # as fractions of the turning radius, snapped to the 1024-point grid
+        grid = GridSpec(10.0, 1024)
+        for h in (0.2, 0.1, 0.05):
+            b2 = h * (round(0.54 / h - 0.5) + 0.5)
+            for u in (0.115, 0.125, 0.165, 0.49, 0.505):
+                idx = int(round((u * math.sqrt(2 * b2) + grid.half_width) / grid.dq))
+                q1 = float(grid.qs[idx])
+                base = transition_probability((Q, q1), (HO, b2), h, LAM, ALPHA)
+                moved = transition_probability(
+                    (Q, q1), (HO, float(np.nextafter(b2, np.inf))), h, LAM, ALPHA
+                )
+                assert abs(moved - base) < 1e-10 * abs(base)
 
 
 class TestCyclic:
@@ -439,15 +508,15 @@ class TestComposition:
         good = overlap_kernel((Q, 0.7), P, LAM, ALPHA, h, fixed_slot=2)
         calls = []
 
-        def u20(b, light=False):
-            calls.append(light)
-            if light:
-                raise TypeError("bug on the light path")
+        def u20(b):
+            calls.append(b)
+            if len(calls) == 1:
+                raise TypeError("bug in the kernel")
             return good(b)
 
-        with pytest.raises(TypeError, match="light path"):
+        with pytest.raises(TypeError, match="bug in the kernel"):
             compose_kernels(u20, u01, h, (-2.0, 2.0))
-        assert calls == [True]
+        assert len(calls) == 1
 
     def test_oscillator_intermediate_within_5h(self):
         b1, b2 = 0.6, 0.8
@@ -463,8 +532,8 @@ class TestComposition:
 
 
 def _amplitude_fields(amp):
-    # repr is exact for floats and, unlike ==, equates the NaN that light
-    # terms carry as hessian_bracket_dev
+    # repr is exact for floats and, unlike ==, equates the NaN that overlap
+    # terms carry as hessian_bracket_dev (not measured)
     return repr((amp.h, amp.terms, amp.prefactor, amp.value, amp.x1, amp.x2))
 
 
@@ -486,11 +555,6 @@ class TestRephasing:
         for h in (0.1, 0.05, 0.2):
             fresh = overlap(sys1, sys2, LAM, ALPHA, h)
             assert _amplitude_fields(base.at(h)) == _amplitude_fields(fresh)
-
-    def test_light_overlap_at_equals_fresh(self):
-        base = overlap((Q, 0.6), (HO, 0.7), LAM, ALPHA, 0.2, light=True)
-        fresh = overlap((Q, 0.6), (HO, 0.7), LAM, ALPHA, 0.05, light=True)
-        assert _amplitude_fields(base.at(0.05)) == _amplitude_fields(fresh)
 
     @staticmethod
     def _compose(sys01, sys20, intermediate, h, interval):

@@ -239,15 +239,15 @@ def _run_spectrum(cfg: ExperimentConfig) -> Report:
     rep = Report(kind="spectrum")
     grid = _grid_from(cfg)
     b_lo, b_hi = cfg.flt("b_min"), cfg.flt("b_max")
-    retain = cfg.params.get("retain_below")
     probes = probe_loop_actions(h_obs, (b_lo, b_hi))
     errs = []
     for h in cfg.hs:
         levels = probes.levels(h)
-        es = eigensystem(
-            build_weyl_operator(h_obs, grid, h),
-            retain_below=float(retain) if retain else None,
-        )
+        # keep the eigenvalues up to one level spacing 2 pi h / T above the
+        # top level (with no level, the oracle's default cutoff)
+        top = levels[-1] if levels else None
+        cutoff = None if top is None else top.b + 2 * math.pi * h / top.period
+        es = eigensystem(build_weyl_operator(h_obs, grid, h), retain_below=cutoff)
         pairing = match_levels(es, levels)
         for n, ev, b, dev in zip(
             pairing.indices, pairing.eigenvalues, pairing.levels, pairing.deviations

@@ -902,19 +902,21 @@ _QUAD_LIMIT = 200
 
 
 def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GK21 estimates and QUADPACK error bounds on panels [lo_i, hi_i].
+    """GK21 estimates of every row of ``f`` and QUADPACK error bounds of its
+    first row on panels [lo_i, hi_i].
 
     ``f`` is called once, on the nodes of every panel.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fv = f((center[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, 21)
+    nodes = (center[:, None] + half[:, None] * _GK_NODES).ravel()
+    fv = f(nodes).reshape(-1, lo.size, 21)
     resk = fv @ _GK_WEIGHTS
-    resg = fv @ _G_WEIGHTS
+    resg = fv[0] @ _G_WEIGHTS
     width = np.abs(half)
-    resabs = width * (np.abs(fv) @ _GK_WEIGHTS)
-    resasc = width * (np.abs(fv - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
-    err = np.abs((resk - resg) * half)
+    resabs = width * (np.abs(fv[0]) @ _GK_WEIGHTS)
+    resasc = width * (np.abs(fv[0] - 0.5 * resk[0, :, None]) @ _GK_WEIGHTS)
+    err = np.abs((resk[0] - resg) * half)
     scaled = (resasc != 0.0) & (err != 0.0)
     err[scaled] = resasc[scaled] * np.minimum(
         1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5
@@ -923,8 +925,9 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     return resk * half, err
 
 
-def _adaptive_gk21(f, a: float, b: float) -> float:
-    """Globally adaptive GK21 integral of a vectorized ``f`` from a to b.
+def _adaptive_gk21(f, a: float, b: float) -> list[float]:
+    """Globally adaptive GK21 integrals from a to b of the rows of a
+    vectorized ``f``, on the panels that its first row's error bound picks.
 
     Stops when the summed error bound meets max(_QUAD_TOL, _QUAD_TOL |I|).
     Each round bisects every panel whose bound exceeds its even share of
@@ -935,11 +938,11 @@ def _adaptive_gk21(f, a: float, b: float) -> float:
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     vals, errs = _gk21_panels(f, lo, hi)
     while True:
-        total = float(vals.sum())
-        tol = max(_QUAD_TOL, _QUAD_TOL * abs(total))
+        totals = [float(row.sum()) for row in vals]
+        tol = max(_QUAD_TOL, _QUAD_TOL * abs(totals[0]))
         err = float(errs.sum())
         if err <= tol:
-            return total
+            return totals
         room = _QUAD_LIMIT - lo.size
         if room <= 0:
             warnings.warn(
@@ -947,7 +950,7 @@ def _adaptive_gk21(f, a: float, b: float) -> float:
                 f"with error bound {err:.3e} above {tol:.3e}",
                 QuadratureLimit,
             )
-            return total
+            return totals
         worst = np.argsort(errs)[::-1]
         split = worst[~(errs[worst] <= tol / lo.size)][:room]  # NaN included
         keep = np.ones(lo.size, dtype=bool)
@@ -958,7 +961,7 @@ def _adaptive_gk21(f, a: float, b: float) -> float:
         new_vals, new_errs = _gk21_panels(f, new_lo, new_hi)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
         errs = np.concatenate([errs[keep], new_errs])
 
 
@@ -992,21 +995,22 @@ def _solve_on_fiber(
     raise PointNotOnFiber(f"cannot solve H({args}) = {b} near {guess[k]:.6g}")
 
 
-def chart_action(h: Observable, b: float, guide: np.ndarray) -> float:
-    """Integral of p dq along the fiber arc described by ``guide``.
+def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float]:
+    """Integral of p dq and flow time along the fiber arc described by ``guide``.
 
     ``guide`` is a polyline near (not necessarily on) {H = b}; its first and
     last entries are taken as the exact, already-on-fiber endpoints.  The arc
     is split into graph charts (p as a function of q, or q as a function of
     p, switching where |H_p| and |H_q| cross), each integrated by adaptive
     21-point Gauss-Kronrod quadrature on arrays, with every node polished
-    onto the fiber by Newton, so the result is accurate to machine precision
-    and varies smoothly with b.
+    onto the fiber by Newton, so the action is accurate to machine precision
+    and varies smoothly with b.  The flow time (dq / H_p on q-charts,
+    -dp / H_q on p-charts) is integrated on the same nodes.
     """
     guide = np.asarray(guide, dtype=float)
     n = len(guide)
     if n < 2:
-        return 0.0
+        return 0.0, 0.0
     gq = np.abs(np.asarray(h.dq(guide[:, 0], guide[:, 1]), dtype=float))
     gp = np.abs(np.asarray(h.dp(guide[:, 0], guide[:, 1]), dtype=float))
     chart = (gp < gq).astype(int)  # 0: q-chart (p(q)), 1: p-chart (q(p))
@@ -1024,7 +1028,7 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> float:
     bounds = np.concatenate([[1], switches, [n - 1]])
     run_charts = chart[np.concatenate([[0], switches])]
 
-    total = 0.0
+    total = time = 0.0
     for k, ch in enumerate(run_charts):
         xa, xb = nodes[k], nodes[k + 1]
         pts = np.vstack([xa, guide[bounds[k]:bounds[k + 1]], xb])
@@ -1035,12 +1039,15 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> float:
         u_knots, v_knots = pts[order, axis], pts[order, 1 - axis]
 
         def integrand(u):
-            return _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
+            v = _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
+            rate = 1.0 / h.dp(u, v) if solve_p else -1.0 / h.dq(v, u)
+            return np.stack([v, rate])
 
-        val = 0.0 if ua == ub else _adaptive_gk21(integrand, ua, ub)
+        val, dt = (0.0, 0.0) if ua == ub else _adaptive_gk21(integrand, ua, ub)
         # q(p) charts integrate q dp; p dq = d(pq) - q dp
         total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
-    return total
+        time += dt
+    return total, time
 
 
 def arc_action(
@@ -1050,8 +1057,8 @@ def arc_action(
     b: PhasePoint,
     s_a: float,
     s_b: float,
-) -> float:
-    """p dq integral from a to b along the (possibly level-shifted) fiber.
+) -> tuple[float, float]:
+    """p dq integral and flow time from a to b along the fiber {H = level}.
 
     The traced curve provides the homotopy scaffold between its arclength
     parameters ``s_a`` and ``s_b``; the endpoints are exact points on
@@ -1066,7 +1073,7 @@ def arc_action(
         return chart_action(h_obs, level, guide)
     guide = curve.scaffold(s_b, s_a)
     guide[0], guide[-1] = b, a
-    return -chart_action(h_obs, level, guide)
+    return tuple(-v for v in chart_action(h_obs, level, guide))
 
 
 def action_along_fiber(
@@ -1094,4 +1101,4 @@ def action_along_fiber(
     gauge = alpha.gauge_value(bpt) - alpha.gauge_value(a)
     return arc_action(
         curve, curve.level, a, bpt, curve.locate(a), curve.locate(bpt)
-    ) + gauge
+    )[0] + gauge

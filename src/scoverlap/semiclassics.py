@@ -15,9 +15,11 @@ transversal intersections of the two level curves: each point contributes
               ``stencil_overlap_term`` recomputes it by a Richardson cross
               stencil as the reference,
 
-all behind an overall ``(2 pi h)^(-1/2)`` with unit constant.  Transition
-probabilities square this sum, cyclic amplitudes chain it around a loop of
-fibrations, and kernels compose by one-dimensional stationary phase.
+all behind an overall ``(2 pi h)^(-1/2)`` with unit constant.  Each term
+also carries dS/db1 and dS/db2 in closed form: the flow times along the two
+arcs plus endpoint terms on the reference graph.  Transition probabilities
+square this sum, cyclic amplitudes chain it around a loop of fibrations,
+and kernels compose by one-dimensional stationary phase on those slopes.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ from .geometry import (
 FD_STEP = 1e-3  # base step of the verifier's Richardson cross stencil
 HESS_TOL = 1e-6
 BS_TOL = 1e-9
+
+_COMPOSE_GRID = 33  # levels at which compose_kernels scans phi'
+_PHI2_STEP = 1e-4  # phi'' step: truncation (order step^4) meets rounding
 
 _BS_TRACE = TraceOptions(n_samples=160)
 _BS_PROBES = 17
@@ -399,6 +404,7 @@ class OverlapTerm:
     point: PhasePoint
     bracket: float
     action: float
+    slopes: tuple[float, float]  # (dS/db1, dS/db2) in closed form
     maslov: int
     hessian_det: float
     hessian_bracket_dev: float
@@ -449,24 +455,18 @@ class SemiclassicalAmplitude:
 @dataclass(frozen=True)
 class _PairGeometry:
     """Two traced fibers (levels b1, b2) and their reference points x1, x2
-    on ``lam``."""
+    on ``lam``: the verifier's cross stencil."""
 
     lam: ReferenceLagrangian
-    alpha: PrequantumForm
     curve1: FiberCurve
     curve2: FiberCurve
     x1: PhasePoint
     x2: PhasePoint
 
-    def action_at(
-        self, c_anchor: PhasePoint, db1: float, db2: float, include_gauge: bool = True
-    ) -> float:
-        """S(b1 + db1, b2 + db2) on the branch anchored at ``c_anchor``.
-
-        The gauge part f(x2) - f(x1) is separable in (b1, b2), so the mixed
-        finite-difference stencil omits it (its cross derivative vanishes
-        identically, and keeping it would only inject rounding noise).
-        """
+    def action_at(self, c_anchor: PhasePoint, db1: float, db2: float) -> float:
+        """S(b1 + db1, b2 + db2) on the branch anchored at ``c_anchor``,
+        without the gauge part f(x2) - f(x1): that is separable in (b1, b2),
+        so its cross derivative vanishes and it would only add rounding."""
         curve1, curve2, lam = self.curve1, self.curve2, self.lam
         h1, b1p = curve1.observable, curve1.level + db1
         h2, b2p = curve2.observable, curve2.level + db2
@@ -479,30 +479,38 @@ class _PairGeometry:
             raise SingularFiber("reference continuation failed in stencil")
         x1p = PhasePoint(q1, float(lam.value(q1)))
         x2p = PhasePoint(q2, float(lam.value(q2)))
-        s1 = arc_action(
+        s1, _ = arc_action(
             curve1, b1p, x1p, c, curve1.locate(self.x1), curve1.locate(c_anchor)
         )
-        s2 = arc_action(
+        s2, _ = arc_action(
             curve2, b2p, x2p, c, curve2.locate(self.x2), curve2.locate(c_anchor)
         )
-        if not include_gauge:
-            return s1 - s2
-        gauge = self.alpha.gauge_value(x2p) - self.alpha.gauge_value(x1p)
-        return s1 - s2 + gauge
+        return s1 - s2
 
     def cross_hessian(self, c_anchor: PhasePoint, step: float) -> float:
         """|d^2 S / db1 db2| by a Richardson-extrapolated cross stencil."""
 
         def stencil(d: float) -> float:
-            spp = self.action_at(c_anchor, +d, +d, include_gauge=False)
-            spm = self.action_at(c_anchor, +d, -d, include_gauge=False)
-            smp = self.action_at(c_anchor, -d, +d, include_gauge=False)
-            smm = self.action_at(c_anchor, -d, -d, include_gauge=False)
+            spp = self.action_at(c_anchor, +d, +d)
+            spm = self.action_at(c_anchor, +d, -d)
+            smp = self.action_at(c_anchor, -d, +d)
+            smm = self.action_at(c_anchor, -d, -d)
             return (spp - spm - smp + smm) / (4 * d * d)
 
         d1 = stencil(step)
         d2 = stencil(2 * step)
         return abs((4.0 * d1 - d2) / 3.0)
+
+
+def _reference_slope(
+    h_obs: Observable, lam: ReferenceLagrangian, alpha: PrequantumForm, x: PhasePoint
+) -> float:
+    """(lam + f_q + f_p lam') / (H_q + H_p lam') at x: the level derivative
+    of the p dq + df integral up to x as x slides along p = lam(q)."""
+    slope = float(lam.slope(x.q))
+    fq, fp = (0.0, 0.0) if alpha.gauge is None else alpha.gauge.gradient(x)
+    hq, hp = h_obs.gradient(x)
+    return (x.p + fq + fp * slope) / (hq + hp * slope)
 
 
 def overlap(
@@ -523,6 +531,9 @@ def overlap(
     Hessian ``1 / |{H1, H2}|`` and its counted turning-point index; its
     ``hessian_bracket_dev`` is NaN (not measured), which
     ``stencil_overlap_term`` measures.
+    Its action slopes are dS/db1 = T1 - e1 and dS/db2 = e2 - T2, with T_i
+    the signed flow time from x_i to the intersection and e_i the endpoint
+    term ``_reference_slope`` at x_i (Hamilton-Jacobi).
     """
     h1, b1 = sys1
     h2, b2 = sys2
@@ -551,18 +562,22 @@ def overlap(
             f"fiber {h2} = {b2} has no crossing with the reference Lagrangian "
             f"at which |{{H1, H2}}| > {TRANS_TOL:g}"
         )
-    geo = _PairGeometry(lam, alpha, curve1, curve2, x1, x2)
-
     if any(abs(ip.bracket) < 10 * TRANS_TOL for ip in points):
         warnings.warn(
             "an intersection lies within 10x the transversality floor",
             CausticNearby,
         )
 
+    s_x1, s_x2 = curve1.locate(x1), curve2.locate(x2)
+    gauge = alpha.gauge_value(x2) - alpha.gauge_value(x1)
+    e1 = _reference_slope(h1, lam, alpha, x1)
+    e2 = _reference_slope(h2, lam, alpha, x2)
     terms = []
     for ip in points:
         c = ip.point
-        action = geo.action_at(c, 0.0, 0.0)
+        s1, t1 = arc_action(curve1, curve1.level, x1, c, s_x1, curve1.locate(c))
+        s2, t2 = arc_action(curve2, curve2.level, x2, c, s_x2, curve2.locate(c))
+        action = s1 - s2 + gauge
         mu = maslov_segment(curve2, x2, c, h1)
         hess = 1.0 / abs(ip.bracket)
         w = 1.0 + 0.0j if weight_fn is None else complex(weight_fn(c))
@@ -572,6 +587,7 @@ def overlap(
                 point=c,
                 bracket=ip.bracket,
                 action=action,
+                slopes=(t1 - e1, e2 - t2),
                 maslov=mu,
                 hessian_det=hess,
                 hessian_bracket_dev=math.nan,
@@ -608,18 +624,22 @@ def complementary_overlap_term(
     # reverse-direction arc from x2 to c = reversed forward arc c -> x2
     guide = curve2.scaffold(s_c, s_x2)
     guide[0], guide[-1] = c, x2
-    s2_complement = -chart_action(curve2.observable, curve2.level, guide)
+    s_back, t_back = chart_action(curve2.observable, curve2.level, guide)
     guide_rev = guide[::-1].copy()
     mu_complement = _maslov_over_guide(
         curve2, guide_rev, transverse, -1.0, TRANS_TOL
     )
-    # S = S1 - S2 and the gauge part are unchanged except through S2
-    s2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
-    action = t.action + s2_forward - s2_complement
+    # S = S1 - S2 and the gauge part change only through S2, dS/db2 = e2 - T2
+    # only through T2 (by the period in all: dA/db = T)
+    s2_forward, t2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
+    action = t.action + s2_forward + s_back
+    slopes = (t.slopes[0], t.slopes[1] + t2_forward + t_back)
     contribution = _contribution(
         t.weight * math.sqrt(abs(t.hessian_det)), action, mu_complement, amp.h
     )
-    return replace(t, action=action, maslov=mu_complement, contribution=contribution)
+    return replace(
+        t, action=action, slopes=slopes, maslov=mu_complement, contribution=contribution
+    )
 
 
 def stencil_overlap_term(
@@ -635,8 +655,7 @@ def stencil_overlap_term(
     ``hessian_bracket_dev`` = |hess - 1/|bracket|| * |bracket|.
     """
     t = amp.terms[index]
-    # the stencil omits the gauge part, so the prequantum form is immaterial
-    geo = _PairGeometry(lam, PrequantumForm(), amp.curve1, amp.curve2, amp.x1, amp.x2)
+    geo = _PairGeometry(lam, amp.curve1, amp.curve2, amp.x1, amp.x2)
     hess = geo.cross_hessian(t.point, FD_STEP)
     return replace(
         t,
@@ -827,28 +846,31 @@ def _sorted_terms(amp: SemiclassicalAmplitude) -> list[OverlapTerm]:
     return sorted(amp.terms, key=lambda t: (t.point.p, t.point.q))
 
 
+def _phase_slope(b: float, u20, u01, j: int, k: int) -> float:
+    """phi'(b) = dS20/db1 + dS01/db2 of branch pair (j, k)."""
+    return _sorted_terms(u20(b))[j].slopes[0] + _sorted_terms(u01(b))[k].slopes[1]
+
+
 def compose_kernels(
     u20: Callable[[float], SemiclassicalAmplitude],
     u01: Callable[[float], SemiclassicalAmplitude],
     h: float,
     interval: tuple[float, float],
-    n_grid: int = 33,
-    hess_tol: float = HESS_TOL,
 ) -> ComposedAmplitude:
     """One-dimensional stationary-phase composition over the intermediate label.
 
-    Locates zeros of d/db [S20 + S01] per branch pair on the supplied
-    bracketing interval, applies the Gaussian factor sqrt(2 pi h / |phi''|)
-    and the signature phase exp(+- i pi / 4), and sums the contributions.
-    Both kernels are called as ``u(b)``, as ``overlap_kernel`` builds them.
-    At each stationary level b* one call of each gives phi(b*) and the
-    weights, Hessians and Maslov indices of the term.  phi'' is a
-    Richardson-extrapolated second difference at step 1e-3 max(1, |b*|):
-    a smaller step lets in the rounding of the actions, a larger one the
-    truncation error (order step^4).
+    Per branch pair the phase is phi(b) = S20 + S01, whose slope phi' every
+    overlap term carries in closed form (``OverlapTerm.slopes``).  phi' is
+    scanned at _COMPOSE_GRID levels of the interval, and ``brentq`` finds
+    its zero b* in each cell where it changes sign.  There one call of each
+    kernel gives phi(b*) and the weights, Hessians and Maslov indices of the
+    term; phi'' is a Richardson-extrapolated central difference of phi' at
+    step _PHI2_STEP max(1, |b*|).  Each term takes the Gaussian factor
+    sqrt(2 pi h / |phi''|) and the signature phase exp(+- i pi / 4).  Both
+    kernels are called as ``u(b)``, as ``overlap_kernel`` builds them.
     """
     b_lo, b_hi = interval
-    grid = np.linspace(b_lo, b_hi, n_grid)
+    grid = np.linspace(b_lo, b_hi, _COMPOSE_GRID)
     amps20 = [u20(float(b)) for b in grid]
     amps01 = [u01(float(b)) for b in grid]
     n2 = {len(a.terms) for a in amps20}
@@ -862,59 +884,29 @@ def compose_kernels(
         prefactor, value = _prefactor_and_value(h, ())
         return ComposedAmplitude(h=h, terms=(), prefactor=prefactor, value=value)
 
-    actions20 = np.array([[t.action for t in _sorted_terms(a)] for a in amps20])
-    actions01 = np.array([[t.action for t in _sorted_terms(a)] for a in amps01])
-
-    db = 1e-6 * max(1.0, b_hi - b_lo)
-
-    def phase_pair(j: int, k: int):
-        def phi(b: float) -> float:
-            a20 = u20(b)
-            a01 = u01(b)
-            return (
-                _sorted_terms(a20)[j].action + _sorted_terms(a01)[k].action
-            )
-
-        def dphi(b: float) -> float:
-            return (phi(b + db) - phi(b - db)) / (2 * db)
-
-        return phi, dphi
+    slopes20 = np.array([[t.slopes[0] for t in _sorted_terms(a)] for a in amps20])
+    slopes01 = np.array([[t.slopes[1] for t in _sorted_terms(a)] for a in amps01])
 
     terms: list[ComposedTerm] = []
-    margin = 2 * db
     for j in range(n2):
         for k in range(n1):
-            phi_jk = actions20[:, j] + actions01[:, k]
-            dgrid = np.gradient(phi_jk, grid)
-            if np.max(np.abs(dgrid)) < hess_tol:
+            pair = (u20, u01, j, k)
+            dgrid = slopes20[:, j] + slopes01[:, k]
+            if np.max(np.abs(dgrid)) < HESS_TOL:
                 raise DegenerateStationaryPoint(
                     "phase is flat across the interval (coincident fibrations)"
                 )
-            phi, dphi = phase_pair(j, k)
             sign = np.sign(dgrid)
-            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-                lo = max(float(grid[max(i - 1, 0)]), b_lo + margin)
-                hi = min(float(grid[min(i + 2, len(grid) - 1)]), b_hi - margin)
-                glo, ghi = dphi(lo), dphi(hi)
-                if glo == 0.0:
-                    b_star = lo
-                elif ghi == 0.0:
-                    b_star = hi
-                elif glo * ghi > 0:
-                    continue
-                else:
-                    b_star = brentq(dphi, lo, hi, xtol=1e-11)
-
-                t20 = _sorted_terms(u20(float(b_star)))[j]
-                t01 = _sorted_terms(u01(float(b_star)))[k]
+            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+                b_star = brentq(_phase_slope, *grid[i:i + 2], args=pair, xtol=1e-12)
+                t20 = _sorted_terms(u20(b_star))[j]
+                t01 = _sorted_terms(u01(b_star))[k]
                 action = t20.action + t01.action  # phi(b*)
-                step = max(1e-3 * max(1.0, abs(b_star)), 4 * db)
-
-                def second(d: float) -> float:
-                    return (phi(b_star + d) - 2 * action + phi(b_star - d)) / (d * d)
-
-                d2 = (4.0 * second(step) - second(2 * step)) / 3.0
-                if abs(d2) < hess_tol:
+                # (4 D(d) - D(2d)) / 3 for central differences D of phi'
+                d = _PHI2_STEP * max(1.0, abs(b_star))
+                dphi = [_phase_slope(b_star + s * d, *pair) for s in (1, -1, 2, -2)]
+                d2 = (8.0 * (dphi[0] - dphi[1]) - (dphi[2] - dphi[3])) / (12.0 * d)
+                if abs(d2) < HESS_TOL:
                     raise DegenerateStationaryPoint(
                         f"second derivative {d2:.3e} below tolerance at b = {b_star:.6g}"
                     )

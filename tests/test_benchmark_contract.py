@@ -42,3 +42,36 @@ def test_density_audit_runs(perfbench):
     )
     (value,) = workloads.audit_density(inputs).values()
     assert isinstance(value, float) and math.isfinite(value)
+
+
+def test_tracer_counts_every_kernel_call_in_a_composition(perfbench):
+    # C10's linear triple q -> p -> (q + p)/sqrt 2: every kernel call is one
+    # overlap, and the tracer's per-composition count must see each of them
+    tracing, _ = perfbench
+    from scoverlap import semiclassics
+    from scoverlap.geometry import Observable, PrequantumForm, ReferenceLagrangian
+
+    h, lam, alpha = 0.1, ReferenceLagrangian.line(1.0), PrequantumForm()
+    p = Observable.momentum()
+    calls = []
+
+    def counted(kernel):
+        def wrapped(b):
+            calls.append(b)
+            return kernel(b)
+
+        return wrapped
+
+    u20 = counted(semiclassics.overlap_kernel(
+        (Observable.linear(math.pi / 4), 0.8), p, lam, alpha, h, fixed_slot=2))
+    u01 = counted(semiclassics.overlap_kernel(
+        (Observable.position(), 0.3), p, lam, alpha, h, fixed_slot=1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        semiclassics.compose_kernels(u20, u01, h, (-2.5, 2.5))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert len(calls) > 0
+    assert tracer.overlaps_in_compose == len(calls)

@@ -383,7 +383,7 @@ class TestPipelines:
         cfg_file.write_text(
             PENDULUM_PROBABILITY.format(out=out)
             .replace("kind = probability", "kind = spectrum\nsystem = pend")
-            .replace("b_max = 0.2", "b_max = 1.3\nretain_below = 1.0")
+            .replace("b_max = 0.2", "b_max = 1.3")
         )
         assert main(["spectrum", "--config", str(cfg_file)]) == 0
         report = json.loads((out / "report.json").read_text())

@@ -365,19 +365,24 @@ class TestChartQuadrature:
     ])
     def test_oscillator_arc_is_circular_segment(self, theta_from, sweep):
         # p dq along the arc, closed by the chord back to the start, encloses
-        # the circular segment r^2 (phi - sin phi) / 2
+        # the circular segment r^2 (phi - sin phi) / 2; the flow turns at
+        # unit angular speed, so the flow time is the swept angle
         b = 0.7
         guide = circle_arc(b, theta_from, sweep, wobble=1e-3)
         (qa, pa), (qb, pb) = guide[0], guide[-1]
         chord = 0.5 * (pa + pb) * (qa - qb)
         segment = b * (sweep - math.sin(sweep))
-        assert chart_action(HO, b, guide) + chord == pytest.approx(segment, abs=1e-13)
+        action, time = chart_action(HO, b, guide)
+        assert action + chord == pytest.approx(segment, abs=1e-13)
+        assert time == pytest.approx(sweep, abs=1e-12)
 
     @pytest.mark.parametrize("b", [0.05, 0.5, 1.3])
     def test_oscillator_loop_is_2_pi_b(self, b):
         guide = circle_arc(b, 0.4, 2 * math.pi, n=90, wobble=2e-3)
         guide[-1] = guide[0]
-        assert chart_action(HO, b, guide) == pytest.approx(2 * math.pi * b, abs=1e-13)
+        action, time = chart_action(HO, b, guide)
+        assert action == pytest.approx(2 * math.pi * b, abs=1e-13)
+        assert time == pytest.approx(2 * math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("b", [-0.5, 0.4])
     def test_pendulum_loop_matches_loop_data(self, b):
@@ -385,13 +390,15 @@ class TestChartQuadrature:
         c = trace_level_curve(PEND, b, seed)
         guide = c.scaffold(0.0, 0.0)
         guide[0] = guide[-1] = c.point(0)
-        action, _ = loop_data(PEND, b, seed)
-        assert chart_action(PEND, b, guide) == pytest.approx(action, abs=1e-11)
+        action, period = loop_data(PEND, b, seed)
+        got_action, got_time = chart_action(PEND, b, guide)
+        assert got_action == pytest.approx(action, abs=1e-11)
+        assert got_time == pytest.approx(period, abs=1e-10)
 
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
     def test_linear_fiber_is_exact(self, theta):
         # q cos(theta) + p sin(theta) = b: p is linear along the fiber, so
-        # p dq integrates to the trapezoid
+        # p dq integrates to the trapezoid, and dq/dt = sin(theta)
         line = Observable.linear(theta)
         b = 0.45
         ts = np.linspace(-1.3, 2.1, 12)
@@ -401,7 +408,9 @@ class TestChartQuadrature:
         )
         (qa, pa), (qb, pb) = guide[0], guide[-1]
         expected = 0.5 * (pa + pb) * (qb - qa)
-        assert chart_action(line, b, guide) == pytest.approx(expected, abs=1e-14)
+        action, time = chart_action(line, b, guide)
+        assert action == pytest.approx(expected, abs=1e-14)
+        assert time == pytest.approx((qb - qa) / math.sin(theta), abs=1e-13)
 
     @pytest.mark.parametrize("s_from, s_to", [
         (5.1, 0.7),           # wraps past the closure point

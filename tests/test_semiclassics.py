@@ -318,6 +318,17 @@ class TestOverlap:
             e_alt = cmath.exp(1j * alt.action / h + 1j * math.pi * alt.maslov / 2)
             assert abs(e_fwd - e_alt) < 1e-8
 
+    def test_complementary_term_shifts_slope_by_period(self):
+        # S grows by the loop action A on the complementary arc, and
+        # dA/db = T, the closed fiber's period
+        amp = overlap((Q, 0.4), (HO, 0.475), LAM, ALPHA, 0.05)
+        for i, t in enumerate(amp.terms):
+            alt = complementary_overlap_term(amp, i, Q)
+            assert alt.slopes[0] == t.slopes[0]
+            assert alt.slopes[1] - t.slopes[1] == pytest.approx(
+                amp.curve2.period, abs=1e-9
+            )
+
     def test_hessian_cross_check(self):
         amp = overlap((Q, 0.3), (PEND, -0.2), LAM, ALPHA, 0.05)
         for i in range(len(amp.terms)):
@@ -474,6 +485,78 @@ class TestCyclic:
             cyclic_amplitude([(Q, 0.1)], 0.1, LAM, ALPHA)
 
 
+GAUGE = PrequantumForm(
+    Observable.from_coeffs({(2, 0): 0.31, (1, 1): -0.2, (0, 3): 0.1})
+)
+
+
+class TestActionSlopes:
+    """``OverlapTerm.slopes`` holds dS/db1 and dS/db2 in closed form (flow
+    time plus the reference-endpoint term); a Richardson central difference
+    of ``overlap`` actions at shifted levels is the reference."""
+
+    @staticmethod
+    def _action(sys1, sys2, lam, near):
+        amp = overlap(sys1, sys2, lam, GAUGE, 0.1)
+        return min(
+            amp.terms,
+            key=lambda t: (t.point.q - near.q) ** 2 + (t.point.p - near.p) ** 2,
+        ).action
+
+    @pytest.mark.parametrize("lam", [LAM, ReferenceLagrangian.line(0.5, -0.37)])
+    @pytest.mark.parametrize(
+        "sys1, sys2",
+        [((Q, 0.4), (HO, 0.5)), ((HO, 0.5), (P, 0.3)), ((PEND, -0.3), (Q, 0.4))],
+    )
+    def test_slopes_match_richardson_difference(self, sys1, sys2, lam):
+        (h1, b1), (h2, b2) = sys1, sys2
+        amp = overlap(sys1, sys2, lam, GAUGE, 0.1)
+        assert len(amp.terms) == 2
+        for t in amp.terms:
+            def slope(shift):
+                def central(d):
+                    up = self._action(*shift(d), lam, t.point)
+                    down = self._action(*shift(-d), lam, t.point)
+                    return (up - down) / (2 * d)
+
+                return (4 * central(1e-3) - central(2e-3)) / 3
+
+            ds1 = slope(lambda d: ((h1, b1 + d), sys2))
+            ds2 = slope(lambda d: (sys1, (h2, b2 + d)))
+            assert t.slopes[0] == pytest.approx(ds1, abs=1e-8)
+            assert t.slopes[1] == pytest.approx(ds2, abs=1e-8)
+
+
+class TestGaugeCovariance:
+    @given(
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+        h=st.floats(0.02, 0.3),
+        lam=st.sampled_from([
+            LAM, ReferenceLagrangian.line(0.5, -0.37), ReferenceLagrangian.line(2.0, 0.1)
+        ]),
+        pair=st.sampled_from([((Q, 0.4), (HO, 0.475)), ((Q, 0.3), (PEND, -0.2))]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_polynomial_gauge(self, coeffs, h, lam, pair):
+        # f of degree <= 3 shifts every term's action by f(x2) - f(x1) and
+        # leaves Maslov indices, |value| and the probability alone
+        monos = [(a, b) for a in range(4) for b in range(4 - a)]
+        gauge = Observable.from_coeffs(dict(zip(monos, coeffs)))
+        alpha = PrequantumForm(gauge)
+        plain = overlap(*pair, lam, ALPHA, h)
+        gauged = overlap(*pair, lam, alpha, h)
+        shift = float(gauge.value(*plain.x2)) - float(gauge.value(*plain.x1))
+        assert len(gauged.terms) == len(plain.terms) == 2
+        for tp, tg in zip(plain.terms, gauged.terms):
+            assert tg.action - tp.action == pytest.approx(shift, abs=1e-12)
+            assert tg.maslov == tp.maslov
+        scale = plain.prefactor * sum(abs(t.contribution) for t in plain.terms)
+        assert abs(gauged.value) == pytest.approx(abs(plain.value), abs=1e-12 * scale)
+        p_plain = transition_probability(*pair, h, lam, ALPHA)
+        p_gauged = transition_probability(*pair, h, lam, alpha)
+        assert p_gauged == pytest.approx(p_plain, abs=1e-12 * scale**2)
+
+
 class TestComposition:
     def test_identity_like_composition_is_degenerate(self):
         h = 0.1
@@ -517,6 +600,29 @@ class TestComposition:
         with pytest.raises(TypeError, match="bug in the kernel"):
             compose_kernels(u20, u01, h, (-2.0, 2.0))
         assert len(calls) == 1
+
+    def test_glue_example_reads_phase_slopes(self):
+        # the glue_q_ho_p example: q = 0.6 -> oscillator -> p = 0.8 at h = 0.2
+        h = 0.2
+        calls = []
+
+        def counted(kernel):
+            def wrapped(b):
+                calls.append(b)
+                return kernel(b)
+
+            return wrapped
+
+        u01 = counted(overlap_kernel((Q, 0.6), HO, LAM, ALPHA, h, fixed_slot=1))
+        u20 = counted(overlap_kernel((P, 0.8), HO, LAM, ALPHA, h, fixed_slot=2))
+        composed = compose_kernels(u20, u01, h, (0.36, 0.95))
+        direct = overlap((Q, 0.6), (P, 0.8), LAM, ALPHA, h)
+        (term,) = composed.terms
+        assert term.b_star == pytest.approx(0.5, abs=1e-10)
+        rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
+        # bounds: the floor and the call count of phi' as a difference of actions
+        assert rel <= 4.83e-11
+        assert len(calls) < 108
 
     def test_oscillator_intermediate_within_5h(self):
         b1, b2 = 0.6, 0.8

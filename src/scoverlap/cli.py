@@ -422,8 +422,13 @@ def _run_glue_check(cfg: ExperimentConfig) -> Report:
     lo, hi = cfg.flt("interval_min"), cfg.flt("interval_max")
     rep = Report(kind="glue-check")
     h0 = cfg.hs[0]
-    u01 = overlap_kernel((h_obs1, b1), inter, cfg.lam, cfg.alpha, h0, fixed_slot=1)
-    u20 = overlap_kernel((h_obs2, b2), inter, cfg.lam, cfg.alpha, h0, fixed_slot=2)
+    fibers: dict = {}  # intermediate level -> fiber, traced once for both kernels
+    u01 = overlap_kernel(
+        (h_obs1, b1), inter, cfg.lam, cfg.alpha, h0, fixed_slot=1, fibers=fibers
+    )
+    u20 = overlap_kernel(
+        (h_obs2, b2), inter, cfg.lam, cfg.alpha, h0, fixed_slot=2, fibers=fibers
+    )
     composed_h0 = compose_kernels(u20, u01, h0, (lo, hi))
     direct_h0 = overlap((h_obs1, b1), (h_obs2, b2), cfg.lam, cfg.alpha, h0)
     errs = []

@@ -20,6 +20,17 @@ class PointNotOnFiber(ValueError):
     """An endpoint handed to a fiber line integral is not on the level set."""
 
 
+class MultipleComponents(RuntimeError):
+    """Intersection points lie on more than one component of a level set.
+
+    Carries the points off the traced component in ``.points``.
+    """
+
+    def __init__(self, message, points=()):
+        super().__init__(message)
+        self.points = list(points)
+
+
 class NoReferencePoint(RuntimeError):
     """A fiber does not meet the reference Lagrangian inside the domain."""
 

@@ -368,6 +368,15 @@ class FiberCurve:
 
     def locate(self, x: PhasePoint) -> float:
         """Arclength parameter of the sample polyline point closest to ``x``."""
+        return self._closest(x)[0]
+
+    def distance(self, x: PhasePoint) -> float:
+        """Distance from ``x`` to the sample polyline."""
+        return math.sqrt(self._closest(x)[1])
+
+    def _closest(self, x: PhasePoint) -> tuple[float, float]:
+        """(arclength, squared distance) of the polyline point closest to
+        ``x`` on the two segments beside the nearest sample."""
         i = self.nearest_index(x)
         best_s = float(self.arclength[i])
         best_d2 = (self.qs[i] - x[0]) ** 2 + (self.ps[i] - x[1]) ** 2
@@ -390,7 +399,7 @@ class FiberCurve:
                 best_s = float(
                     self.arclength[j0] + t * (self.arclength[j1] - self.arclength[j0])
                 )
-        return best_s
+        return best_s, best_d2
 
     def scaffold(self, s_from: float, s_to: float) -> np.ndarray:
         """Polyline guide points covering the forward arc s_from -> s_to.
@@ -901,48 +910,55 @@ _QUAD_TOL = 1e-13
 _QUAD_LIMIT = 200
 
 
-def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GK21 estimates of every row of ``f`` and QUADPACK error bounds of its
-    first row on panels [lo_i, hi_i].
+def _gk21_panels(
+    f, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """GK21 estimates of ``f`` and their QUADPACK error bounds on panels
+    [lo_i, hi_i], with the nodes (one row per panel) and f's values there.
 
     ``f`` is called once, on the nodes of every panel.
     """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = (center[:, None] + half[:, None] * _GK_NODES).ravel()
-    fv = f(nodes).reshape(-1, lo.size, 21)
+    nodes = center[:, None] + half[:, None] * _GK_NODES
+    fv = f(nodes.ravel()).reshape(nodes.shape)
     resk = fv @ _GK_WEIGHTS
-    resg = fv[0] @ _G_WEIGHTS
+    resg = fv @ _G_WEIGHTS
     width = np.abs(half)
-    resabs = width * (np.abs(fv[0]) @ _GK_WEIGHTS)
-    resasc = width * (np.abs(fv[0] - 0.5 * resk[0, :, None]) @ _GK_WEIGHTS)
-    err = np.abs((resk[0] - resg) * half)
+    resabs = width * (np.abs(fv) @ _GK_WEIGHTS)
+    resasc = width * (np.abs(fv - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
+    err = np.abs((resk - resg) * half)
     scaled = (resasc != 0.0) & (err != 0.0)
     err[scaled] = resasc[scaled] * np.minimum(
         1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5
     )
     err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk * half, err
+    return resk * half, err, nodes, fv
 
 
-def _adaptive_gk21(f, a: float, b: float) -> list[float]:
-    """Globally adaptive GK21 integrals from a to b of the rows of a
-    vectorized ``f``, on the panels that its first row's error bound picks.
+def _adaptive_gk21(
+    f, a: float, b: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Globally adaptive GK21 integral from a to b of a vectorized ``f``.
 
     Stops when the summed error bound meets max(_QUAD_TOL, _QUAD_TOL |I|).
     Each round bisects every panel whose bound exceeds its even share of
     that tolerance, worst first and at most _QUAD_LIMIT panels in all, and
     evaluates the new panels in one call; a :class:`QuadratureLimit`
     warning is emitted when the panel limit is reached first.
+
+    Returns the integral and, per converged panel, its nodes, the values of
+    ``f`` there and its half width, so that an integrand built from those
+    values is summed on the same panels (``_gk21_sum``) without refining.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    vals, errs = _gk21_panels(f, lo, hi)
+    vals, errs, nodes, fv = _gk21_panels(f, lo, hi)
     while True:
-        totals = [float(row.sum()) for row in vals]
-        tol = max(_QUAD_TOL, _QUAD_TOL * abs(totals[0]))
+        total = float(vals.sum())
+        tol = max(_QUAD_TOL, _QUAD_TOL * abs(total))
         err = float(errs.sum())
         if err <= tol:
-            return totals
+            break
         room = _QUAD_LIMIT - lo.size
         if room <= 0:
             warnings.warn(
@@ -950,7 +966,7 @@ def _adaptive_gk21(f, a: float, b: float) -> list[float]:
                 f"with error bound {err:.3e} above {tol:.3e}",
                 QuadratureLimit,
             )
-            return totals
+            break
         worst = np.argsort(errs)[::-1]
         split = worst[~(errs[worst] <= tol / lo.size)][:room]  # NaN included
         keep = np.ones(lo.size, dtype=bool)
@@ -958,11 +974,19 @@ def _adaptive_gk21(f, a: float, b: float) -> list[float]:
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _gk21_panels(f, new_lo, new_hi)
+        new_vals, new_errs, new_nodes, new_fv = _gk21_panels(f, new_lo, new_hi)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
+        nodes = np.concatenate([nodes[keep], new_nodes])
+        fv = np.concatenate([fv[keep], new_fv])
+    return total, nodes, fv, 0.5 * (hi - lo)
+
+
+def _gk21_sum(values: np.ndarray, half: np.ndarray) -> float:
+    """GK21 integral from the node values of panels with half widths ``half``."""
+    return float(((values @ _GK_WEIGHTS) * half).sum())
 
 
 def _solve_on_fiber(
@@ -1005,7 +1029,8 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, flo
     21-point Gauss-Kronrod quadrature on arrays, with every node polished
     onto the fiber by Newton, so the action is accurate to machine precision
     and varies smoothly with b.  The flow time (dq / H_p on q-charts,
-    -dp / H_q on p-charts) is integrated on the same nodes.
+    -dp / H_q on p-charts) is summed once, on the converged panels' polished
+    nodes.
     """
     guide = np.asarray(guide, dtype=float)
     n = len(guide)
@@ -1039,11 +1064,13 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, flo
         u_knots, v_knots = pts[order, axis], pts[order, 1 - axis]
 
         def integrand(u):
-            v = _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
-            rate = 1.0 / h.dp(u, v) if solve_p else -1.0 / h.dq(v, u)
-            return np.stack([v, rate])
+            return _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
 
-        val, dt = (0.0, 0.0) if ua == ub else _adaptive_gk21(integrand, ua, ub)
+        val = dt = 0.0
+        if ua != ub:
+            val, u, v, half = _adaptive_gk21(integrand, ua, ub)
+            rate = 1.0 / h.dp(u, v) if solve_p else -1.0 / h.dq(v, u)
+            dt = _gk21_sum(rate, half)
         # q(p) charts integrate q dp; p dq = d(pq) - q dp
         total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
         time += dt

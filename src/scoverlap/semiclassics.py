@@ -25,6 +25,7 @@ and kernels compose by one-dimensional stationary phase on those slopes.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -39,6 +40,7 @@ from .errors import (
     DegenerateStationaryPoint,
     DoubleRoot,
     LevelSkipped,
+    MultipleComponents,
     NonMonotoneAction,
     NoReferencePoint,
     SingularFiber,
@@ -71,6 +73,9 @@ from .geometry import (
 FD_STEP = 1e-3  # base step of the verifier's Richardson cross stencil
 HESS_TOL = 1e-6
 BS_TOL = 1e-9
+# an intersection farther than this from a traced fiber's sample polyline
+# lies on another component (on-fiber points sit within about 2e-5 of it)
+COMPONENT_TOL = 1e-2
 
 _COMPOSE_GRID = 33  # levels at which compose_kernels scans phi'
 _PHI2_STEP = 1e-4  # phi'' step: truncation (order step^4) meets rounding
@@ -534,6 +539,10 @@ def overlap(
     Its action slopes are dS/db1 = T1 - e1 and dS/db2 = e2 - T2, with T_i
     the signed flow time from x_i to the intersection and e_i the endpoint
     term ``_reference_slope`` at x_i (Hamilton-Jacobi).
+
+    Each fiber is one component, traced through the first intersection
+    unless ``curves`` supplies it; an intersection farther than
+    COMPONENT_TOL from either traced polyline raises ``MultipleComponents``.
     """
     h1, b1 = sys1
     h2, b2 = sys2
@@ -549,6 +558,17 @@ def overlap(
 
     curve1 = curves[0] or trace_level_curve(h1, b1, points[0].point, opts)
     curve2 = curves[1] or trace_level_curve(h2, b2, points[0].point, opts)
+    off = [
+        ip.point for ip in points
+        if max(curve1.distance(ip.point), curve2.distance(ip.point)) > COMPONENT_TOL
+    ]
+    if off:
+        raise MultipleComponents(
+            f"{len(off)} of {len(points)} intersections of {h1} = {b1} and "
+            f"{h2} = {b2} lie off the traced components: "
+            + ", ".join(f"({x.q:.6g}, {x.p:.6g})" for x in off),
+            points=off,
+        )
     x1 = reference_point(curve1, lam)
     # the turning-point count along fiber 2 starts at x2: skip tangencies
     x2 = min(
@@ -867,8 +887,12 @@ def compose_kernels(
     term; phi'' is a Richardson-extrapolated central difference of phi' at
     step _PHI2_STEP max(1, |b*|).  Each term takes the Gaussian factor
     sqrt(2 pi h / |phi''|) and the signature phase exp(+- i pi / 4).  Both
-    kernels are called as ``u(b)``, as ``overlap_kernel`` builds them.
+    kernels are called as ``u(b)``, as ``overlap_kernel`` builds them, and
+    at most once per level.
     """
+    # one call per level: brentq starts from two scan levels, and b* is one
+    # of its iterates
+    u20, u01 = functools.cache(u20), functools.cache(u01)
     b_lo, b_hi = interval
     grid = np.linspace(b_lo, b_hi, _COMPOSE_GRID)
     amps20 = [u20(float(b)) for b in grid]
@@ -941,30 +965,38 @@ def overlap_kernel(
     fixed_slot: int,
     domain: float = DOMAIN_BOUND,
     weight_fn: Callable[[PhasePoint], complex] | None = None,
+    fibers: dict[float, FiberCurve] | None = None,
 ) -> Callable[[float], SemiclassicalAmplitude]:
     """Kernel as a function of the intermediate level.
 
     ``fixed_slot`` = 1 puts the fixed system in the linear slot (kernel rows
     labelled by the intermediate), 2 the reverse.  The fixed fiber trace is
-    cached across evaluations.
+    cached across evaluations.  ``fibers`` maps intermediate levels to traced
+    fibers: the kernel reads it before tracing and adds what it traces, so
+    the two kernels of one composition, given one mapping, trace each
+    intermediate fiber once.
     """
     cache: dict[str, FiberCurve | None] = {"curve": None}
 
     def kernel(b: float) -> SemiclassicalAmplitude:
+        inter_curve = None if fibers is None else fibers.get(b)
         if fixed_slot == 1:
             sys1, sys2 = fixed_sys, (intermediate, b)
-            curves = (cache["curve"], None)
+            curves = (cache["curve"], inter_curve)
         else:
             sys1, sys2 = (intermediate, b), fixed_sys
-            curves = (None, cache["curve"])
+            curves = (inter_curve, cache["curve"])
         amp = overlap(
             sys1, sys2, lam, alpha, h, domain=domain,
             curves=curves, weight_fn=weight_fn,
         )
+        fixed_curve, inter_curve = (
+            (amp.curve1, amp.curve2) if fixed_slot == 1 else (amp.curve2, amp.curve1)
+        )
         if cache["curve"] is None:
-            fixed_curve = amp.curve1 if fixed_slot == 1 else amp.curve2
-            if fixed_curve is not None:
-                cache["curve"] = fixed_curve
+            cache["curve"] = fixed_curve
+        if fibers is not None and inter_curve is not None:
+            fibers.setdefault(b, inter_curve)
         return amp
 
     return kernel

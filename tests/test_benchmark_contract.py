@@ -75,3 +75,37 @@ def test_tracer_counts_every_kernel_call_in_a_composition(perfbench):
     assert tracer.missing == []
     assert len(calls) > 0
     assert tracer.overlaps_in_compose == len(calls)
+
+
+def test_glue_composition_traces_each_intermediate_fiber_once(perfbench):
+    # the glue_q_ho_p example with one fiber mapping for both kernels: the
+    # unchanged tracer must see about one trace per two overlaps
+    tracing, _ = perfbench
+    from scoverlap import semiclassics
+    from scoverlap.geometry import Observable, PrequantumForm, ReferenceLagrangian
+
+    h, lam, alpha = 0.2, ReferenceLagrangian.line(1.0), PrequantumForm()
+    ho, fibers = Observable.harmonic(), {}
+    calls = []
+
+    def counted(kernel):
+        def wrapped(b):
+            calls.append(b)
+            return kernel(b)
+
+        return wrapped
+
+    u01 = counted(semiclassics.overlap_kernel(
+        (Observable.position(), 0.6), ho, lam, alpha, h, fixed_slot=1, fibers=fibers))
+    u20 = counted(semiclassics.overlap_kernel(
+        (Observable.momentum(), 0.8), ho, lam, alpha, h, fixed_slot=2, fibers=fibers))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        semiclassics.compose_kernels(u20, u01, h, (0.36, 0.95))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.overlaps_in_compose == len(calls)
+    (per_overlap, _) = tracer.metrics(1)["geometry.trace_level_curve.per_overlap"]
+    assert per_overlap <= 0.6

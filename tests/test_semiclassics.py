@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scoverlap import semiclassics
 from scoverlap.errors import (
     DegenerateStationaryPoint,
+    MultipleComponents,
     NonMonotoneAction,
     NoReferencePoint,
     TangencyAtEndpoint,
@@ -240,6 +242,20 @@ class TestOverlap:
         # where the bracket with the position fibration, {Q, H2} = p, vanishes
         with pytest.raises(NoReferencePoint, match="H1, H2"):
             overlap((Q, 0.3), (HO, 0.5), ReferenceLagrangian.flat(), h=0.1)
+
+    @pytest.mark.parametrize("slope", [0.1, 1.0])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_intersections_on_several_wells_are_rejected(self, slope, swap):
+        # the pendulum level -0.5 has one well per period; p = 0.3 crosses
+        # the wells at 0 and +-2 pi (q = +-0.994, +-5.289), and the fiber is
+        # traced through q = -5.289 only
+        systems = [(PEND, -0.5), (P, 0.3)]
+        if swap:
+            systems.reverse()
+        with pytest.raises(MultipleComponents) as info:
+            overlap(*systems, ReferenceLagrangian.line(slope), h=0.1, domain=6.0)
+        off = sorted(x.q for x in info.value.points)
+        assert off == pytest.approx([-0.994, 0.994, 5.289], abs=1e-3)
 
     def test_plane_wave_closed_form(self):
         b1, b2, h = 1.3, 0.4, 0.1
@@ -601,28 +617,60 @@ class TestComposition:
             compose_kernels(u20, u01, h, (-2.0, 2.0))
         assert len(calls) == 1
 
-    def test_glue_example_reads_phase_slopes(self):
-        # the glue_q_ho_p example: q = 0.6 -> oscillator -> p = 0.8 at h = 0.2
+    @staticmethod
+    def _glue_example(fibers=None):
+        """The glue_q_ho_p example, q = 0.6 -> oscillator -> p = 0.8 at
+        h = 0.2, with the levels each kernel is called at."""
         h = 0.2
-        calls = []
+        calls = {1: [], 2: []}
 
-        def counted(kernel):
+        def counted(slot, kernel):
             def wrapped(b):
-                calls.append(b)
+                calls[slot].append(b)
                 return kernel(b)
 
             return wrapped
 
-        u01 = counted(overlap_kernel((Q, 0.6), HO, LAM, ALPHA, h, fixed_slot=1))
-        u20 = counted(overlap_kernel((P, 0.8), HO, LAM, ALPHA, h, fixed_slot=2))
-        composed = compose_kernels(u20, u01, h, (0.36, 0.95))
-        direct = overlap((Q, 0.6), (P, 0.8), LAM, ALPHA, h)
+        u01 = counted(1, overlap_kernel((Q, 0.6), HO, LAM, ALPHA, h, 1, fibers=fibers))
+        u20 = counted(2, overlap_kernel((P, 0.8), HO, LAM, ALPHA, h, 2, fibers=fibers))
+        return compose_kernels(u20, u01, h, (0.36, 0.95)), calls
+
+    def test_glue_example_reads_phase_slopes(self):
+        composed, calls = self._glue_example({})
+        direct = overlap((Q, 0.6), (P, 0.8), LAM, ALPHA, 0.2)
         (term,) = composed.terms
         assert term.b_star == pytest.approx(0.5, abs=1e-10)
         rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
-        # bounds: the floor and the call count of phi' as a difference of actions
+        # bounds: the floor of phi' as a difference of actions, and 41 calls
+        # per kernel (33 scan levels, brentq's new iterates, four phi'' levels)
         assert rel <= 4.83e-11
-        assert len(calls) < 108
+        assert len(calls[1]) + len(calls[2]) <= 82
+
+    def test_glue_example_traces_each_level_once(self, monkeypatch):
+        traced = []
+        trace = semiclassics.trace_level_curve
+
+        def counted(h_obs, b, *args, **kwargs):
+            traced.append((h_obs, b))
+            return trace(h_obs, b, *args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "trace_level_curve", counted)
+        _, calls = self._glue_example({})
+        levels = set(calls[1]) | set(calls[2])
+        assert sorted(b for h_obs, b in traced if h_obs == HO) == sorted(levels)
+        assert sorted(b for h_obs, b in traced if h_obs != HO) == [0.6, 0.8]
+        # and no kernel is called twice at one level
+        assert len(set(calls[1])) == len(calls[1])
+        assert len(set(calls[2])) == len(calls[2])
+
+    def test_shared_fibers_match_independent_kernels(self):
+        shared, _ = self._glue_example({})
+        alone, _ = self._glue_example()
+        (t_shared,), (t_alone,) = shared.terms, alone.terms
+        assert abs(t_shared.b_star - t_alone.b_star) <= 1e-12
+        assert abs(abs(shared.value) - abs(alone.value)) <= 1e-11 * abs(alone.value)
+        assert t_shared.maslov == t_alone.maslov
+        assert t_shared.signature == t_alone.signature
 
     def test_oscillator_intermediate_within_5h(self):
         b1, b2 = 0.6, 0.8

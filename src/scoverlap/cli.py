@@ -52,6 +52,7 @@ from .semiclassics import (
     BSLevel,
     compose_kernels,
     cyclic_amplitude,
+    nearest_level,
     overlap,
     overlap_kernel,
     probe_loop_actions,
@@ -282,7 +283,7 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
             for n in bracket:
                 if n not in solved:
                     solved[n] = probes.level(h, n)
-            level = min((solved[n] for n in bracket), key=lambda l: abs(l.b - target))
+            level = nearest_level([solved[n] for n in bracket], target)
             if level.n not in fibers:
                 # positions are fractions of the level's p = 0 turning radius;
                 # the fiber is traced once and shared by every position
@@ -430,7 +431,11 @@ def _run_glue_check(cfg: ExperimentConfig) -> Report:
         (h_obs2, b2), inter, cfg.lam, cfg.alpha, h0, fixed_slot=2, fibers=fibers
     )
     composed_h0 = compose_kernels(u20, u01, h0, (lo, hi))
-    direct_h0 = overlap((h_obs1, b1), (h_obs2, b2), cfg.lam, cfg.alpha, h0)
+    # the kernels have traced both fixed fibers
+    direct_h0 = overlap(
+        (h_obs1, b1), (h_obs2, b2), cfg.lam, cfg.alpha, h0,
+        curves=(u01.cache["curve"], u20.cache["curve"]),
+    )
     errs = []
     for h in cfg.hs:
         composed, direct = composed_h0.at(h), direct_h0.at(h)

@@ -606,7 +606,12 @@ def _trace_direction(
 def loop_data(
     h: Observable, b: float, seed: PhasePoint, opts: TraceOptions = TraceOptions()
 ) -> tuple[float, float]:
-    """(loop action, flow period) of a closed fiber, without sampling it."""
+    """(loop action, flow period) of a closed fiber, without sampling it.
+
+    The ODE verifier: action and time are extra rows of one DOP853 trace.
+    The engine takes both from ``chart_action`` over a closed polyline
+    (``semiclassics.probe_loop_actions``); the tests hold it to this.
+    """
     x0 = project_to_fiber(h, b, seed)
     if math.hypot(*h.gradient(x0)) < _GRAD_FLOOR:
         raise SingularFiber(f"gradient vanishes at seed {tuple(x0)}")

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .errors import (
     TangencyAtEndpoint,
 )
 from .geometry import (
+    _PROJ_TOL,
     DOMAIN_BOUND,
     TRANS_TOL,
     FiberCurve,
@@ -63,7 +64,6 @@ from .geometry import (
     chart_action,
     find_intersections,
     lagrangian_intersections,
-    loop_data,
     poisson_bracket,
     project_to_fiber,
     reference_point,
@@ -83,6 +83,15 @@ _PHI2_STEP = 1e-4  # phi'' step: truncation (order step^4) meets rounding
 _BS_TRACE = TraceOptions(n_samples=160)
 _BS_PROBES = 17
 _BS_NEWTON_MAX = 30
+# guard on a closed guide moved to a new level: Newton steps allowed per
+# point, the largest growth of one segment over the median segment's, and
+# the cosine of the largest turn of the fiber's normal along one segment
+_BS_MOVE_STEPS = 12
+_BS_MOVE_STRETCH = 4.0
+_BS_MOVE_TURN = math.cos(math.radians(30.0))
+# two levels whose distances to a target differ by less than this fraction
+# of their spacing are equally near
+_BS_TIE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +256,93 @@ def _seed_on_level(h_obs: Observable, b: float, domain: float) -> PhasePoint:
     raise SingularFiber(f"no seed found on level {b}")
 
 
+def _traced_loop(
+    h_obs: Observable, b: float
+) -> tuple[FiberCurve, float, float, np.ndarray]:
+    """The closed fiber {H = b} through ``_seed_on_level``, traced afresh:
+    the curve, its loop action and period, and its closed sample polyline."""
+    curve = trace_level_curve(h_obs, b, _seed_on_level(h_obs, b, DOMAIN_BOUND), _BS_TRACE)
+    if not curve.closed:
+        raise SingularFiber(f"fiber at {b} is not closed")
+    guide = np.column_stack([curve.qs, curve.ps])
+    return curve, curve.loop_action, curve.period, guide
+
+
+def _moved_guide(h_obs: Observable, b: float, guide: np.ndarray) -> np.ndarray | None:
+    """The closed polyline ``guide`` moved onto {H = b}, or None.
+
+    Every point takes Newton steps along grad H, all points at once.  The
+    move is accepted only if
+      * every point reaches |H - b| <= 1e-14 max(1, |b|) within
+        _BS_MOVE_STEPS Newton iterations (a residual check, then a step);
+      * no segment grows by more than _BS_MOVE_STRETCH times the median
+        segment's growth: a guide dragged across a separatrix or into
+        another well breaks there, one segment jumping while the others
+        follow the level, whether or not Newton converges at the saddle;
+      * the fiber's normal turns by less than 30 degrees along every
+        segment.  ``chart_action`` switches charts at guide points, where
+        |H_q| and |H_p| cross; a segment that turns by less than 45 degrees
+        cannot reach from that crossing to the fold of the chart it leaves.
+        Across a separatrix the jump joins branches whose normals point
+        apart, so this check rejects that move as well.
+    """
+    q, p = guide[:-1, 0].copy(), guide[:-1, 1].copy()
+    scale = max(1.0, abs(b))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_BS_MOVE_STEPS):
+            r = h_obs.value(q, p) - b
+            if np.all(np.abs(r) <= _PROJ_TOL * scale):
+                break
+            gq, gp = h_obs.dq(q, p), h_obs.dp(q, p)
+            step = r / (gq * gq + gp * gp)
+            q, p = q - gq * step, p - gp * step
+        else:
+            return None
+        moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
+        growth = np.hypot(*np.diff(moved, axis=0).T) / np.hypot(*np.diff(guide, axis=0).T)
+        normal = np.column_stack([h_obs.dq(q, p), h_obs.dp(q, p)])
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        turn = np.sum(normal * np.roll(normal, -1, axis=0), axis=1)
+    # comparisons written so that a NaN rejects
+    if not np.max(growth) <= _BS_MOVE_STRETCH * np.median(growth):
+        return None
+    if not np.min(turn) > _BS_MOVE_TURN:
+        return None
+    return moved
+
+
+def _loop_on_level(
+    h_obs: Observable, b: float, guide: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """(loop action, period, closed guide) of the fiber {H = b}.
+
+    ``guide`` is a closed polyline on a nearby level of the same family.  It
+    is moved onto b (``_moved_guide``) and one ``chart_action`` over it gives
+    the action and period.  Where the move fails its guard, the fiber is
+    traced afresh and keeps the trace's own action and period
+    (``SingularFiber`` if it does not close).
+    """
+    moved = _moved_guide(h_obs, b, guide)
+    if moved is None:
+        return _traced_loop(h_obs, b)[1:]
+    return (*chart_action(h_obs, b, moved), moved)
+
+
 @dataclass(frozen=True)
 class LoopActionProbes:
     """The h-free part of Bohr-Sommerfeld quantization on a level range.
 
     ``probes`` holds (b, loop action A, period T) at evenly spaced levels,
     with A strictly increasing; ``maslov`` is the position fibration's loop
-    index.  Both depend only on the observable and the range, so one set
-    quantizes every h.
+    index; ``guides`` holds each probe's closed fiber polyline as an (N, 2)
+    array, the first point repeated last.  All depend only on the observable
+    and the range, so one set quantizes every h.
     """
 
     observable: Observable
     probes: tuple[tuple[float, float, float], ...]
     maslov: int
+    guides: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def _quantum_numbers(self, h: float) -> range:
         """Quantum numbers whose levels lie inside the probed range."""
@@ -275,10 +358,13 @@ class LoopActionProbes:
     def level(self, h: float, n: int) -> BSLevel:
         """Solve A(b) = 2 pi h (n + mu/4) for one quantum number n.
 
-        The loop action has slope dA/db = T(b), the flow period, and
-        ``loop_data`` returns both from one pass.  The level starts from the
-        inverse cubic Hermite interpolant of b(A) on its bracketing probes
-        (slopes 1/T) and is polished by Newton steps.
+        The loop action has slope dA/db = T(b), the flow period.  The level
+        starts from the inverse cubic Hermite interpolant of b(A) on its
+        bracketing probes (slopes 1/T) and is polished by Newton steps.  Each
+        iterate moves the guide of the nearer bracketing probe onto its level
+        and integrates it by ``chart_action`` (``_loop_on_level``), which
+        gives A and T together; an iterate whose moved guide fails the guard
+        traces its fiber afresh.  No iterate runs an ODE trace otherwise.
         """
         h_obs, probes, mu = self.observable, self.probes, self.maslov
         target = 2 * math.pi * h * (n + mu / 4.0)
@@ -298,8 +384,8 @@ class LoopActionProbes:
         )
         for _ in range(_BS_NEWTON_MAX):
             b = min(max(b_next, b0), b1)
-            seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
-            act, period = loop_data(h_obs, b, seed, _BS_TRACE)
+            guide = self.guides[k - 1] if b - b0 <= b1 - b else self.guides[k]
+            act, period, _ = _loop_on_level(h_obs, b, guide)
             b_next = b - (act - target) / period
             if abs(b_next - b) <= 1e-13:
                 break
@@ -345,29 +431,46 @@ def probe_loop_actions(
     h_obs: Observable, b_range: tuple[float, float]
 ) -> LoopActionProbes:
     """Probe the loop action and period at evenly spaced levels of a closed
-    family; the Maslov index is the position fibration's count on the first
-    traced probe.  Levels without a closed fiber are skipped with a warning."""
+    family.  The first closed probe is traced, and the position fibration's
+    Maslov index is counted on that trace; each later probe moves the
+    previous probe's closed polyline onto its level and integrates it by
+    ``chart_action`` (``_loop_on_level``).  Levels without a closed fiber
+    are skipped with a warning."""
     probes: list[tuple[float, float, float]] = []  # (b, A, T)
+    guides: list[np.ndarray] = []
     mu = None
     for b in np.linspace(b_range[0], b_range[1], _BS_PROBES):
         b = float(b)
         try:
-            seed = _seed_on_level(h_obs, b, DOMAIN_BOUND)
             if mu is None:
-                curve = trace_level_curve(h_obs, b, seed, _BS_TRACE)
-                if not curve.closed:
-                    raise SingularFiber(f"fiber at {b} is not closed")
+                curve, action, period, guide = _traced_loop(h_obs, b)
                 mu = maslov_loop_index(curve, Observable.position())
-                probes.append((b, curve.loop_action, curve.period))
             else:
-                probes.append((b, *loop_data(h_obs, b, seed, _BS_TRACE)))
+                action, period, guide = _loop_on_level(h_obs, b, guides[-1])
         except SingularFiber:
             warnings.warn(f"level {b:.6g} skipped: no closed fiber", LevelSkipped)
+            continue
+        probes.append((b, action, period))
+        guides.append(guide)
     if len(probes) < 2:
         raise SingularFiber("fewer than two closed levels in the range")
     if not np.all(np.diff([a for _, a, _ in probes]) > 0):
         raise NonMonotoneAction("loop action is not increasing on the requested range")
-    return LoopActionProbes(observable=h_obs, probes=tuple(probes), maslov=mu)
+    return LoopActionProbes(
+        observable=h_obs, probes=tuple(probes), maslov=mu, guides=tuple(guides)
+    )
+
+
+def nearest_level(levels: Sequence[BSLevel], b: float) -> BSLevel:
+    """The level nearest to ``b``.  When the two nearest are equally near to
+    within _BS_TIE of their spacing (``b`` halfway between them), the one
+    with the lower n, so that the pick does not turn on rounding."""
+    first, *rest = sorted(levels, key=lambda l: abs(l.b - b))
+    if rest:
+        second = rest[0]
+        if abs(second.b - b) - abs(first.b - b) <= _BS_TIE * abs(second.b - first.b):
+            return min(first, second, key=lambda l: l.n)
+    return first
 
 
 def bohr_sommerfeld_levels(
@@ -970,11 +1073,11 @@ def overlap_kernel(
     """Kernel as a function of the intermediate level.
 
     ``fixed_slot`` = 1 puts the fixed system in the linear slot (kernel rows
-    labelled by the intermediate), 2 the reverse.  The fixed fiber trace is
-    cached across evaluations.  ``fibers`` maps intermediate levels to traced
-    fibers: the kernel reads it before tracing and adds what it traces, so
-    the two kernels of one composition, given one mapping, trace each
-    intermediate fiber once.
+    labelled by the intermediate), 2 the reverse.  The fixed fiber is traced
+    at the first call and kept in ``kernel.cache["curve"]``.  ``fibers``
+    maps intermediate levels to traced fibers: the kernel reads it before
+    tracing and adds what it traces, so the two kernels of one composition,
+    given one mapping, trace each intermediate fiber once.
     """
     cache: dict[str, FiberCurve | None] = {"curve": None}
 
@@ -999,4 +1102,7 @@ def overlap_kernel(
             fibers.setdefault(b, inter_curve)
         return amp
 
+    # an attribute, not a name the body reads: a kernel that referred to
+    # itself would be freed only by the cycle collector
+    kernel.cache = cache
     return kernel

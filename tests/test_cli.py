@@ -16,7 +16,7 @@ from scoverlap.cli import (
 )
 from scoverlap.errors import ConfigError, DegenerateFit
 from scoverlap.geometry import Observable
-from scoverlap.semiclassics import probe_loop_actions
+from scoverlap.semiclassics import nearest_level, probe_loop_actions
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -294,7 +294,7 @@ class TestPipelines:
         for h in (0.2, 0.1, 0.05):
             levels = probes.levels(h)
             for target in targets:
-                level = min(levels, key=lambda l: abs(l.b - target))
+                level = nearest_level(levels, target)
                 expected.append((h, level.b, level.n))
         assert [(c["h"], c["b2"], c["n"]) for c in report.cases] == expected
 
@@ -492,6 +492,25 @@ dir = {out}
         together, apart = _cases_per_h(tmp_path, "glue-check", GLUE, ["0.2", "0.1"])
         assert len(together) == 2
         assert together == apart
+
+    def test_glue_check_traces_each_fixed_fiber_once(self, tmp_path, monkeypatch):
+        # the direct overlap reuses the fixed fibers the two kernels traced
+        from scoverlap import semiclassics
+
+        traced = []
+        trace = semiclassics.trace_level_curve
+
+        def counted(h_obs, b, *args, **kwargs):
+            traced.append((str(h_obs), b))
+            return trace(h_obs, b, *args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "trace_level_curve", counted)
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(GLUE.format(h="0.2", out=tmp_path / "out"))
+        report, status = run(parse_config(cfg_file, "glue-check", None))
+        assert status == 0 and len(report.cases) == 1
+        fixed = sorted(t for t in traced if t[0] in ("q", "p"))
+        assert fixed == [("p", 0.8), ("q", 0.6)]
 
     def test_spectrum_over_two_h_matches_single_h_runs(self, tmp_path):
         template = HO_SPECTRUM.replace("h = 0.1", "h = {h}")

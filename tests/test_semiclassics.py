@@ -22,16 +22,19 @@ from scoverlap.geometry import (
     PrequantumForm,
     ReferenceLagrangian,
     find_intersections,
+    loop_data,
     trace_level_curve,
 )
 from scoverlap.oracle import GridSpec, build_weyl_operator, eigensystem, half_density_bridge
 from scoverlap.semiclassics import (
+    BSLevel,
     bohr_sommerfeld_levels,
     complementary_overlap_term,
     compose_kernels,
     cyclic_amplitude,
     maslov_loop_index,
     maslov_segment,
+    nearest_level,
     overlap,
     overlap_kernel,
     pick_reference_lagrangian,
@@ -146,10 +149,10 @@ class TestBohrSommerfeld:
 
         fake = {0: 1.0, 1: 0.5}
 
-        def fake_loop(h_obs, b, seed, opts):
-            return (1.0 + math.sin(8 * b), 1.0)
+        def fake_loop(h_obs, b, guide):
+            return (1.0 + math.sin(8 * b), 1.0, guide)
 
-        monkeypatch.setattr(sc, "loop_data", fake_loop)
+        monkeypatch.setattr(sc, "_loop_on_level", fake_loop)
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.004, 2.0))
 
@@ -159,10 +162,10 @@ class TestBohrSommerfeld:
         # rules such a family out, so it is rejected, not solved
         import scoverlap.semiclassics as sc
 
-        def fake_loop(h_obs, b, seed, opts):
-            return (math.pi + 0.5 - b, 1.0)
+        def fake_loop(h_obs, b, guide):
+            return (math.pi + 0.5 - b, 1.0, guide)
 
-        monkeypatch.setattr(sc, "loop_data", fake_loop)
+        monkeypatch.setattr(sc, "_loop_on_level", fake_loop)
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.5, 2.0))
 
@@ -175,7 +178,7 @@ class TestBohrSommerfeld:
 
         for l in bohr_sommerfeld_levels(h_obs, h, b_range):
             seed = sc._seed_on_level(h_obs, l.b, sc.DOMAIN_BOUND)
-            _, period = sc.loop_data(h_obs, l.b, seed, sc._BS_TRACE)
+            _, period = loop_data(h_obs, l.b, seed, sc._BS_TRACE)
             assert l.period == pytest.approx(period, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -203,27 +206,173 @@ class TestBohrSommerfeld:
             for target in targets:
                 bracket = probes.bracket(h, target)
                 assert 1 <= len(bracket) <= 2
-                nearest = min(levels, key=lambda l: abs(l.b - target))
-                picked = min((by_n[n] for n in bracket), key=lambda l: abs(l.b - target))
+                nearest = nearest_level(levels, target)
+                picked = nearest_level([by_n[n] for n in bracket], target)
                 assert picked == nearest
 
     def test_newton_needs_few_loop_data_calls(self, monkeypatch):
         import scoverlap.semiclassics as sc
 
         calls = []
-        real = sc.loop_data
+        real = sc._loop_on_level
 
         def counted(*args):
             calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(sc, "loop_data", counted)
+        monkeypatch.setattr(sc, "_loop_on_level", counted)
         levels = bohr_sommerfeld_levels(PEND, 0.05, (-0.92, 0.7))
-        # the first of the 17 probes is traced, the other 16 call loop_data
+        # the first of the 17 probes is traced, the other 16 are evaluated
+        # on their levels like each Newton iterate
         assert (len(calls) - 16) / len(levels) <= 2.5
         for l in levels:
             target = 2 * math.pi * 0.05 * (l.n + l.loop_maslov / 4.0)
             assert abs(l.loop_action - target) <= 1e-12
+
+    def test_tie_goes_to_the_lower_quantum_number(self):
+        # 0.55 lies halfway between the levels n = 10 and n = 11 at h = 0.05;
+        # rounding of either level must not decide the pick
+        for da in (-1e-13, 0.0, 1e-13):
+            for db in (-1e-13, 0.0, 1e-13):
+                levels = [
+                    BSLevel(n=10, b=0.525 + da, loop_action=0.0, loop_maslov=2, period=1.0),
+                    BSLevel(n=11, b=0.575 + db, loop_action=0.0, loop_maslov=2, period=1.0),
+                ]
+                assert nearest_level(levels, 0.55).n == 10
+                assert nearest_level(levels[::-1], 0.55).n == 10
+        levels = [
+            BSLevel(n=n, b=0.05 * (n + 0.5), loop_action=0.0, loop_maslov=2, period=1.0)
+            for n in range(20)
+        ]
+        assert nearest_level(levels, 0.55 + 1e-6).n == 11
+        assert nearest_level(levels, 0.55 - 1e-6).n == 10
+        assert nearest_level(levels, -3.0).n == 0
+
+
+def _loop_data_at(h_obs, b):
+    import scoverlap.semiclassics as sc
+
+    return loop_data(h_obs, b, sc._seed_on_level(h_obs, b, sc.DOMAIN_BOUND), sc._BS_TRACE)
+
+
+QUARTIC = Observable.from_text("1/2 p^2 + 1/2 q^2 + 1/10 q^4")
+DOUBLE_WELL = Observable.from_text("1/2 p^2 - q^2 + 1/4 q^4")
+
+
+class TestLoopQuadrature:
+    """Probes and levels by chart quadrature over moved guides, against the
+    ODE verifier ``loop_data``."""
+
+    @pytest.mark.parametrize(
+        "h_obs, b_range, h",
+        [(HO, (0.004, 1.0), 0.05), (PEND, (-0.9, 0.9), 0.05), (QUARTIC, (0.02, 3.0), 0.1)],
+    )
+    def test_probes_and_levels_match_loop_data(self, h_obs, b_range, h):
+        probes = probe_loop_actions(h_obs, b_range)
+        assert len(probes.probes) == len(probes.guides) == 17
+        checked = list(probes.probes) + [(l.b, l.loop_action, l.period) for l in probes.levels(h)]
+        for b, action, period in checked:
+            ref_action, ref_period = _loop_data_at(h_obs, b)
+            assert abs(action - ref_action) <= 1e-11
+            assert abs(period - ref_period) <= 1e-11
+
+    def test_oscillator_actions_are_exact(self):
+        probes = probe_loop_actions(HO, (0.004, 1.0))
+        for b, action, period in probes.probes[1:]:  # the first is traced
+            assert abs(action - 2 * math.pi * b) <= 1e-13
+            assert abs(period - 2 * math.pi) <= 1e-12
+        for l in probes.levels(0.05):
+            assert abs(l.b - 0.05 * (l.n + 0.5)) <= 1e-13
+            assert abs(l.loop_action - 2 * math.pi * l.b) <= 1e-13
+
+    @pytest.mark.parametrize("b_range", [(-0.9, 0.5), (-0.99, 2.0)])
+    def test_double_well_probes_cross_the_separatrix(self, monkeypatch, b_range):
+        # the double well's left well closes below 0 and the outer loop
+        # around both wells above it; the first probe past the separatrix is
+        # traced afresh, as are left-well probes whose moved guides turn too
+        # sharply
+        import scoverlap.semiclassics as sc
+
+        traced = []
+        real = sc.trace_level_curve
+
+        def counted(h_obs, b, seed, opts):
+            traced.append(b)
+            return real(h_obs, b, seed, opts)
+
+        monkeypatch.setattr(sc, "trace_level_curve", counted)
+        probes = probe_loop_actions(DOUBLE_WELL, b_range)
+        assert len(probes.probes) == 17
+        bs = [b for b, _, _ in probes.probes]
+        outer = next(i for i, b in enumerate(bs) if b > 0)
+        assert bs[outer] in traced
+        for b, action, period in probes.probes:
+            ref_action, ref_period = _loop_data_at(DOUBLE_WELL, b)
+            assert abs(action - ref_action) <= 1e-11
+            assert abs(period - ref_period) <= 1e-11
+        # the outer loop encloses both wells: the action jumps
+        actions = [a for _, a, _ in probes.probes]
+        assert actions[outer] > 2 * actions[outer - 1]
+
+    @pytest.mark.parametrize("steps", [12, 200])
+    @pytest.mark.parametrize("check", ["both", "growth", "turn"])
+    def test_guard_rejects_the_separatrix_whether_or_not_newton_converges(
+        self, monkeypatch, steps, check
+    ):
+        # with 200 steps every point of the left-well guide converges onto
+        # the outer loop; each geometric check rejects the move on its own
+        import scoverlap.semiclassics as sc
+
+        left = sc._traced_loop(DOUBLE_WELL, -0.025)[3]
+        assert sc._moved_guide(DOUBLE_WELL, -0.1, left) is not None
+        monkeypatch.setattr(sc, "_BS_MOVE_STEPS", steps)
+        if check == "growth":
+            monkeypatch.setattr(sc, "_BS_MOVE_TURN", -2.0)
+        if check == "turn":
+            monkeypatch.setattr(sc, "_BS_MOVE_STRETCH", math.inf)
+        assert sc._moved_guide(DOUBLE_WELL, 0.0625, left) is None
+
+    def test_one_trace_and_no_loop_data_per_ladder(self, monkeypatch):
+        import scoverlap.geometry as geo
+        import scoverlap.semiclassics as sc
+
+        counts = {"trace": 0, "loop_data": 0}
+        real_trace = sc.trace_level_curve
+
+        def trace(*args):
+            counts["trace"] += 1
+            return real_trace(*args)
+
+        def no_loop_data(*args):
+            counts["loop_data"] += 1
+            raise AssertionError("loop_data called")
+
+        monkeypatch.setattr(sc, "trace_level_curve", trace)
+        monkeypatch.setattr(geo, "loop_data", no_loop_data)
+        levels = probe_loop_actions(PEND, (-0.92, 0.7)).levels(0.05)
+        assert len(levels) > 10
+        assert counts == {"trace": 1, "loop_data": 0}
+
+    @given(a=st.floats(0.3, 0.8), c=st.floats(0.02, 0.15), u=st.floats(0.05, 0.95))
+    @settings(max_examples=15, deadline=None)
+    def test_quartic_quadrature_matches_loop_data(self, a, c, u):
+        import scoverlap.semiclassics as sc
+
+        h_obs = Observable.from_coeffs({(0, 2): 0.5, (2, 0): a, (4, 0): c})
+        guide = sc._traced_loop(h_obs, 0.1)[3]
+        b = 0.1 + 0.2 * u  # up to 0.2 above the traced level
+        assert sc._moved_guide(h_obs, b, guide) is not None
+        action, period, _ = sc._loop_on_level(h_obs, b, guide)
+        ref_action, ref_period = _loop_data_at(h_obs, b)
+        assert abs(action - ref_action) <= 1e-11
+        assert abs(period - ref_period) <= 1e-11
+        # dA/db = T
+        d = 1e-4
+        slope = (
+            sc._loop_on_level(h_obs, b + d, guide)[0]
+            - sc._loop_on_level(h_obs, b - d, guide)[0]
+        ) / (2 * d)
+        assert abs(slope - period) <= 1e-7
 
 
 class TestOverlap:

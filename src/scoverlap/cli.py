@@ -58,7 +58,12 @@ from .semiclassics import (
     probe_loop_actions,
     transition_probability,
 )
-from .starprod import PolynomialObservable, associativity_defect, moyal_product
+from .starprod import (
+    MAX_ORDER,
+    PolynomialObservable,
+    associativity_defect,
+    moyal_product,
+)
 
 SCENARIOS = (
     "spectrum",
@@ -114,6 +119,20 @@ class ExperimentConfig:
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"[scenario] {key} = {raw!r}: {exc}") from None
+
+    def integer(self, key: str, default: int, lo: int, hi: int | None = None) -> int:
+        """An integer key in lo..hi (no upper bound when hi is None)."""
+        raw = self.params.get(key)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"[scenario] {key} = {raw!r} is not an integer") from None
+        if value < lo or (hi is not None and value > hi):
+            span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+            raise ConfigError(f"[scenario] {key} = {value} is not in {span}")
+        return value
 
 
 @dataclass
@@ -231,7 +250,7 @@ def parse_config(path: Path, kind: str | None, out_override: str | None) -> Expe
 def _grid_from(cfg: ExperimentConfig) -> GridSpec:
     return GridSpec(
         half_width=cfg.flt("grid_halfwidth", 10.0),
-        points=int(cfg.flt("grid_points", 512)),
+        points=cfg.integer("grid_points", 512, 1),
     )
 
 
@@ -384,8 +403,8 @@ def _run_cyclic(cfg: ExperimentConfig) -> Report:
 
 def _run_star_check(cfg: ExperimentConfig) -> Report:
     rep = Report(kind="star-check")
-    order = int(cfg.flt("order", 6))
-    degree = int(cfg.flt("degree", 4))
+    order = cfg.integer("order", 6, 0, MAX_ORDER)
+    degree = cfg.integer("degree", 4, 0)
     monos = [
         PolynomialObservable.monomial(a, b)
         for a in range(degree + 1)

@@ -64,7 +64,12 @@ class UnsupportedOrdering(ValueError):
 
 
 class OrderOverflow(ValueError):
-    """Formal series order exceeds the supported truncation bound."""
+    """A truncation order is not an int in 0..MAX_ORDER (negative, fractional
+    or above the supported bound)."""
+
+
+class OrderMismatch(ValueError):
+    """Two formal series truncated at different orders were combined."""
 
 
 class ConfigError(ValueError):

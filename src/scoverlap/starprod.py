@@ -8,13 +8,18 @@ The product is the constant-symplectic-structure bidifferential series
 summed monomial pair by monomial pair through its closed-form (Groenewold)
 coefficients and held as a formal power series in h with polynomial
 coefficients over exact complex rationals, so associativity is an identity
-rather than an approximation.  The module also carries the symmetric-ordered operator
+rather than an approximation.  The sums run on an integer lattice: each
+factor is cleared to Gaussian-integer numerators over one common
+denominator, the h^n weight is an integer over the shared 2^order order!,
+and one ``Fraction`` pair is built per surviving output coefficient.  The
+module also carries the symmetric-ordered operator
 correspondence and the matrix-element representation built on the overlap
 engine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OrderOverflow
+from .errors import OrderMismatch, OrderOverflow
 from .geometry import Observable, PhasePoint, PrequantumForm, ReferenceLagrangian
 from .monomials import format_monomials, parse_monomials
 from .oracle import GridSpec, weyl_operator
@@ -63,12 +68,6 @@ class QQi:
 
     def scale(self, r: Fraction) -> "QQi":
         return QQi(self.re * r, self.im * r)
-
-    def quarter_turn(self, n: int) -> "QQi":
-        """The product i^n * self, by rotating the parts."""
-        re, im = ((self.re, self.im), (-self.im, self.re),
-                  (-self.re, -self.im), (self.im, -self.re))[n % 4]
-        return QQi(re, im)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -197,14 +196,20 @@ class FormalSeries:
         coeffs = [f] + [PolynomialObservable.zero()] * order
         return FormalSeries(order, tuple(coeffs))
 
+    def _check_order(self, other: "FormalSeries") -> None:
+        if self.order != other.order:
+            raise OrderMismatch(
+                f"cannot combine series truncated at orders {self.order} and {other.order}"
+            )
+
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        assert self.order == other.order
+        self._check_order(other)
         return FormalSeries(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        assert self.order == other.order
+        self._check_order(other)
         return FormalSeries(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -227,45 +232,88 @@ class FormalSeries:
         ) or "0"
 
 
-def _moyal_coefficient(a: int, b: int, c: int, d: int, n: int) -> Fraction:
-    """h^n coefficient of q^a p^b * q^c p^d, without its factor i^n.
+@functools.cache
+def _moyal_sum(a: int, b: int, c: int, d: int, n: int) -> int:
+    """h^n coefficient of q^a p^b * q^c p^d times 2^n n!, without its i^n.
 
     Lambda^n(f, g) = sum_k C(n,k) (-1)^(n-k) d_q^k d_p^(n-k) f d_p^k d_q^(n-k) g
     applied to the two monomials gives falling factorials of the exponents.
     """
-    total = sum(
+    return sum(
         math.comb(n, k) * (-1) ** (n - k)
         * math.perm(a, k) * math.perm(b, n - k) * math.perm(c, n - k) * math.perm(d, k)
         for k in range(n + 1)
     )
-    return Fraction(total, 2**n * math.factorial(n))
+
+
+def _cleared(series: FormalSeries) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
+    """Common denominator D and, per h-power, terms (a, b, D re, D im) in integers.
+
+    D is the lcm of every real and imaginary denominator in the series.
+    """
+    den = math.lcm(*(
+        part.denominator
+        for poly in series.coeffs for _, z in poly.terms for part in (z.re, z.im)
+    ))
+    return den, [
+        [(a, b, z.re.numerator * (den // z.re.denominator),
+          z.im.numerator * (den // z.im.denominator)) for (a, b), z in poly.terms]
+        for poly in series.coeffs
+    ]
 
 
 def moyal_product(f, g, order: int) -> FormalSeries:
-    """Star product truncated at h^order (order <= 8).
+    """Star product truncated at h^order (an int in 0..MAX_ORDER).
 
     Monomial pairs use the closed-form Moyal coefficients: the h^n term of
-    q^a p^b * q^c p^d is i^n _moyal_coefficient(a, b, c, d, n) q^(a+c-n)
-    p^(b+d-n), and it vanishes once n > min(a, d) + min(b, c).
+    q^a p^b * q^c p^d is i^n _moyal_sum(a, b, c, d, n) / (2^n n!)
+    q^(a+c-n) p^(b+d-n), and it vanishes once n > min(a, d) + min(b, c).
+    The sums run on an integer lattice: each factor is cleared to Gaussian
+    integers over its common denominator D_f or D_g, the h^n weight becomes
+    the integer _moyal_sum * 2^(order-n) order!/n! over 2^order order!, and
+    i^n swaps and negates the integer pair.  Each surviving output
+    coefficient is divided once by D_f D_g 2^order order!.
     """
-    if order > MAX_ORDER:
-        raise OrderOverflow(f"truncation order {order} exceeds {MAX_ORDER}")
-    fs = FormalSeries.lift(f, order)
-    gs = FormalSeries.lift(g, order)
-    out: list[dict[tuple[int, int], QQi]] = [{} for _ in range(order + 1)]
-    for r, f_r in enumerate(fs.coeffs):
-        for s, g_s in enumerate(gs.coeffs[: order + 1 - r]):
-            for (a, b), u in f_r.terms:
-                for (c, d), v in g_s.terms:
-                    uv = u * v
-                    for n in range(min(order - r - s, min(a, d) + min(b, c)) + 1):
-                        w = _moyal_coefficient(a, b, c, d, n)
-                        if w:
-                            term = uv.scale(w).quarter_turn(n)
-                            table = out[r + s + n]
-                            key = (a + c - n, b + d - n)
-                            table[key] = table.get(key, QQi()) + term
-    return FormalSeries(order, tuple(PolynomialObservable.from_dict(t) for t in out))
+    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
+        raise OrderOverflow(f"truncation order {order!r} is not an int in 0..{MAX_ORDER}")
+    den_f, fs = _cleared(FormalSeries.lift(f, order))
+    den_g, gs = _cleared(FormalSeries.lift(g, order))
+    # 2^(order-n) order!/n!, with the sign of i^n folded in: + for n % 4 in (0, 1)
+    scale = [
+        (-1) ** (n // 2) * 2 ** (order - n) * (math.factorial(order) // math.factorial(n))
+        for n in range(order + 1)
+    ]
+    out: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(order + 1)]
+    for r, f_r in enumerate(fs):
+        for s, g_s in enumerate(gs[: order + 1 - r]):
+            top = order - r - s
+            for a, b, ur, ui in f_r:
+                for c, d, vr, vi in g_s:
+                    re = ur * vr - ui * vi
+                    im = ur * vi + ui * vr
+                    for n in range(min(top, min(a, d) + min(b, c)) + 1):
+                        w = _moyal_sum(a, b, c, d, n)
+                        if not w:
+                            continue
+                        w *= scale[n]
+                        # i^n (re + i im) up to the sign in scale[n]
+                        x, y = (-w * im, w * re) if n & 1 else (w * re, w * im)
+                        table = out[r + s + n]
+                        key = (a + c - n, b + d - n)
+                        acc = table.get(key)
+                        if acc is None:
+                            table[key] = [x, y]
+                        else:
+                            acc[0] += x
+                            acc[1] += y
+    den = den_f * den_g * 2**order * math.factorial(order)
+    return FormalSeries(order, tuple(
+        PolynomialObservable.from_dict({
+            key: QQi(Fraction(x, den), Fraction(y, den))
+            for key, (x, y) in table.items() if x or y
+        })
+        for table in out
+    ))
 
 
 def associativity_defect(f, g, k, order: int) -> FormalSeries:

@@ -109,3 +109,23 @@ def test_glue_composition_traces_each_intermediate_fiber_once(perfbench):
     assert tracer.overlaps_in_compose == len(calls)
     (per_overlap, _) = tracer.metrics(1)["geometry.trace_level_curve.per_overlap"]
     assert per_overlap <= 0.6
+
+
+def test_tracer_counts_the_four_products_of_an_associativity_defect(perfbench):
+    # associativity_defect must reach every product through the module-level
+    # name, or starprod.moyal_product.calls stops measuring the star layer
+    tracing, _ = perfbench
+    from scoverlap import starprod
+
+    f = starprod.PolynomialObservable.from_text("q^2 p + 1/3 p")
+    g = starprod.PolynomialObservable.from_text("q p^2 - q")
+    k = starprod.PolynomialObservable.from_text("q^3 + 2 p^2")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert starprod.associativity_defect(f, g, k, 6).is_zero
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.calls["starprod.moyal_product"] == 4
+    assert tracer.calls["starprod.associativity_defect"] == 1

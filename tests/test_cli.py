@@ -239,6 +239,34 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("order", "-1"), ("order", "6.5"), ("order", "9"),
+        ("degree", "-1"), ("degree", "2.5"),
+    ])
+    def test_star_check_integer_keys(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"[systems]\nho = q\n[scenario]\nkind = star-check\nh = 0.1\n"
+            f"{key} = {value}\n[output]\ndir = {out}\n"
+        )
+        assert main(["star-check", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-4", "256.5"])
+    def test_grid_points_is_a_positive_integer(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.ini"
+        out = tmp_path / "out"
+        cfg.write_text(
+            HO_SPECTRUM.format(out=out).replace("grid_points = 256", f"grid_points = {value}")
+        )
+        assert main(["spectrum", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "grid_points" in err
+        assert not out.exists()
+
 
 class TestPipelines:
     def test_spectrum_scenario(self, tmp_path):

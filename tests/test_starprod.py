@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoverlap.errors import OrderOverflow, UnsupportedOrdering
+from scoverlap.errors import OrderMismatch, OrderOverflow, UnsupportedOrdering
 from scoverlap.geometry import Observable, PrequantumForm, ReferenceLagrangian
 from scoverlap.monomials import format_monomials, parse_monomials
 from scoverlap.oracle import GridSpec, build_weyl_operator
@@ -54,6 +54,32 @@ def complex_polynomials(draw, max_degree=4, max_terms=3):
     return PO.from_dict(table)
 
 
+# denominators up to 7 times powers of two down to 2^-10
+mixed_rational = st.builds(
+    lambda x, k: x / 2**k, rational, st.integers(0, 10)
+)
+
+
+@st.composite
+def mixed_polynomials(draw, max_degree=4, max_terms=3):
+    table = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        a = draw(st.integers(0, max_degree))
+        b = draw(st.integers(0, max_degree - a))
+        table[(a, b)] = QQi(draw(mixed_rational), draw(mixed_rational))
+    return PO.from_dict(table)
+
+
+@st.composite
+def mixed_series(draw):
+    """A series with two to four nonzero h-coefficients among h^0..h^4."""
+    powers = draw(st.sets(st.integers(0, 4), min_size=2, max_size=4))
+    top = max(powers)
+    coeffs = [draw(mixed_polynomials()) if n in powers else PO.zero()
+              for n in range(top + 1)]
+    return FormalSeries(top, tuple(coeffs))
+
+
 def bidifferential_product(f, g, order):
     """sum_n (i h / 2)^n / n! Lambda^n(f, g) with Lambda^n built from diff."""
     coeffs = []
@@ -66,6 +92,19 @@ def bidifferential_product(f, g, order):
         coeffs.append(lam_n.scale(i_power.scale(Fraction(1, 2**n * math.factorial(n)))))
         i_power = i_power * QQi(Fraction(0), Fraction(1))
     return FormalSeries(order, tuple(coeffs))
+
+
+def series_reference(fs, gs, order):
+    """sum_(r,s) h^(r+s) f_r * g_s, each product from the bidifferential
+    definition and the whole truncated at h^order."""
+    out = [PO.zero()] * (order + 1)
+    for r, f_r in enumerate(fs.coeffs):
+        for s, g_s in enumerate(gs.coeffs):
+            if r + s > order:
+                continue
+            for n, c in enumerate(bidifferential_product(f_r, g_s, order - r - s).coeffs):
+                out[r + s + n] = out[r + s + n] + c
+    return FormalSeries(order, tuple(out))
 
 
 class TestMonomialText:
@@ -129,9 +168,38 @@ class TestMoyal:
     def test_matches_bidifferential_definition(self, f, g, order):
         assert moyal_product(f, g, order) == bidifferential_product(f, g, order)
 
+    @given(f=mixed_series(), g=mixed_series(), order=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_series_factors_match_bidifferential_definition(self, f, g, order):
+        assert moyal_product(f, g, order) == series_reference(f, g, order)
+
+    def test_degree_eight_at_order_eight(self):
+        # the largest integer weights: every h-power up to h^8 survives
+        c1 = QQi(Fraction(3, 7 * 2**10), Fraction(-5, 6))
+        c2 = QQi(Fraction(-1, 5), Fraction(7, 2**9))
+        for (a, b), (c, d) in [((8, 0), (0, 8)), ((4, 4), (4, 4)), ((5, 3), (3, 5))]:
+            f, g = PO.monomial(a, b, c1), PO.monomial(c, d, c2)
+            assert moyal_product(f, g, 8) == bidifferential_product(f, g, 8)
+        # q^8 * p^8 at h^8: i^8 (8!)^2 / (2^8 8!) = 315/2
+        top = moyal_product(PO.monomial(8, 0), PO.monomial(0, 8), 8).coeffs[8]
+        assert top.table() == {(0, 0): QQi(Fraction(315, 2))}
+
     def test_order_overflow(self):
+        # above the bound, negative, fractional or a bool: never a silent result
+        for order in (9, -1, 6.5, 2.0, True):
+            with pytest.raises(OrderOverflow):
+                moyal_product(MQ, MP, order)
+        # order -1 would give the empty series, a zero defect for any triple
         with pytest.raises(OrderOverflow):
-            moyal_product(MQ, MP, 9)
+            associativity_defect(MQ, MP, MP, -1)
+
+
+class TestFormalSeries:
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_mismatched_orders_are_rejected(self, op):
+        lhs, rhs = FormalSeries.lift(MQ, 2), FormalSeries.lift(MP, 3)
+        with pytest.raises(OrderMismatch, match="2 and 3"):
+            getattr(lhs, f"__{op}__")(rhs)
 
 
 class TestExactNumerics:

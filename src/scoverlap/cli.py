@@ -61,7 +61,6 @@ from .semiclassics import (
 from .starprod import (
     MAX_ORDER,
     PolynomialObservable,
-    associativity_defect,
     moyal_product,
 )
 
@@ -411,13 +410,18 @@ def _run_star_check(cfg: ExperimentConfig) -> Report:
         for b in range(degree + 1)
         if a + b <= degree
     ]
+    # (f * g) * k - f * (g * k) for every triple, with each pair product
+    # computed once and shared by every triple it enters
+    products = [[moyal_product(f, g, order) for g in monos] for f in monos]
     defects = 0
     checked = 0
-    for f in monos:
-        for g in monos:
-            for k in monos:
+    for i, f in enumerate(monos):
+        for j in range(len(monos)):
+            for k, third in enumerate(monos):
                 checked += 1
-                if not associativity_defect(f, g, k, order).is_zero:
+                left = moyal_product(products[i][j], third, order)
+                right = moyal_product(f, products[j][k], order)
+                if not (left - right).is_zero:
                     defects += 1
     rep.cases.append({"checked": checked, "defects": defects, "order": order})
     q2p2 = moyal_product(
@@ -478,19 +482,24 @@ def _attach_slope(rep: Report, errs: list[tuple[float, float]]) -> None:
 
     A fitted error that changes by less than a factor of 2 across the whole
     h range is a floor, not an order: ``error_floor`` then holds the median
-    error and ``slope`` stays None.
+    error and ``slope`` stays None.  So does a set with a zero error (exact
+    composition can reach one) that is not all below 1e-13, which has no
+    log-log fit.
     """
     if len(errs) >= 3:
+        median = float(np.median([e for _, e in errs]))
         try:
             slope, resid = regress_error_slope(errs)
         except DegenerateFit:
             rep.exact_plateau = True
             return
         except ValueError:
+            # a zero error has no logarithm: the errors sit on a floor
+            rep.error_floor = median
             return
         hs = [h for h, _ in errs]
         if abs(slope) * math.log(max(hs) / min(hs)) < math.log(2.0):
-            rep.error_floor = float(np.median([e for _, e in errs]))
+            rep.error_floor = median
         else:
             rep.slope, rep.slope_residual = slope, resid
 

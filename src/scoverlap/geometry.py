@@ -38,6 +38,12 @@ DOMAIN_BOUND = 8.0
 
 _PROJ_TOL = 1e-14
 _GRAD_FLOOR = 1e-9
+# guard on a closed polyline moved to a new level: Newton steps allowed per
+# point, the largest growth of one segment over the median segment's, and
+# the cosine of the largest turn of the fiber's normal along one segment
+_MOVE_STEPS = 12
+_MOVE_STRETCH = 4.0
+_MOVE_TURN = math.cos(math.radians(30.0))
 
 
 class PhasePoint(NamedTuple):
@@ -321,6 +327,9 @@ class ReferenceLagrangian:
     def slope(self, q) -> float:
         return self.lam.dq(q, 0.0)
 
+    def curvature(self, q) -> float:
+        return self.lam.deriv(q, 0.0, 2, 0)
+
 
 @dataclass(frozen=True)
 class TraceOptions:
@@ -334,12 +343,16 @@ class TraceOptions:
 
 @dataclass(frozen=True)
 class FiberCurve:
-    """A traced level set {H = b} sampled along the Hamiltonian flow direction.
+    """A level set {H = b} sampled along the Hamiltonian flow direction.
 
-    Samples carry cumulative arclength, cumulative action of p dq, and flow
-    time.  Closed curves wrap: the final sample coincides with the first, and
-    ``period`` / ``loop_action`` hold the flow period and the loop integral
-    of p dq (the enclosed area).
+    A traced fiber (``trace_level_curve``) carries per sample the cumulative
+    arclength, the cumulative action of p dq and the flow time.  Closed
+    curves wrap: the final sample coincides with the first, and ``period`` /
+    ``loop_action`` hold the flow period and the loop integral of p dq (the
+    enclosed area).  A moved fiber (``moved_fiber``) is a closed polyline
+    pulled onto the level: its arclength is the cumulative chord length, and
+    ``action``, ``time``, ``period`` and ``loop_action`` are None.  Overlaps
+    read only the polyline and take every integral by ``chart_action``.
     """
 
     observable: Observable
@@ -347,8 +360,8 @@ class FiberCurve:
     qs: np.ndarray
     ps: np.ndarray
     arclength: np.ndarray
-    action: np.ndarray
-    time: np.ndarray
+    action: np.ndarray | None
+    time: np.ndarray | None
     closed: bool
     truncated: bool
     period: float | None = None
@@ -715,6 +728,75 @@ def trace_level_curve(
     return curve
 
 
+def _moved_guide(h: Observable, b: float, guide: np.ndarray) -> np.ndarray | None:
+    """The closed polyline ``guide`` moved onto {H = b}, or None.
+
+    Every point takes Newton steps along grad H, all points at once.  The
+    move is accepted only if
+      * every point reaches |H - b| <= 1e-14 max(1, |b|) within
+        _MOVE_STEPS Newton iterations (a residual check, then a step);
+      * no segment grows by more than _MOVE_STRETCH times the median
+        segment's growth: a guide dragged across a separatrix or into
+        another well breaks there, one segment jumping while the others
+        follow the level, whether or not Newton converges at the saddle;
+      * the fiber's normal turns by less than 30 degrees along every
+        segment.  ``chart_action`` switches charts at guide points, where
+        |H_q| and |H_p| cross; a segment that turns by less than 45 degrees
+        cannot reach from that crossing to the fold of the chart it leaves.
+        Across a separatrix the jump joins branches whose normals point
+        apart, so this check rejects that move as well.
+    """
+    q, p = guide[:-1, 0].copy(), guide[:-1, 1].copy()
+    scale = max(1.0, abs(b))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MOVE_STEPS):
+            r = h.value(q, p) - b
+            if np.all(np.abs(r) <= _PROJ_TOL * scale):
+                break
+            gq, gp = h.dq(q, p), h.dp(q, p)
+            step = r / (gq * gq + gp * gp)
+            q, p = q - gq * step, p - gp * step
+        else:
+            return None
+        moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
+        growth = np.hypot(*np.diff(moved, axis=0).T) / np.hypot(*np.diff(guide, axis=0).T)
+        normal = np.column_stack([h.dq(q, p), h.dp(q, p)])
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        turn = np.sum(normal * np.roll(normal, -1, axis=0), axis=1)
+    # comparisons written so that a NaN rejects
+    if not np.max(growth) <= _MOVE_STRETCH * np.median(growth):
+        return None
+    if not np.min(turn) > _MOVE_TURN:
+        return None
+    return moved
+
+
+def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
+    """The closed fiber ``curve`` moved onto the level b of its observable.
+
+    The sample polyline is moved by ``_moved_guide`` and keeps its guard;
+    None when the guard refuses the move or the fiber is open.  The result
+    has chord-length arclength and no action, time, period or loop action.
+    """
+    if not curve.closed:
+        return None
+    moved = _moved_guide(curve.observable, b, np.column_stack([curve.qs, curve.ps]))
+    if moved is None:
+        return None
+    chords = np.hypot(*np.diff(moved, axis=0).T)
+    return FiberCurve(
+        observable=curve.observable,
+        level=b,
+        qs=moved[:, 0].copy(),
+        ps=moved[:, 1].copy(),
+        arclength=np.concatenate([[0.0], np.cumsum(chords)]),
+        action=None,
+        time=None,
+        closed=True,
+        truncated=False,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Intersections
 # ---------------------------------------------------------------------------
@@ -1024,31 +1106,25 @@ def _solve_on_fiber(
     raise PointNotOnFiber(f"cannot solve H({args}) = {b} near {guess[k]:.6g}")
 
 
-def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float]:
-    """Integral of p dq and flow time along the fiber arc described by ``guide``.
+def _chart_runs(h: Observable, b: float, guide: np.ndarray):
+    """The graph-chart runs of the fiber arc described by ``guide`` (n >= 2).
 
-    ``guide`` is a polyline near (not necessarily on) {H = b}; its first and
-    last entries are taken as the exact, already-on-fiber endpoints.  The arc
-    is split into graph charts (p as a function of q, or q as a function of
-    p, switching where |H_p| and |H_q| cross), each integrated by adaptive
-    21-point Gauss-Kronrod quadrature on arrays, with every node polished
-    onto the fiber by Newton, so the action is accurate to machine precision
-    and varies smoothly with b.  The flow time (dq / H_p on q-charts,
-    -dp / H_q on p-charts) is summed once, on the converged panels' polished
-    nodes.
+    The arc is split where |H_p| and |H_q| cross into q-charts (p as a
+    function of q, where |H_p| >= |H_q|) and p-charts (q as a function of p).
+    Each chart switch before the last guide point becomes an on-fiber
+    subdivision node; any on-fiber point near the switch works, since
+    integrals over the runs telescope.  Per run, in flow order along the
+    guide: its end nodes xa and xb, ``solve_p`` (True on q-charts), and
+    ``on_fiber(u)``, which solves the other coordinate on {H = b} at chart
+    coordinates u by Newton from the guide's interpolant.
     """
-    guide = np.asarray(guide, dtype=float)
     n = len(guide)
-    if n < 2:
-        return 0.0, 0.0
     gq = np.abs(np.asarray(h.dq(guide[:, 0], guide[:, 1]), dtype=float))
     gp = np.abs(np.asarray(h.dp(guide[:, 0], guide[:, 1]), dtype=float))
     chart = (gp < gq).astype(int)  # 0: q-chart (p(q)), 1: p-chart (q(p))
 
-    # each chart switch before the last guide point becomes an on-fiber
-    # subdivision node (any on-fiber point near the switch works, the
-    # sub-integrals telescope); run k spans nodes k and k + 1 and the guide
-    # points bounds[k]:bounds[k + 1] between them
+    # run k spans nodes k and k + 1 and the guide points bounds[k]:bounds[k + 1]
+    # between them
     switches = np.flatnonzero(chart[1:-1] != chart[:-2]) + 1
     nodes = np.vstack(
         [guide[:1]]
@@ -1058,28 +1134,100 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, flo
     bounds = np.concatenate([[1], switches, [n - 1]])
     run_charts = chart[np.concatenate([[0], switches])]
 
-    total = time = 0.0
     for k, ch in enumerate(run_charts):
         xa, xb = nodes[k], nodes[k + 1]
         pts = np.vstack([xa, guide[bounds[k]:bounds[k + 1]], xb])
         solve_p = ch == 0
         axis = 0 if solve_p else 1
-        ua, ub = xa[axis], xb[axis]
         order = np.argsort(pts[:, axis])
         u_knots, v_knots = pts[order, axis], pts[order, 1 - axis]
 
-        def integrand(u):
+        def on_fiber(u, u_knots=u_knots, v_knots=v_knots, solve_p=solve_p):
             return _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
 
+        yield xa, xb, solve_p, on_fiber
+
+
+def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float]:
+    """Integral of p dq and flow time along the fiber arc described by ``guide``.
+
+    ``guide`` is a polyline near (not necessarily on) {H = b}; its first and
+    last entries are taken as the exact, already-on-fiber endpoints.  The arc
+    is split into graph charts (``_chart_runs``), each integrated by adaptive
+    21-point Gauss-Kronrod quadrature on arrays, with every node polished
+    onto the fiber by Newton, so the action is accurate to machine precision
+    and varies smoothly with b.  The flow time (dq / H_p on q-charts,
+    -dp / H_q on p-charts) is summed once, on the converged panels' polished
+    nodes.
+    """
+    guide = np.asarray(guide, dtype=float)
+    if len(guide) < 2:
+        return 0.0, 0.0
+    total = time = 0.0
+    for xa, xb, solve_p, on_fiber in _chart_runs(h, b, guide):
+        axis = 0 if solve_p else 1
+        ua, ub = xa[axis], xb[axis]
         val = dt = 0.0
         if ua != ub:
-            val, u, v, half = _adaptive_gk21(integrand, ua, ub)
+            val, u, v, half = _adaptive_gk21(on_fiber, ua, ub)
             rate = 1.0 / h.dp(u, v) if solve_p else -1.0 / h.dq(v, u)
             dt = _gk21_sum(rate, half)
         # q(p) charts integrate q dp; p dq = d(pq) - q dp
         total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
         time += dt
     return total, time
+
+
+def chart_time_derivative(h: Observable, b: float, guide: np.ndarray) -> float:
+    """Level derivative of the flow time along the fiber arc of ``guide``,
+    with both ends moving normal to the fiber, at d x / db = grad H / |grad H|^2.
+
+    Each run of ``_chart_runs`` integrates the b-derivative of its time rate
+    at fixed chart coordinate, -H_pp / H_p^3 dq on q-charts and
+    H_qq / H_q^3 dp on p-charts, by adaptive GK21 with nodes polished as in
+    ``chart_action``.  A fixed-chart end moves along the fiber relative to
+    the normal motion, which adds flow time H_q / (|grad H|^2 H_p) at a
+    q-chart run's end and -H_p / (|grad H|^2 H_q) at a p-chart run's end;
+    each run's start subtracts the same.  At a chart switch the two sum to
+    1 / (H_q H_p).
+    """
+    guide = np.asarray(guide, dtype=float)
+    if len(guide) < 2:
+        return 0.0
+    total = 0.0
+    for xa, xb, solve_p, on_fiber in _chart_runs(h, b, guide):
+        axis = 0 if solve_p else 1
+
+        def rate(u):
+            v = on_fiber(u)
+            if solve_p:
+                return -h.deriv(u, v, 0, 2) / h.dp(u, v) ** 3
+            return h.deriv(v, u, 2, 0) / h.dq(v, u) ** 3
+
+        if xa[axis] != xb[axis]:
+            total += _adaptive_gk21(rate, xa[axis], xb[axis])[0]
+        for x, sign in ((xb, 1.0), (xa, -1.0)):
+            gq, gp = h.gradient(x)
+            end = gq / gp if solve_p else -gp / gq
+            total += sign * end / (gq * gq + gp * gp)
+    return total
+
+
+def _arc_guide(
+    curve: FiberCurve, a: PhasePoint, b: PhasePoint, s_a: float, s_b: float
+) -> tuple[np.ndarray, float]:
+    """Guide polyline of the fiber arc from a to b and its orientation.
+
+    Closed curves run forward from a (wrapping) and give sign +1; open
+    curves run along the curve, and when b precedes a the guide runs from b
+    to a with sign -1."""
+    if curve.closed or s_b >= s_a:
+        guide = curve.scaffold(s_a, s_b)
+        guide[0], guide[-1] = a, b
+        return guide, 1.0
+    guide = curve.scaffold(s_b, s_a)
+    guide[0], guide[-1] = b, a
+    return guide, -1.0
 
 
 def arc_action(
@@ -1098,14 +1246,18 @@ def arc_action(
     difference step.  Closed curves integrate forward (wrapping), open
     curves signed along the curve.
     """
-    h_obs = curve.observable
-    if curve.closed or s_b >= s_a:
-        guide = curve.scaffold(s_a, s_b)
-        guide[0], guide[-1] = a, b
-        return chart_action(h_obs, level, guide)
-    guide = curve.scaffold(s_b, s_a)
-    guide[0], guide[-1] = b, a
-    return tuple(-v for v in chart_action(h_obs, level, guide))
+    guide, sign = _arc_guide(curve, a, b, s_a, s_b)
+    action, time = chart_action(curve.observable, level, guide)
+    return sign * action, sign * time
+
+
+def arc_time_derivative(
+    curve: FiberCurve, a: PhasePoint, b: PhasePoint, s_a: float, s_b: float
+) -> float:
+    """``chart_time_derivative`` of the arc from a to b on the fiber
+    ``curve``, oriented as ``arc_action`` orients its flow time."""
+    guide, sign = _arc_guide(curve, a, b, s_a, s_b)
+    return sign * chart_time_derivative(curve.observable, curve.level, guide)
 
 
 def action_along_fiber(

@@ -17,9 +17,10 @@ transversal intersections of the two level curves: each point contributes
 
 all behind an overall ``(2 pi h)^(-1/2)`` with unit constant.  Each term
 also carries dS/db1 and dS/db2 in closed form: the flow times along the two
-arcs plus endpoint terms on the reference graph.  Transition probabilities
-square this sum, cyclic amplitudes chain it around a loop of fibrations,
-and kernels compose by one-dimensional stationary phase on those slopes.
+arcs plus endpoint terms on the reference graph; ``action_curvature``
+differentiates them once more.  Transition probabilities square this sum,
+cyclic amplitudes chain it around a loop of fibrations, and kernels compose
+by one-dimensional stationary phase on those slopes and curvatures.
 """
 
 from __future__ import annotations
@@ -58,12 +59,15 @@ from .geometry import (
     TraceOptions,
     _bracket_field,
     _bracket_gradient,
+    _moved_guide,
     _newton_intersection,
     _newton_on_lagrangian,
     arc_action,
+    arc_time_derivative,
     chart_action,
     find_intersections,
     lagrangian_intersections,
+    moved_fiber,
     poisson_bracket,
     project_to_fiber,
     reference_point,
@@ -78,17 +82,10 @@ BS_TOL = 1e-9
 COMPONENT_TOL = 1e-2
 
 _COMPOSE_GRID = 33  # levels at which compose_kernels scans phi'
-_PHI2_STEP = 1e-4  # phi'' step: truncation (order step^4) meets rounding
 
 _BS_TRACE = TraceOptions(n_samples=160)
 _BS_PROBES = 17
 _BS_NEWTON_MAX = 30
-# guard on a closed guide moved to a new level: Newton steps allowed per
-# point, the largest growth of one segment over the median segment's, and
-# the cosine of the largest turn of the fiber's normal along one segment
-_BS_MOVE_STEPS = 12
-_BS_MOVE_STRETCH = 4.0
-_BS_MOVE_TURN = math.cos(math.radians(30.0))
 # two levels whose distances to a target differ by less than this fraction
 # of their spacing are equally near
 _BS_TIE = 1e-9
@@ -268,58 +265,15 @@ def _traced_loop(
     return curve, curve.loop_action, curve.period, guide
 
 
-def _moved_guide(h_obs: Observable, b: float, guide: np.ndarray) -> np.ndarray | None:
-    """The closed polyline ``guide`` moved onto {H = b}, or None.
-
-    Every point takes Newton steps along grad H, all points at once.  The
-    move is accepted only if
-      * every point reaches |H - b| <= 1e-14 max(1, |b|) within
-        _BS_MOVE_STEPS Newton iterations (a residual check, then a step);
-      * no segment grows by more than _BS_MOVE_STRETCH times the median
-        segment's growth: a guide dragged across a separatrix or into
-        another well breaks there, one segment jumping while the others
-        follow the level, whether or not Newton converges at the saddle;
-      * the fiber's normal turns by less than 30 degrees along every
-        segment.  ``chart_action`` switches charts at guide points, where
-        |H_q| and |H_p| cross; a segment that turns by less than 45 degrees
-        cannot reach from that crossing to the fold of the chart it leaves.
-        Across a separatrix the jump joins branches whose normals point
-        apart, so this check rejects that move as well.
-    """
-    q, p = guide[:-1, 0].copy(), guide[:-1, 1].copy()
-    scale = max(1.0, abs(b))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_BS_MOVE_STEPS):
-            r = h_obs.value(q, p) - b
-            if np.all(np.abs(r) <= _PROJ_TOL * scale):
-                break
-            gq, gp = h_obs.dq(q, p), h_obs.dp(q, p)
-            step = r / (gq * gq + gp * gp)
-            q, p = q - gq * step, p - gp * step
-        else:
-            return None
-        moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
-        growth = np.hypot(*np.diff(moved, axis=0).T) / np.hypot(*np.diff(guide, axis=0).T)
-        normal = np.column_stack([h_obs.dq(q, p), h_obs.dp(q, p)])
-        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
-        turn = np.sum(normal * np.roll(normal, -1, axis=0), axis=1)
-    # comparisons written so that a NaN rejects
-    if not np.max(growth) <= _BS_MOVE_STRETCH * np.median(growth):
-        return None
-    if not np.min(turn) > _BS_MOVE_TURN:
-        return None
-    return moved
-
-
 def _loop_on_level(
     h_obs: Observable, b: float, guide: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
     """(loop action, period, closed guide) of the fiber {H = b}.
 
     ``guide`` is a closed polyline on a nearby level of the same family.  It
-    is moved onto b (``_moved_guide``) and one ``chart_action`` over it gives
-    the action and period.  Where the move fails its guard, the fiber is
-    traced afresh and keeps the trace's own action and period
+    is moved onto b (``geometry._moved_guide``) and one ``chart_action``
+    over it gives the action and period.  Where the move fails its guard,
+    the fiber is traced afresh and keeps the trace's own action and period
     (``SingularFiber`` if it does not close).
     """
     moved = _moved_guide(h_obs, b, guide)
@@ -531,6 +485,8 @@ class SemiclassicalAmplitude:
     curve2: FiberCurve | None = None
     x1: PhasePoint | None = None
     x2: PhasePoint | None = None
+    lam: ReferenceLagrangian | None = None
+    alpha: PrequantumForm | None = None
 
     def at(self, h: float) -> "SemiclassicalAmplitude":
         """The same amplitude at another h: only the phases and the
@@ -619,6 +575,27 @@ def _reference_slope(
     fq, fp = (0.0, 0.0) if alpha.gauge is None else alpha.gauge.gradient(x)
     hq, hp = h_obs.gradient(x)
     return (x.p + fq + fp * slope) / (hq + hp * slope)
+
+
+def _reference_curvature(
+    h_obs: Observable, lam: ReferenceLagrangian, alpha: PrequantumForm, x: PhasePoint
+) -> float:
+    """Level derivative of ``_reference_slope`` N / D as x slides along
+    p = lam(q): (N' D - N D') / D^3 with ' = d/dq along the graph, since
+    dq/db = 1 / D.  N' needs lam'' and the gauge Hessian, D' the Hessian of H.
+    """
+    l1, l2 = float(lam.slope(x.q)), float(lam.curvature(x.q))
+    fq = fp = fqq = fqp = fpp = 0.0
+    if alpha.gauge is not None:
+        fq, fp = alpha.gauge.gradient(x)
+        (fqq, fqp), (_, fpp) = alpha.gauge.hessian(x)
+    hq, hp = h_obs.gradient(x)
+    (hqq, hqp), (_, hpp) = h_obs.hessian(x)
+    n = x.p + fq + fp * l1
+    d = hq + hp * l1
+    dn = l1 + fqq + 2 * fqp * l1 + fpp * l1 * l1 + fp * l2
+    dd = hqq + 2 * hqp * l1 + hpp * l1 * l1 + hp * l2
+    return (dn * d - n * dd) / d**3
 
 
 def overlap(
@@ -729,7 +706,40 @@ def overlap(
         curve2=curve2,
         x1=x1,
         x2=x2,
+        lam=lam,
+        alpha=alpha,
     )
+
+
+def action_curvature(amp: SemiclassicalAmplitude, term: OverlapTerm, slot: int) -> float:
+    """d^2 S / db_i^2 of one term of ``amp`` in closed form, i = ``slot``.
+
+    Differentiating the slopes dS/db1 = T1 - e1 and dS/db2 = e2 - T2 once
+    more gives +-(dT_i/db_i - de_i/db_i).  The flow time T_i runs along
+    fiber i from x_i to the intersection c, and its level derivative is
+    dT/db = ``arc_time_derivative`` + tau(c) - tau(x_i).  The first term
+    moves both ends normal to the fiber; tau(z) = (dz/db . X_H) / |grad H|^2
+    adds the flow time of each end's actual motion along the fiber: c slides
+    along the other fiber, dc/db_i = X_other / {H_i, H_other}, and x_i along
+    p = lam(q), dx/db = (1, lam') / (H_q + H_p lam').  de_i/db_i is the
+    chain rule on ``_reference_slope`` along lam (``_reference_curvature``).
+    """
+    curve, other, x = (
+        (amp.curve1, amp.curve2, amp.x1) if slot == 1 else (amp.curve2, amp.curve1, amp.x2)
+    )
+    h_obs, c = curve.observable, term.point
+    rate = arc_time_derivative(curve, x, c, curve.locate(x), curve.locate(c))
+    # tau(c), with {H_i, H_other} and X_other at c
+    hq, hp = h_obs.gradient(c)
+    oq, op = other.observable.gradient(c)
+    tau_c = (op * hp + oq * hq) / ((hq * op - hp * oq) * (hq * hq + hp * hp))
+    # tau(x): (1, lam') . X_H = H_p - lam' H_q
+    hq, hp = h_obs.gradient(x)
+    slope = float(amp.lam.slope(x.q))
+    tau_x = (hp - slope * hq) / ((hq + hp * slope) * (hq * hq + hp * hp))
+    dt = rate + tau_c - tau_x
+    de = _reference_curvature(h_obs, amp.lam, amp.alpha, x)
+    return dt - de if slot == 1 else de - dt
 
 
 def complementary_overlap_term(
@@ -987,11 +997,11 @@ def compose_kernels(
     scanned at _COMPOSE_GRID levels of the interval, and ``brentq`` finds
     its zero b* in each cell where it changes sign.  There one call of each
     kernel gives phi(b*) and the weights, Hessians and Maslov indices of the
-    term; phi'' is a Richardson-extrapolated central difference of phi' at
-    step _PHI2_STEP max(1, |b*|).  Each term takes the Gaussian factor
-    sqrt(2 pi h / |phi''|) and the signature phase exp(+- i pi / 4).  Both
-    kernels are called as ``u(b)``, as ``overlap_kernel`` builds them, and
-    at most once per level.
+    term, and phi'' = d^2 S20/db1^2 + d^2 S01/db2^2 comes in closed form from
+    those two terms (``action_curvature``).  Each term takes the Gaussian
+    factor sqrt(2 pi h / |phi''|) and the signature phase exp(+- i pi / 4).
+    Both kernels are called as ``u(b)``, as ``overlap_kernel`` builds them,
+    and at most once per level.
     """
     # one call per level: brentq starts from two scan levels, and b* is one
     # of its iterates
@@ -1017,7 +1027,6 @@ def compose_kernels(
     terms: list[ComposedTerm] = []
     for j in range(n2):
         for k in range(n1):
-            pair = (u20, u01, j, k)
             dgrid = slopes20[:, j] + slopes01[:, k]
             if np.max(np.abs(dgrid)) < HESS_TOL:
                 raise DegenerateStationaryPoint(
@@ -1025,14 +1034,13 @@ def compose_kernels(
                 )
             sign = np.sign(dgrid)
             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-                b_star = brentq(_phase_slope, *grid[i:i + 2], args=pair, xtol=1e-12)
-                t20 = _sorted_terms(u20(b_star))[j]
-                t01 = _sorted_terms(u01(b_star))[k]
+                b_star = brentq(
+                    _phase_slope, *grid[i:i + 2], args=(u20, u01, j, k), xtol=1e-12
+                )
+                amp20, amp01 = u20(b_star), u01(b_star)
+                t20, t01 = _sorted_terms(amp20)[j], _sorted_terms(amp01)[k]
                 action = t20.action + t01.action  # phi(b*)
-                # (4 D(d) - D(2d)) / 3 for central differences D of phi'
-                d = _PHI2_STEP * max(1.0, abs(b_star))
-                dphi = [_phase_slope(b_star + s * d, *pair) for s in (1, -1, 2, -2)]
-                d2 = (8.0 * (dphi[0] - dphi[1]) - (dphi[2] - dphi[3])) / (12.0 * d)
+                d2 = action_curvature(amp20, t20, 1) + action_curvature(amp01, t01, 2)
                 if abs(d2) < HESS_TOL:
                     raise DegenerateStationaryPoint(
                         f"second derivative {d2:.3e} below tolerance at b = {b_star:.6g}"
@@ -1075,14 +1083,23 @@ def overlap_kernel(
     ``fixed_slot`` = 1 puts the fixed system in the linear slot (kernel rows
     labelled by the intermediate), 2 the reverse.  The fixed fiber is traced
     at the first call and kept in ``kernel.cache["curve"]``.  ``fibers``
-    maps intermediate levels to traced fibers: the kernel reads it before
-    tracing and adds what it traces, so the two kernels of one composition,
-    given one mapping, trace each intermediate fiber once.
+    maps intermediate levels to fibers, shared by the two kernels of one
+    composition.  A level the mapping holds is read from it; any other level
+    moves the held fiber of the nearest level onto b (``moved_fiber``), and
+    only where that move is refused (an open fiber, or one that fails the
+    guard) is the fiber traced.  Either way it joins the mapping, so a
+    composition over a closed intermediate family traces one fiber, and
+    each later level is a short move from a neighbour.
     """
     cache: dict[str, FiberCurve | None] = {"curve": None}
 
     def kernel(b: float) -> SemiclassicalAmplitude:
-        inter_curve = None if fibers is None else fibers.get(b)
+        inter_curve = None
+        if fibers:
+            inter_curve = fibers.get(b)
+            if inter_curve is None:
+                held = fibers[min(fibers, key=lambda level: abs(level - b))]
+                inter_curve = moved_fiber(held, b)
         if fixed_slot == 1:
             sys1, sys2 = fixed_sys, (intermediate, b)
             curves = (cache["curve"], inter_curve)

@@ -79,7 +79,8 @@ def test_tracer_counts_every_kernel_call_in_a_composition(perfbench):
 
 def test_glue_composition_traces_each_intermediate_fiber_once(perfbench):
     # the glue_q_ho_p example with one fiber mapping for both kernels: the
-    # unchanged tracer must see about one trace per two overlaps
+    # unchanged tracer must see one intermediate trace plus the two fixed
+    # fibers, well under one trace per overlap
     tracing, _ = perfbench
     from scoverlap import semiclassics
     from scoverlap.geometry import Observable, PrequantumForm, ReferenceLagrangian

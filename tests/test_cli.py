@@ -181,16 +181,24 @@ class TestErrorFloor:
             assert rep.slope == pytest.approx(order, abs=1e-12)
             assert rep.error_floor is None
 
-    def test_glue_example_reports_a_floor(self, tmp_path, capsys):
+    def test_zero_errors_report_a_floor(self):
+        # log(0) has no fit; the median is reported rather than nothing
+        rep = Report(kind="glue-check")
+        _attach_slope(rep, [(0.2, 2e-13), (0.1, 0.0), (0.05, 0.0)])
+        assert rep.slope is None and rep.slope_residual is None
+        assert rep.error_floor == 0.0 and not rep.exact_plateau
+
+    def test_glue_example_reports_an_exact_plateau(self, tmp_path, capsys):
+        # phi'' in closed form: composition matches the direct overlap to
+        # rounding at every h
         config = EXAMPLES / "glue_q_ho_p.ini"
         assert main(["glue-check", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert "error floor" in capsys.readouterr().out
+        assert "error floor" not in capsys.readouterr().out
         report = json.loads((tmp_path / "report.json").read_text())
-        devs = sorted(c["rel_deviation"] for c in report["cases"])
-        assert report["slope"] is None
-        assert report["error_floor"] == devs[1]
-        # a floor, above the exact plateau (1e-13) and below 1e-9
-        assert 1e-13 < report["error_floor"] < 1e-9
+        assert len(report["cases"]) == 3
+        assert all(c["rel_deviation"] < 1e-13 for c in report["cases"])
+        assert report["exact_plateau"] is True
+        assert report["slope"] is None and report["error_floor"] is None
 
     def test_sweep_example_reports_a_slope(self, tmp_path, capsys):
         config = EXAMPLES / "q_vs_ho_sweep.ini"
@@ -482,6 +490,41 @@ dir = {out}
         counts, series = report["cases"]
         assert counts == {"checked": 6**3, "defects": 0, "order": 4}
         assert series["q2_star_p2"] == series["expected"]
+
+    def test_star_check_computes_each_pair_product_once(self, tmp_path, monkeypatch):
+        # 6 monomials: 36 pair products, two outer products per triple, and
+        # the q^2 * p^2 sample
+        import scoverlap.cli as cli_mod
+
+        calls = []
+        real = cli_mod.moyal_product
+
+        def counted(f, g, order):
+            calls.append(order)
+            return real(f, g, order)
+
+        monkeypatch.setattr(cli_mod, "moyal_product", counted)
+        cfg_file = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            f"""
+[systems]
+ho = 1/2 q^2 + 1/2 p^2
+
+[scenario]
+kind = star-check
+h = 0.1
+order = 4
+degree = 2
+
+[output]
+dir = {out}
+"""
+        )
+        assert main(["star-check", "--config", str(cfg_file)]) == 0
+        assert len(calls) == 6**2 + 2 * 6**3 + 1
+        counts, _ = json.loads((out / "report.json").read_text())["cases"]
+        assert counts == {"checked": 6**3, "defects": 0, "order": 4}
 
     def test_numerical_warnings_exit_2(self, tmp_path, monkeypatch):
         import warnings as w

@@ -27,6 +27,7 @@ from scoverlap.geometry import (
     _newton_intersection,
     action_along_fiber,
     chart_action,
+    chart_time_derivative,
     find_intersections,
     loop_data,
     poisson_bracket,
@@ -426,6 +427,29 @@ class TestChartQuadrature:
         want = parent_walk_scaffold(c, s_from, s_to)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("theta_from, sweep", [(0.3, 0.8), (-1.0, 4.0), (1.2, 5.9)])
+    def test_oscillator_arc_time_is_level_free(self, theta_from, sweep):
+        # ends moving along grad H / |grad H|^2 move radially and keep their
+        # angles, and the flow turns at unit angular speed on every level
+        guide = circle_arc(0.7, theta_from, sweep, wobble=1e-3)
+        assert chart_time_derivative(HO, 0.7, guide) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b", [-0.5, 0.4])
+    def test_pendulum_loop_time_derivative_is_dT_db(self, b):
+        # over a closed loop the end terms cancel and dT/db is the slope of
+        # the period, here against a Richardson difference of loop_data
+        def period(level):
+            return loop_data(PEND, level, PhasePoint(math.acos(-level), 0.0))[1]
+
+        def central(d):
+            return (period(b + d) - period(b - d)) / (2 * d)
+
+        c = trace_level_curve(PEND, b, PhasePoint(math.acos(-b), 0.0))
+        guide = c.scaffold(0.0, 0.0)
+        guide[0] = guide[-1] = c.point(0)
+        reference = (4 * central(1e-3) - central(2e-3)) / 3
+        assert chart_time_derivative(PEND, b, guide) == pytest.approx(reference, abs=1e-7)
 
     def test_off_fiber_guide_rejected(self):
         # |p| > |q| picks p(q), but no p solves H(1.5, p) = 0.5

@@ -23,11 +23,13 @@ from scoverlap.geometry import (
     ReferenceLagrangian,
     find_intersections,
     loop_data,
+    moved_fiber,
     trace_level_curve,
 )
 from scoverlap.oracle import GridSpec, build_weyl_operator, eigensystem, half_density_bridge
 from scoverlap.semiclassics import (
     BSLevel,
+    action_curvature,
     bohr_sommerfeld_levels,
     complementary_overlap_term,
     compose_kernels,
@@ -321,16 +323,17 @@ class TestLoopQuadrature:
     ):
         # with 200 steps every point of the left-well guide converges onto
         # the outer loop; each geometric check rejects the move on its own
+        import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
         left = sc._traced_loop(DOUBLE_WELL, -0.025)[3]
-        assert sc._moved_guide(DOUBLE_WELL, -0.1, left) is not None
-        monkeypatch.setattr(sc, "_BS_MOVE_STEPS", steps)
+        assert geo._moved_guide(DOUBLE_WELL, -0.1, left) is not None
+        monkeypatch.setattr(geo, "_MOVE_STEPS", steps)
         if check == "growth":
-            monkeypatch.setattr(sc, "_BS_MOVE_TURN", -2.0)
+            monkeypatch.setattr(geo, "_MOVE_TURN", -2.0)
         if check == "turn":
-            monkeypatch.setattr(sc, "_BS_MOVE_STRETCH", math.inf)
-        assert sc._moved_guide(DOUBLE_WELL, 0.0625, left) is None
+            monkeypatch.setattr(geo, "_MOVE_STRETCH", math.inf)
+        assert geo._moved_guide(DOUBLE_WELL, 0.0625, left) is None
 
     def test_one_trace_and_no_loop_data_per_ladder(self, monkeypatch):
         import scoverlap.geometry as geo
@@ -356,12 +359,13 @@ class TestLoopQuadrature:
     @given(a=st.floats(0.3, 0.8), c=st.floats(0.02, 0.15), u=st.floats(0.05, 0.95))
     @settings(max_examples=15, deadline=None)
     def test_quartic_quadrature_matches_loop_data(self, a, c, u):
+        import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
         h_obs = Observable.from_coeffs({(0, 2): 0.5, (2, 0): a, (4, 0): c})
         guide = sc._traced_loop(h_obs, 0.1)[3]
         b = 0.1 + 0.2 * u  # up to 0.2 above the traced level
-        assert sc._moved_guide(h_obs, b, guide) is not None
+        assert geo._moved_guide(h_obs, b, guide) is not None
         action, period, _ = sc._loop_on_level(h_obs, b, guide)
         ref_action, ref_period = _loop_data_at(h_obs, b)
         assert abs(action - ref_action) <= 1e-11
@@ -655,6 +659,12 @@ GAUGE = PrequantumForm(
 )
 
 
+def _nearest_term(amp, point):
+    return min(
+        amp.terms, key=lambda t: (t.point.q - point.q) ** 2 + (t.point.p - point.p) ** 2
+    )
+
+
 class TestActionSlopes:
     """``OverlapTerm.slopes`` holds dS/db1 and dS/db2 in closed form (flow
     time plus the reference-endpoint term); a Richardson central difference
@@ -662,11 +672,7 @@ class TestActionSlopes:
 
     @staticmethod
     def _action(sys1, sys2, lam, near):
-        amp = overlap(sys1, sys2, lam, GAUGE, 0.1)
-        return min(
-            amp.terms,
-            key=lambda t: (t.point.q - near.q) ** 2 + (t.point.p - near.p) ** 2,
-        ).action
+        return _nearest_term(overlap(sys1, sys2, lam, GAUGE, 0.1), near).action
 
     @pytest.mark.parametrize("lam", [LAM, ReferenceLagrangian.line(0.5, -0.37)])
     @pytest.mark.parametrize(
@@ -690,6 +696,110 @@ class TestActionSlopes:
             ds2 = slope(lambda d: (sys1, (h2, b2 + d)))
             assert t.slopes[0] == pytest.approx(ds1, abs=1e-8)
             assert t.slopes[1] == pytest.approx(ds2, abs=1e-8)
+
+
+class TestActionCurvatures:
+    """``action_curvature`` gives d^2 S / db_i^2 of a term in closed form; a
+    Richardson central difference of the closed-form slopes at shifted
+    levels is the reference."""
+
+    @pytest.mark.parametrize("alpha", [ALPHA, GAUGE], ids=["plain", "gauge"])
+    @pytest.mark.parametrize(
+        "lam",
+        [LAM, ReferenceLagrangian.line(0.5, -0.37), ReferenceLagrangian.from_text("q + 1/5 q^2")],
+        ids=["diagonal", "line", "curved"],
+    )
+    @pytest.mark.parametrize(
+        "sys1, sys2",
+        [((Q, 0.4), (HO, 0.5)), ((HO, 0.5), (P, 0.3)), ((PEND, -0.3), (Q, 0.4))],
+    )
+    def test_curvatures_match_richardson_difference_of_slopes(self, sys1, sys2, lam, alpha):
+        amp = overlap(sys1, sys2, lam, alpha, 0.1)
+        assert len(amp.terms) == 2
+        for t in amp.terms:
+            for slot in (1, 2):
+                def slope(d):
+                    shifted = [sys1, sys2]
+                    h_obs, b = shifted[slot - 1]
+                    shifted[slot - 1] = (h_obs, b + d)
+                    amp_d = overlap(*shifted, lam, alpha, 0.1)
+                    return _nearest_term(amp_d, t.point).slopes[slot - 1]
+
+                def central(d):
+                    return (slope(d) - slope(-d)) / (2 * d)
+
+                reference = (4 * central(1e-3) - central(2e-3)) / 3
+                assert action_curvature(amp, t, slot) == pytest.approx(reference, abs=1e-9)
+
+
+class TestMovedFiber:
+    """A closed fiber moved onto a nearby level stands in for a trace in
+    overlaps; the guard refuses moves across a separatrix, and open fibers
+    are never moved."""
+
+    @staticmethod
+    def _traced(h_obs, b):
+        return trace_level_curve(h_obs, b, semiclassics._seed_on_level(h_obs, b, 8.0))
+
+    @pytest.mark.parametrize(
+        "fixed, family, b_from, b",
+        [((Q, 0.4), HO, 0.3, 0.5), ((P, 0.3), HO, 0.8, 0.5), ((Q, 0.4), PEND, -0.5, -0.3)],
+    )
+    @pytest.mark.parametrize("slot", [1, 2])
+    def test_moved_and_traced_fibers_give_the_same_terms(self, fixed, family, b_from, b, slot):
+        moved = moved_fiber(self._traced(family, b_from), b)
+        traced = self._traced(family, b)
+        assert moved is not None and moved.closed and moved.level == b
+        assert moved.action is None and moved.period is None
+        systems = (fixed, (family, b)) if slot == 1 else ((family, b), fixed)
+
+        def terms(curve):
+            curves = (None, curve) if slot == 1 else (curve, None)
+            return overlap(*systems, LAM, GAUGE, 0.1, curves=curves).terms
+
+        pairs = list(zip(terms(moved), terms(traced), strict=True))
+        assert len(pairs) == 2
+        for tm, tt in pairs:
+            assert abs(tm.action - tt.action) <= 1e-12
+            assert tm.slopes == pytest.approx(tt.slopes, abs=1e-12)
+            assert tm.maslov == tt.maslov
+
+    def test_no_move_across_the_pendulum_separatrix(self, monkeypatch):
+        below = self._traced(PEND, 0.9)
+        assert moved_fiber(below, 0.99) is not None
+        assert moved_fiber(below, 1.1) is None
+        # the kernel then traces the open fiber above the separatrix and keeps it
+        traced = []
+        trace = semiclassics.trace_level_curve
+
+        def counted(h_obs, b, *args, **kwargs):
+            traced.append((h_obs, b))
+            return trace(h_obs, b, *args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "trace_level_curve", counted)
+        fibers = {0.9: below}
+        kernel = overlap_kernel((P, 0.8), PEND, LAM, ALPHA, 0.1, 2, fibers=fibers)
+        amp = kernel(1.1)
+        assert amp.terms and not amp.curve1.closed
+        assert traced == [(PEND, 1.1), (P, 0.8)] and fibers[1.1] is amp.curve1
+
+    def test_open_fibers_are_never_moved(self, monkeypatch):
+        line = trace_level_curve(P, 0.3, PhasePoint(0.0, 0.3))
+        assert not line.closed and moved_fiber(line, 0.4) is None
+        traced = []
+        trace = semiclassics.trace_level_curve
+
+        def counted(h_obs, b, *args, **kwargs):
+            traced.append((h_obs, b))
+            return trace(h_obs, b, *args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "trace_level_curve", counted)
+        fibers = {}
+        kernel = overlap_kernel((Q, 0.3), P, LAM, ALPHA, 0.1, 1, fibers=fibers)
+        for b in (0.3, 0.4, 0.5):
+            kernel(b)
+        assert [b for h_obs, b in traced if h_obs == P] == [0.3, 0.4, 0.5]
+        assert sorted(fibers) == [0.3, 0.4, 0.5]
 
 
 class TestGaugeCovariance:
@@ -790,10 +900,11 @@ class TestComposition:
         (term,) = composed.terms
         assert term.b_star == pytest.approx(0.5, abs=1e-10)
         rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
-        # bounds: the floor of phi' as a difference of actions, and 41 calls
-        # per kernel (33 scan levels, brentq's new iterates, four phi'' levels)
+        # bounds: the floor of phi' as a difference of actions, and 38 calls
+        # per kernel (33 scan levels, brentq's new iterates; phi'' comes in
+        # closed form from the two terms at b*)
         assert rel <= 4.83e-11
-        assert len(calls[1]) + len(calls[2]) <= 82
+        assert len(calls[1]) + len(calls[2]) <= 76
 
     def test_glue_example_traces_each_level_once(self, monkeypatch):
         traced = []
@@ -804,9 +915,11 @@ class TestComposition:
             return trace(h_obs, b, *args, **kwargs)
 
         monkeypatch.setattr(semiclassics, "trace_level_curve", counted)
-        _, calls = self._glue_example({})
-        levels = set(calls[1]) | set(calls[2])
-        assert sorted(b for h_obs, b in traced if h_obs == HO) == sorted(levels)
+        fibers = {}
+        _, calls = self._glue_example(fibers)
+        # the first level is traced; every other level moves a held fiber
+        assert [b for h_obs, b in traced if h_obs == HO] == [calls[2][0]]
+        assert sorted(fibers) == sorted(set(calls[1]) | set(calls[2]))
         assert sorted(b for h_obs, b in traced if h_obs != HO) == [0.6, 0.8]
         # and no kernel is called twice at one level
         assert len(set(calls[1])) == len(calls[1])

@@ -20,6 +20,12 @@ class PointNotOnFiber(ValueError):
     """An endpoint handed to a fiber line integral is not on the level set."""
 
 
+class CoarseGuide(ValueError):
+    """A guide polyline handed to chart quadrature is too coarse: the fiber
+    normal turns by 45 degrees or more along one of its segments, so a chart
+    switch can land beyond the fold of the chart it leaves."""
+
+
 class MultipleComponents(RuntimeError):
     """Intersection points lie on more than one component of a level set.
 
@@ -45,6 +51,11 @@ class NonMonotoneAction(RuntimeError):
 
 class DegenerateStationaryPoint(RuntimeError):
     """Stationary-phase composition hit a vanishing second derivative."""
+
+
+class BranchStructureChange(ValueError):
+    """The number of terms of a composition kernel differs between two
+    intermediate levels of the interval; a narrower interval keeps it fixed."""
 
 
 class GridMismatch(ValueError):

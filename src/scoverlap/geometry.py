@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    CoarseGuide,
     NoReferencePoint,
     PointNotOnFiber,
     QuadratureLimit,
@@ -44,6 +45,9 @@ _GRAD_FLOOR = 1e-9
 _MOVE_STEPS = 12
 _MOVE_STRETCH = 4.0
 _MOVE_TURN = math.cos(math.radians(30.0))
+# cosine of the largest turn of the fiber's normal along one segment of a
+# guide that chart quadrature accepts (see ``_moved_guide``)
+_CHART_TURN = math.cos(math.radians(45.0))
 
 
 class PhasePoint(NamedTuple):
@@ -728,6 +732,15 @@ def trace_level_curve(
     return curve
 
 
+def _normal_turns(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """Cosine of the turn of the fiber normal grad H = (gq, gp) along each
+    segment of a polyline, from the gradients at its points (NaN where a
+    gradient vanishes)."""
+    norm = np.hypot(gq, gp)
+    nq, np_ = gq / norm, gp / norm
+    return nq[:-1] * nq[1:] + np_[:-1] * np_[1:]
+
+
 def _moved_guide(h: Observable, b: float, guide: np.ndarray) -> np.ndarray | None:
     """The closed polyline ``guide`` moved onto {H = b}, or None.
 
@@ -760,9 +773,7 @@ def _moved_guide(h: Observable, b: float, guide: np.ndarray) -> np.ndarray | Non
             return None
         moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
         growth = np.hypot(*np.diff(moved, axis=0).T) / np.hypot(*np.diff(guide, axis=0).T)
-        normal = np.column_stack([h.dq(q, p), h.dp(q, p)])
-        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
-        turn = np.sum(normal * np.roll(normal, -1, axis=0), axis=1)
+        turn = _normal_turns(h.dq(*moved.T), h.dp(*moved.T))
     # comparisons written so that a NaN rejects
     if not np.max(growth) <= _MOVE_STRETCH * np.median(growth):
         return None
@@ -1117,10 +1128,29 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
     guide: its end nodes xa and xb, ``solve_p`` (True on q-charts), and
     ``on_fiber(u)``, which solves the other coordinate on {H = b} at chart
     coordinates u by Newton from the guide's interpolant.
+
+    A switch sits at a guide point, so a segment could otherwise reach past
+    the fold of the chart it leaves; a guide along which the fiber's normal
+    turns by 45 degrees or more on one segment (the bound ``_moved_guide``
+    derives) raises :class:`CoarseGuide`, naming the segment and its turn.
     """
     n = len(guide)
-    gq = np.abs(np.asarray(h.dq(guide[:, 0], guide[:, 1]), dtype=float))
-    gp = np.abs(np.asarray(h.dp(guide[:, 0], guide[:, 1]), dtype=float))
+    gq = np.asarray(h.dq(guide[:, 0], guide[:, 1]), dtype=float)
+    gp = np.asarray(h.dp(guide[:, 0], guide[:, 1]), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turn = _normal_turns(gq, gp)
+    # written so that a NaN rejects
+    coarse = np.flatnonzero(~(turn > _CHART_TURN))
+    if coarse.size:
+        k = coarse[0]
+        degrees = math.degrees(math.acos(np.clip(turn[k], -1.0, 1.0)))  # NaN: grad H = 0
+        raise CoarseGuide(
+            f"the normal of {h} = {b} turns by {degrees:.1f} degrees along guide "
+            f"segment {k} of {n - 1}, from ({guide[k, 0]:.6g}, {guide[k, 1]:.6g}) "
+            f"to ({guide[k + 1, 0]:.6g}, {guide[k + 1, 1]:.6g}); chart "
+            f"quadrature needs less than 45"
+        )
+    gq, gp = np.abs(gq), np.abs(gp)
     chart = (gp < gq).astype(int)  # 0: q-chart (p(q)), 1: p-chart (q(p))
 
     # run k spans nodes k and k + 1 and the guide points bounds[k]:bounds[k + 1]

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
+    BranchStructureChange,
     CausticNearby,
     DegenerateStationaryPoint,
     DoubleRoot,
@@ -81,7 +81,9 @@ BS_TOL = 1e-9
 # lies on another component (on-fiber points sit within about 2e-5 of it)
 COMPONENT_TOL = 1e-2
 
-_COMPOSE_GRID = 33  # levels at which compose_kernels scans phi'
+_COMPOSE_GRID = 9  # levels at which compose_kernels scans (phi', phi'')
+_COMPOSE_XTOL = 1e-12  # Newton on phi' stops at a level this close to b*
+_COMPOSE_NEWTON_MAX = 100
 
 _BS_TRACE = TraceOptions(n_samples=160)
 _BS_PROBES = 17
@@ -979,9 +981,130 @@ def _sorted_terms(amp: SemiclassicalAmplitude) -> list[OverlapTerm]:
     return sorted(amp.terms, key=lambda t: (t.point.p, t.point.q))
 
 
-def _phase_slope(b: float, u20, u01, j: int, k: int) -> float:
-    """phi'(b) = dS20/db1 + dS01/db2 of branch pair (j, k)."""
-    return _sorted_terms(u20(b))[j].slopes[0] + _sorted_terms(u01(b))[k].slopes[1]
+def _hermite_cubic(fa: float, ga: float, fb: float, gb: float, width: float):
+    """Power coefficients in t = (x - a) / width, t in [0, 1], of the cubic
+    Hermite interpolant of values (fa, fb) and slopes (ga, gb) on a cell."""
+    c1 = width * ga
+    c2 = 3 * (fb - fa) - width * (2 * ga + gb)
+    c3 = 2 * (fa - fb) + width * (ga + gb)
+    return fa, c1, c2, c3
+
+
+def _roots_inside(coeffs) -> list[float]:
+    """Real roots in (0, 1) of the polynomial with power coefficients
+    ``coeffs`` (constant first)."""
+    return [
+        float(t.real) for t in np.roots(coeffs[::-1])
+        if abs(t.imag) <= 1e-12 * max(1.0, abs(t.real)) and 0 < t.real < 1
+    ]
+
+
+def _hermite_reaches_zero(fa, fb, width: float) -> bool:
+    """Does the cubic Hermite interpolant from (phi', phi'') ``fa`` and
+    ``fb`` at the ends of a cell reach zero inside it?  phi' has one sign
+    at both ends, so it does iff an interior extremum does."""
+    c0, c1, c2, c3 = _hermite_cubic(*fa, *fb, width)
+    return any(
+        (c0 + t * (c1 + t * (c2 + t * c3))) * math.copysign(1.0, c0) <= 0
+        for t in _roots_inside((c1, 2 * c2, 3 * c3))
+    )
+
+
+def _newton_in_bracket(dphi, a: float, fa, b: float, fb) -> float:
+    """Zero of phi' in the cell [a, b] where it changes sign; ``fa`` and
+    ``fb`` are (phi', phi'') at its ends.
+
+    The first level is the zero of the cell's cubic Hermite interpolant
+    (Shampine and Thompson's event location); from there Newton on phi'
+    with the exact phi'' runs, safeguarded by bisection inside the bracket
+    (Numerical Recipes' rtsafe).  The result is a level ``dphi`` was
+    evaluated at: the first whose Newton step is at most _COMPOSE_XTOL, or
+    the end of a bracket that has shrunk to that width."""
+    neg_at_a = fa[0] < 0
+    start = _roots_inside(_hermite_cubic(*fa, *fb, b - a))
+    x = a + start[0] * (b - a) if len(start) == 1 else (a + b) / 2
+    step = step_old = b - a
+    for _ in range(_COMPOSE_NEWTON_MAX):
+        f, g = dphi(x)
+        if f == 0:
+            return x
+        if (f < 0) == neg_at_a:
+            a = x
+        else:
+            b = x
+        if b - a <= _COMPOSE_XTOL:
+            return x
+        newton = f / g if g != 0 else math.inf
+        if a < x - newton < b and abs(2 * f) <= abs(step_old * g):
+            if abs(newton) <= _COMPOSE_XTOL:
+                return x
+            step_old, step = step, newton
+            x = x - newton
+        else:
+            step_old, step = step, (b - a) / 2
+            x = a + step
+    raise DegenerateStationaryPoint(
+        f"Newton on phi' did not converge in [{a:.17g}, {b:.17g}]"
+    )
+
+
+def _stationary_levels(
+    dphi: Callable[[float], tuple[float, float]], grid: np.ndarray
+) -> list[float]:
+    """Zeros of phi' on [grid[0], grid[-1]], with ``dphi(b)`` = (phi', phi'').
+
+    phi' and phi'' are read at every level of ``grid``, and each cell
+    between neighbouring levels is treated by these rules:
+      * where phi' changes sign, the cell is a bracket, and
+        ``_newton_in_bracket`` finds its zero;
+      * where phi' keeps its sign but phi'' changes sign (an extremum of
+        phi' inside), or the cubic Hermite interpolant from (phi', phi'') at
+        the two ends reaches zero, the cell is bisected.  Each half is
+        treated by the first rule, and bisected again while its interpolant
+        reaches zero, so bisection stops once every piece shows a sign
+        change or an interpolant clear of zero;
+      * a level where phi' is exactly zero is a zero.
+    A pair of zeros with a single extremum of phi' between them is found
+    even inside one cell: where that is the cell's only extremum, its ends
+    see phi'' of opposite signs, the
+    extremum stays inside the half that holds both zeros, and a midpoint
+    falls between them once the cell is narrower than their spacing, as
+    long as the interpolant, whose error falls as the fourth power of the
+    width, does not clear zero first.  A sign scan alone misses every such
+    pair inside one cell.  A cell still suspect at width _COMPOSE_XTOL holds
+    a (near-)double zero and raises ``DegenerateStationaryPoint``, as does
+    phi' below HESS_TOL across the whole grid.
+    """
+    vals = [dphi(float(b)) for b in grid]
+    if max(abs(f) for f, _ in vals) < HESS_TOL:
+        raise DegenerateStationaryPoint(
+            "phase is flat across the interval (coincident fibrations)"
+        )
+    roots = [float(b) for b, (f, _) in zip(grid, vals) if f == 0]
+    cells = [
+        (float(grid[i]), vals[i], float(grid[i + 1]), vals[i + 1], True)
+        for i in range(len(grid) - 1)
+    ]
+    while cells:
+        a, fa, b, fb, scanned = cells.pop()
+        if fa[0] == 0 or fb[0] == 0:
+            continue
+        if (fa[0] < 0) != (fb[0] < 0):
+            roots.append(_newton_in_bracket(dphi, a, fa, b, fb))
+            continue
+        extremum = scanned and fa[1] * fb[1] < 0
+        if not (extremum or _hermite_reaches_zero(fa, fb, b - a)):
+            continue
+        if b - a <= _COMPOSE_XTOL:
+            raise DegenerateStationaryPoint(
+                f"phi' touches zero without changing sign near b = {a:.12g}"
+            )
+        m = (a + b) / 2
+        fm = dphi(m)
+        if fm[0] == 0:
+            roots.append(m)
+        cells += [(a, fa, m, fm, False), (m, fm, b, fb, False)]
+    return sorted(roots)
 
 
 def compose_kernels(
@@ -992,55 +1115,59 @@ def compose_kernels(
 ) -> ComposedAmplitude:
     """One-dimensional stationary-phase composition over the intermediate label.
 
-    Per branch pair the phase is phi(b) = S20 + S01, whose slope phi' every
-    overlap term carries in closed form (``OverlapTerm.slopes``).  phi' is
-    scanned at _COMPOSE_GRID levels of the interval, and ``brentq`` finds
-    its zero b* in each cell where it changes sign.  There one call of each
-    kernel gives phi(b*) and the weights, Hessians and Maslov indices of the
-    term, and phi'' = d^2 S20/db1^2 + d^2 S01/db2^2 comes in closed form from
-    those two terms (``action_curvature``).  Each term takes the Gaussian
-    factor sqrt(2 pi h / |phi''|) and the signature phase exp(+- i pi / 4).
-    Both kernels are called as ``u(b)``, as ``overlap_kernel`` builds them,
-    and at most once per level.
+    Per branch pair the phase is phi(b) = S20 + S01.  Its slope phi' every
+    overlap term carries in closed form (``OverlapTerm.slopes``), and its
+    curvature phi'' = d^2 S20/db1^2 + d^2 S01/db2^2 comes in closed form
+    from the two terms (``action_curvature``).  ``_stationary_levels`` reads
+    (phi', phi'') at _COMPOSE_GRID levels of the interval, bisects the cells
+    where phi'' or the Hermite interpolant of phi' warns of a hidden pair of
+    zeros, and polishes each zero b* by safeguarded Newton on phi' to a
+    level it has evaluated.  So one call of each kernel at b* gives phi(b*),
+    phi''(b*) and the weights, Hessians and Maslov indices of the term.
+    Each term takes the Gaussian factor sqrt(2 pi h / |phi''|) and the
+    signature phase exp(+- i pi / 4).  Both kernels are called as ``u(b)``,
+    as ``overlap_kernel`` builds them, at most once per level, and every
+    level must give each kernel as many terms as the first one does, or
+    ``BranchStructureChange`` names the two levels.
     """
-    # one call per level: brentq starts from two scan levels, and b* is one
-    # of its iterates
-    u20, u01 = functools.cache(u20), functools.cache(u01)
-    b_lo, b_hi = interval
-    grid = np.linspace(b_lo, b_hi, _COMPOSE_GRID)
-    amps20 = [u20(float(b)) for b in grid]
-    amps01 = [u01(float(b)) for b in grid]
-    n2 = {len(a.terms) for a in amps20}
-    n1 = {len(a.terms) for a in amps01}
-    if len(n2) != 1 or len(n1) != 1:
-        raise ValueError(
-            "branch structure changes across the interval; narrow the bracket"
-        )
-    n2, n1 = n2.pop(), n1.pop()
-    if n2 == 0 or n1 == 0:
-        prefactor, value = _prefactor_and_value(h, ())
-        return ComposedAmplitude(h=h, terms=(), prefactor=prefactor, value=value)
+    first: list[tuple[float, int, int]] = []  # the first level and its counts
 
-    slopes20 = np.array([[t.slopes[0] for t in _sorted_terms(a)] for a in amps20])
-    slopes01 = np.array([[t.slopes[1] for t in _sorted_terms(a)] for a in amps01])
+    @functools.cache
+    def at_level(b: float):
+        # one call per level: the scan, bisection and Newton share levels,
+        # and b* is one of them
+        amp20, amp01 = u20(b), u01(b)
+        n2, n1 = len(amp20.terms), len(amp01.terms)
+        if not first:
+            first.append((b, n2, n1))
+        b0, n2_0, n1_0 = first[0]
+        if (n2, n1) != (n2_0, n1_0):
+            raise BranchStructureChange(
+                f"kernel terms change from {n2_0} x {n1_0} at b = {b0:.12g} to "
+                f"{n2} x {n1} at b = {b:.12g}; narrow the interval"
+            )
+        t20, t01 = _sorted_terms(amp20), _sorted_terms(amp01)
+        d2_20 = [action_curvature(amp20, t, 1) for t in t20]
+        d2_01 = [action_curvature(amp01, t, 2) for t in t01]
+        return t20, t01, d2_20, d2_01
+
+    grid = np.linspace(*interval, _COMPOSE_GRID)
+    for b in grid:
+        at_level(float(b))
+    _, n2, n1 = first[0]
 
     terms: list[ComposedTerm] = []
     for j in range(n2):
         for k in range(n1):
-            dgrid = slopes20[:, j] + slopes01[:, k]
-            if np.max(np.abs(dgrid)) < HESS_TOL:
-                raise DegenerateStationaryPoint(
-                    "phase is flat across the interval (coincident fibrations)"
-                )
-            sign = np.sign(dgrid)
-            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-                b_star = brentq(
-                    _phase_slope, *grid[i:i + 2], args=(u20, u01, j, k), xtol=1e-12
-                )
-                amp20, amp01 = u20(b_star), u01(b_star)
-                t20, t01 = _sorted_terms(amp20)[j], _sorted_terms(amp01)[k]
+
+            def dphi(b: float, j=j, k=k) -> tuple[float, float]:
+                t20, t01, d2_20, d2_01 = at_level(b)
+                return t20[j].slopes[0] + t01[k].slopes[1], d2_20[j] + d2_01[k]
+
+            for b_star in _stationary_levels(dphi, grid):
+                t20, t01, d2_20, d2_01 = at_level(b_star)
+                t20, t01, d2 = t20[j], t01[k], d2_20[j] + d2_01[k]
                 action = t20.action + t01.action  # phi(b*)
-                d2 = action_curvature(amp20, t20, 1) + action_curvature(amp01, t01, 2)
                 if abs(d2) < HESS_TOL:
                     raise DegenerateStationaryPoint(
                         f"second derivative {d2:.3e} below tolerance at b = {b_star:.6g}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from scoverlap.errors import (
+    CoarseGuide,
     NoReferencePoint,
     PointNotOnFiber,
     QuadratureLimit,
@@ -456,6 +457,24 @@ class TestChartQuadrature:
         guide = np.array([[1.5, 2.0], [1.65, 2.0], [1.8, 2.0]])
         with pytest.raises(PointNotOnFiber):
             chart_action(HO, 0.5, guide)
+
+    @staticmethod
+    def _polygon(k):
+        # closed k-gon on the unit circle (H = 1/2), run with the flow
+        theta = 0.3 + 2 * math.pi * np.arange(k + 1) / k
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)[::-1].copy()
+
+    def test_coarse_polygon_guide_rejected(self):
+        # the normal turns by 72 degrees per side, so a chart switch at a
+        # vertex can sit past the fold of the chart it leaves; the action
+        # came out pi - 0.1123 and the time 2 pi - 1.406, with no error
+        with pytest.raises(CoarseGuide, match=r"72\.0 degrees along guide segment 0"):
+            chart_action(HO, 0.5, self._polygon(5))
+
+    def test_twelve_gon_guide_is_accepted(self):
+        action, time = chart_action(HO, 0.5, self._polygon(12))
+        assert action == pytest.approx(math.pi, abs=1e-12)
+        assert time == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_panel_limit_warns(self):
         with pytest.warns(QuadratureLimit):

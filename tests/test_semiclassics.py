@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scoverlap import semiclassics
 from scoverlap.errors import (
+    BranchStructureChange,
     DegenerateStationaryPoint,
     MultipleComponents,
     NonMonotoneAction,
@@ -877,9 +878,10 @@ class TestComposition:
         assert len(calls) == 1
 
     @staticmethod
-    def _glue_example(fibers=None):
+    def _glue_example(fibers=None, b1=0.6, b2=0.8, interval=(0.36, 0.95)):
         """The glue_q_ho_p example, q = 0.6 -> oscillator -> p = 0.8 at
-        h = 0.2, with the levels each kernel is called at."""
+        h = 0.2 (or q = b1 and p = b2 over ``interval``), with the levels
+        each kernel is called at."""
         h = 0.2
         calls = {1: [], 2: []}
 
@@ -890,9 +892,9 @@ class TestComposition:
 
             return wrapped
 
-        u01 = counted(1, overlap_kernel((Q, 0.6), HO, LAM, ALPHA, h, 1, fibers=fibers))
-        u20 = counted(2, overlap_kernel((P, 0.8), HO, LAM, ALPHA, h, 2, fibers=fibers))
-        return compose_kernels(u20, u01, h, (0.36, 0.95)), calls
+        u01 = counted(1, overlap_kernel((Q, b1), HO, LAM, ALPHA, h, 1, fibers=fibers))
+        u20 = counted(2, overlap_kernel((P, b2), HO, LAM, ALPHA, h, 2, fibers=fibers))
+        return compose_kernels(u20, u01, h, interval), calls
 
     def test_glue_example_reads_phase_slopes(self):
         composed, calls = self._glue_example({})
@@ -900,11 +902,37 @@ class TestComposition:
         (term,) = composed.terms
         assert term.b_star == pytest.approx(0.5, abs=1e-10)
         rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
-        # bounds: the floor of phi' as a difference of actions, and 38 calls
-        # per kernel (33 scan levels, brentq's new iterates; phi'' comes in
-        # closed form from the two terms at b*)
+        # bounds: the floor of phi' as a difference of actions, and 12 calls
+        # per kernel (9 scan levels and 3 Newton levels, the last of them b*;
+        # phi' and phi'' come in closed form from the terms at each level)
         assert rel <= 4.83e-11
-        assert len(calls[1]) + len(calls[2]) <= 76
+        assert len(calls[1]) + len(calls[2]) <= 24
+
+    def test_seeded_glue_compositions(self):
+        # (b1, b2) drawn by perfbench's glue rule: one stationary point at
+        # (b1^2 + b2^2) / 2, found from few kernel calls
+        rng = np.random.default_rng(1414)
+        for _ in range(10):
+            b1, b2 = rng.uniform(0.45, 0.75), rng.uniform(0.55, 0.85)
+            interval = (max(b1 * b1, b2 * b2) / 2 + 0.04, (b1 * b1 + b2 * b2) / 2 + 0.45)
+            composed, calls = self._glue_example({}, b1, b2, interval)
+            direct = overlap((Q, b1), (P, b2), LAM, ALPHA, 0.2)
+            (term,) = composed.terms
+            assert abs(term.b_star - (b1 * b1 + b2 * b2) / 2) <= 1e-12
+            rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
+            assert rel <= 4.83e-11
+            assert len(calls[1]) + len(calls[2]) <= 30
+
+    def test_branch_count_change_is_typed(self):
+        # below b = 0.18 the line q = 0.6 misses the oscillator, and below
+        # b = 0.32 so does p = 0.8
+        h = 0.2
+        u01 = overlap_kernel((Q, 0.6), HO, LAM, ALPHA, h, fixed_slot=1)
+        u20 = overlap_kernel((P, 0.8), HO, LAM, ALPHA, h, fixed_slot=2)
+        with pytest.raises(
+            BranchStructureChange, match=r"0 x 0 at b = 0\.1 to 0 x 2 at b = 0\.20625"
+        ):
+            compose_kernels(u20, u01, h, (0.1, 0.95))
 
     def test_glue_example_traces_each_level_once(self, monkeypatch):
         traced = []
@@ -945,6 +973,57 @@ class TestComposition:
             rel = abs(abs(composed.value) - abs(direct.value)) / abs(direct.value)
             assert rel <= 5 * h
             assert composed.terms[0].b_star == pytest.approx(b_star, abs=1e-7)
+
+
+class TestStationaryScan:
+    """``_stationary_levels`` on polynomial stubs of (phi', phi'')."""
+
+    GRID = np.linspace(0.36, 0.95, semiclassics._COMPOSE_GRID)
+
+    @staticmethod
+    def _stub(dphi, d2phi):
+        levels = []
+
+        def stub(b):
+            levels.append(b)
+            return dphi(b), d2phi(b)
+
+        return stub, levels
+
+    def test_close_pair_inside_one_sign_scan_cell(self):
+        # both zeros lie in one cell of a 33-level grid, where phi' has one
+        # sign at both ends, so a sign scan on that grid sees neither
+        r, delta = 0.548, 0.01
+        stub, _ = self._stub(lambda b: (b - r) * (b - r - delta), lambda b: 2 * (b - r) - delta)
+        old_grid = np.linspace(0.36, 0.95, 33)
+        assert np.all(np.array([stub(b)[0] for b in old_grid]) > 0)
+        roots = semiclassics._stationary_levels(stub, self.GRID)
+        assert len(roots) == 2
+        assert abs(roots[0] - r) <= 1e-12
+        assert abs(roots[1] - r - delta) <= 1e-12
+
+    def test_clear_extremum_has_no_zero(self):
+        stub, levels = self._stub(lambda b: (b - 0.55) ** 2 + 1e-3, lambda b: 2 * (b - 0.55))
+        assert semiclassics._stationary_levels(stub, self.GRID) == []
+        assert len(levels) <= len(self.GRID) + 2
+
+    def test_simple_zero_is_polished_on_an_evaluated_level(self):
+        r = 0.6180339887498949
+        stub, levels = self._stub(lambda b: math.sin(3 * (b - r)), lambda b: 3 * math.cos(3 * (b - r)))
+        (root,) = semiclassics._stationary_levels(stub, self.GRID)
+        assert abs(root - r) <= 1e-12
+        assert root in levels
+        assert len(levels) <= len(self.GRID) + 4
+
+    def test_pair_far_below_the_grid_spacing(self):
+        # zeros 2e-6 apart: the interpolant keeps reaching zero, so the
+        # cell is bisected until a midpoint falls between them
+        r, eps = 0.55 + 1e-3 / 3, 1e-6
+        stub, _ = self._stub(lambda b: (b - r) ** 2 - eps * eps, lambda b: 2 * (b - r))
+        roots = semiclassics._stationary_levels(stub, self.GRID)
+        assert len(roots) == 2
+        assert abs(roots[0] - (r - eps)) <= 1e-12
+        assert abs(roots[1] - (r + eps)) <= 1e-12
 
 
 def _amplitude_fields(amp):

@@ -14,10 +14,11 @@ host during the session falls on both sides alike.
 
 The summary goes to ``BENCH_<label>.json`` in this checkout's root: per
 workload, every pair (seed, and per side ``run_s``, ``setup_s``,
-``peak_rss_mb``, ``failed`` and ``attempted``), and per metric each side's
-median and quartiles, the number of pairs in which the change reads lower,
-and whether the medians differ by more than the parent's interquartile
-range.
+``peak_rss_mb``, ``failed``, ``attempted``, and the ``accuracy`` numbers and
+``warnings`` of the run's detail line), per metric each side's median and
+quartiles, the number of pairs in which the change reads lower, and whether
+the medians differ by more than the parent's interquartile range, and per
+accuracy number (all lower-is-better) each side's worst value.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
 
 
 def _workload(text: str) -> tuple[str, int]:
@@ -55,17 +57,20 @@ def _parse(argv):
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``root``; its final JSON line, flattened."""
+    """One untraced benchmark run in ``root``: its final JSON line, flattened,
+    with the accuracy numbers and warnings of the detail line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=20 * seconds + 600)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {root} failed:\n{done.stderr}")
     result = json.loads(lines[-1])
     row = {name: result["metrics"][name]["value"] for name in METRICS}
     row.update(failed=result["failed"], attempted=result["attempted"])
+    detail = json.loads(lines[-2])
+    row.update(accuracy=detail["accuracy"], warnings=detail["warnings"])
     return row
 
 
@@ -89,6 +94,15 @@ def _summary(pairs: list[dict]) -> dict:
                 abs(after["median"] - before["median"]) > before["q3"] - before["q1"]
             ),
         }
+    keys = sorted({k for p in pairs for side in SIDES for k in p[side]["accuracy"]})
+    out["accuracy_worst"] = {
+        key: {
+            side: max((p[side]["accuracy"][key] for p in pairs
+                       if key in p[side]["accuracy"]), default=None)
+            for side in SIDES
+        }
+        for key in keys
+    }
     return out
 
 

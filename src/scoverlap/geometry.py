@@ -463,8 +463,13 @@ class FiberCurve:
         )
 
     def to_csv(self, path) -> None:
-        data = np.stack([self.qs, self.ps, self.arclength, self.action, self.time], axis=1)
-        np.savetxt(path, data, delimiter=",", header="q,p,arclength,action,time", comments="")
+        """Write one row per sample; a moved fiber has no action or time
+        columns."""
+        columns = {"q": self.qs, "p": self.ps, "arclength": self.arclength,
+                   "action": self.action, "time": self.time}
+        columns = {name: col for name, col in columns.items() if col is not None}
+        data = np.stack(list(columns.values()), axis=1)
+        np.savetxt(path, data, delimiter=",", header=",".join(columns), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -1178,8 +1183,9 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
         yield xa, xb, solve_p, on_fiber
 
 
-def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float]:
-    """Integral of p dq and flow time along the fiber arc described by ``guide``.
+def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float, float]:
+    """Integral of p dq, flow time and the flow time's level derivative along
+    the fiber arc described by ``guide``.
 
     ``guide`` is a polyline near (not necessarily on) {H = b}; its first and
     last entries are taken as the exact, already-on-fiber endpoints.  The arc
@@ -1187,77 +1193,42 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, flo
     21-point Gauss-Kronrod quadrature on arrays, with every node polished
     onto the fiber by Newton, so the action is accurate to machine precision
     and varies smoothly with b.  The flow time (dq / H_p on q-charts,
-    -dp / H_q on p-charts) is summed once, on the converged panels' polished
-    nodes.
-    """
-    guide = np.asarray(guide, dtype=float)
-    if len(guide) < 2:
-        return 0.0, 0.0
-    total = time = 0.0
-    for xa, xb, solve_p, on_fiber in _chart_runs(h, b, guide):
-        axis = 0 if solve_p else 1
-        ua, ub = xa[axis], xb[axis]
-        val = dt = 0.0
-        if ua != ub:
-            val, u, v, half = _adaptive_gk21(on_fiber, ua, ub)
-            rate = 1.0 / h.dp(u, v) if solve_p else -1.0 / h.dq(v, u)
-            dt = _gk21_sum(rate, half)
-        # q(p) charts integrate q dp; p dq = d(pq) - q dp
-        total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
-        time += dt
-    return total, time
+    -dp / H_q on p-charts) and its b-derivative at fixed chart coordinate
+    (-H_pp / H_p^3 dq on q-charts, H_qq / H_q^3 dp on p-charts) are summed
+    once, on the converged panels' polished nodes.
 
-
-def chart_time_derivative(h: Observable, b: float, guide: np.ndarray) -> float:
-    """Level derivative of the flow time along the fiber arc of ``guide``,
-    with both ends moving normal to the fiber, at d x / db = grad H / |grad H|^2.
-
-    Each run of ``_chart_runs`` integrates the b-derivative of its time rate
-    at fixed chart coordinate, -H_pp / H_p^3 dq on q-charts and
-    H_qq / H_q^3 dp on p-charts, by adaptive GK21 with nodes polished as in
-    ``chart_action``.  A fixed-chart end moves along the fiber relative to
-    the normal motion, which adds flow time H_q / (|grad H|^2 H_p) at a
+    The level derivative dT/db moves both ends normal to the fiber, at
+    dx/db = grad H / |grad H|^2.  A fixed-chart end moves along the fiber
+    relative to that motion, which adds flow time H_q / (|grad H|^2 H_p) at a
     q-chart run's end and -H_p / (|grad H|^2 H_q) at a p-chart run's end;
     each run's start subtracts the same.  At a chart switch the two sum to
     1 / (H_q H_p).
     """
     guide = np.asarray(guide, dtype=float)
     if len(guide) < 2:
-        return 0.0
-    total = 0.0
+        return 0.0, 0.0, 0.0
+    total = time = dtime = 0.0
     for xa, xb, solve_p, on_fiber in _chart_runs(h, b, guide):
         axis = 0 if solve_p else 1
-
-        def rate(u):
-            v = on_fiber(u)
+        ua, ub = xa[axis], xb[axis]
+        val = 0.0
+        if ua != ub:
+            val, u, v, half = _adaptive_gk21(on_fiber, ua, ub)
             if solve_p:
-                return -h.deriv(u, v, 0, 2) / h.dp(u, v) ** 3
-            return h.deriv(v, u, 2, 0) / h.dq(v, u) ** 3
-
-        if xa[axis] != xb[axis]:
-            total += _adaptive_gk21(rate, xa[axis], xb[axis])[0]
+                hp = h.dp(u, v)
+                time += _gk21_sum(1.0 / hp, half)
+                dtime += _gk21_sum(-h.deriv(u, v, 0, 2) / hp**3, half)
+            else:
+                hq = h.dq(v, u)
+                time += _gk21_sum(-1.0 / hq, half)
+                dtime += _gk21_sum(h.deriv(v, u, 2, 0) / hq**3, half)
+        # q(p) charts integrate q dp; p dq = d(pq) - q dp
+        total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
         for x, sign in ((xb, 1.0), (xa, -1.0)):
             gq, gp = h.gradient(x)
             end = gq / gp if solve_p else -gp / gq
-            total += sign * end / (gq * gq + gp * gp)
-    return total
-
-
-def _arc_guide(
-    curve: FiberCurve, a: PhasePoint, b: PhasePoint, s_a: float, s_b: float
-) -> tuple[np.ndarray, float]:
-    """Guide polyline of the fiber arc from a to b and its orientation.
-
-    Closed curves run forward from a (wrapping) and give sign +1; open
-    curves run along the curve, and when b precedes a the guide runs from b
-    to a with sign -1."""
-    if curve.closed or s_b >= s_a:
-        guide = curve.scaffold(s_a, s_b)
-        guide[0], guide[-1] = a, b
-        return guide, 1.0
-    guide = curve.scaffold(s_b, s_a)
-    guide[0], guide[-1] = b, a
-    return guide, -1.0
+            dtime += sign * end / (gq * gq + gp * gp)
+    return total, time, dtime
 
 
 def arc_action(
@@ -1267,27 +1238,25 @@ def arc_action(
     b: PhasePoint,
     s_a: float,
     s_b: float,
-) -> tuple[float, float]:
-    """p dq integral and flow time from a to b along the fiber {H = level}.
+) -> tuple[float, float, float]:
+    """p dq integral, flow time and its level derivative (``chart_action``)
+    from a to b along the fiber {H = level}.
 
     The traced curve provides the homotopy scaffold between its arclength
     parameters ``s_a`` and ``s_b``; the endpoints are exact points on
     {H = level}, which may differ from the trace level by a finite
     difference step.  Closed curves integrate forward (wrapping), open
-    curves signed along the curve.
+    curves signed along the curve, all three values negative when b
+    precedes a.
     """
-    guide, sign = _arc_guide(curve, a, b, s_a, s_b)
-    action, time = chart_action(curve.observable, level, guide)
-    return sign * action, sign * time
-
-
-def arc_time_derivative(
-    curve: FiberCurve, a: PhasePoint, b: PhasePoint, s_a: float, s_b: float
-) -> float:
-    """``chart_time_derivative`` of the arc from a to b on the fiber
-    ``curve``, oriented as ``arc_action`` orients its flow time."""
-    guide, sign = _arc_guide(curve, a, b, s_a, s_b)
-    return sign * chart_time_derivative(curve.observable, curve.level, guide)
+    if curve.closed or s_b >= s_a:
+        guide = curve.scaffold(s_a, s_b)
+        guide[0], guide[-1] = a, b
+        return chart_action(curve.observable, level, guide)
+    guide = curve.scaffold(s_b, s_a)
+    guide[0], guide[-1] = b, a
+    action, time, dtime = chart_action(curve.observable, level, guide)
+    return -action, -time, -dtime
 
 
 def action_along_fiber(

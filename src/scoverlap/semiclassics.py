@@ -16,11 +16,12 @@ transversal intersections of the two level curves: each point contributes
               stencil as the reference,
 
 all behind an overall ``(2 pi h)^(-1/2)`` with unit constant.  Each term
-also carries dS/db1 and dS/db2 in closed form: the flow times along the two
-arcs plus endpoint terms on the reference graph; ``action_curvature``
-differentiates them once more.  Transition probabilities square this sum,
-cyclic amplitudes chain it around a loop of fibrations, and kernels compose
-by one-dimensional stationary phase on those slopes and curvatures.
+also carries dS/db1 and dS/db2 in closed form, the flow times along the two
+arcs plus endpoint terms on the reference graph, and d^2 S/db1^2 and
+d^2 S/db2^2, their level derivatives, from the same arc quadratures.
+Transition probabilities square this sum, cyclic amplitudes chain it around
+a loop of fibrations, and kernels compose by one-dimensional stationary
+phase on those slopes and curvatures.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .geometry import (
     _newton_intersection,
     _newton_on_lagrangian,
     arc_action,
-    arc_time_derivative,
     chart_action,
     find_intersections,
     lagrangian_intersections,
@@ -281,7 +281,8 @@ def _loop_on_level(
     moved = _moved_guide(h_obs, b, guide)
     if moved is None:
         return _traced_loop(h_obs, b)[1:]
-    return (*chart_action(h_obs, b, moved), moved)
+    action, period, _ = chart_action(h_obs, b, moved)
+    return action, period, moved
 
 
 @dataclass(frozen=True)
@@ -469,6 +470,7 @@ class OverlapTerm:
     bracket: float
     action: float
     slopes: tuple[float, float]  # (dS/db1, dS/db2) in closed form
+    curvatures: tuple[float, float]  # (d^2 S/db1^2, d^2 S/db2^2) in closed form
     maslov: int
     hessian_det: float
     hessian_bracket_dev: float
@@ -487,8 +489,6 @@ class SemiclassicalAmplitude:
     curve2: FiberCurve | None = None
     x1: PhasePoint | None = None
     x2: PhasePoint | None = None
-    lam: ReferenceLagrangian | None = None
-    alpha: PrequantumForm | None = None
 
     def at(self, h: float) -> "SemiclassicalAmplitude":
         """The same amplitude at another h: only the phases and the
@@ -545,12 +545,12 @@ class _PairGeometry:
             raise SingularFiber("reference continuation failed in stencil")
         x1p = PhasePoint(q1, float(lam.value(q1)))
         x2p = PhasePoint(q2, float(lam.value(q2)))
-        s1, _ = arc_action(
+        s1 = arc_action(
             curve1, b1p, x1p, c, curve1.locate(self.x1), curve1.locate(c_anchor)
-        )
-        s2, _ = arc_action(
+        )[0]
+        s2 = arc_action(
             curve2, b2p, x2p, c, curve2.locate(self.x2), curve2.locate(c_anchor)
-        )
+        )[0]
         return s1 - s2
 
     def cross_hessian(self, c_anchor: PhasePoint, step: float) -> float:
@@ -600,6 +600,23 @@ def _reference_curvature(
     return (dn * d - n * dd) / d**3
 
 
+def _crossing_tau(h_obs: Observable, other: Observable, c: PhasePoint) -> float:
+    """tau(c) = (dc/db . X_H) / |grad H|^2: the flow time along {H = b} of
+    the crossing c as b moves, beyond the fiber's normal motion.  c slides
+    along the other fiber, dc/db = X_other / {H, other}."""
+    hq, hp = h_obs.gradient(c)
+    oq, op = other.gradient(c)
+    return (op * hp + oq * hq) / ((hq * op - hp * oq) * (hq * hq + hp * hp))
+
+
+def _reference_tau(h_obs: Observable, lam: ReferenceLagrangian, x: PhasePoint) -> float:
+    """tau(x) of the reference point x sliding along p = lam(q), with
+    dx/db = (1, lam') / (H_q + H_p lam') and (1, lam') . X_H = H_p - lam' H_q."""
+    hq, hp = h_obs.gradient(x)
+    slope = float(lam.slope(x.q))
+    return (hp - slope * hq) / ((hq + hp * slope) * (hq * hq + hp * hp))
+
+
 def overlap(
     sys1: tuple[Observable, float],
     sys2: tuple[Observable, float],
@@ -620,7 +637,13 @@ def overlap(
     ``stencil_overlap_term`` measures.
     Its action slopes are dS/db1 = T1 - e1 and dS/db2 = e2 - T2, with T_i
     the signed flow time from x_i to the intersection and e_i the endpoint
-    term ``_reference_slope`` at x_i (Hamilton-Jacobi).
+    term ``_reference_slope`` at x_i (Hamilton-Jacobi).  Its curvatures
+    d^2 S/db1^2 = dT1/db1 - de1/db1 and d^2 S/db2^2 = de2/db2 - dT2/db2
+    differentiate them once more: dT_i/db_i is the arc's level derivative
+    from ``arc_action`` (both ends moving normal to the fiber) plus the flow
+    time of each end's actual motion along it, tau(c) - tau(x_i)
+    (``_crossing_tau``, ``_reference_tau``), and de_i/db_i is the chain rule
+    on ``_reference_slope`` along lam (``_reference_curvature``).
 
     Each fiber is one component, traced through the first intersection
     unless ``curves`` supplies it; an intersection farther than
@@ -674,11 +697,16 @@ def overlap(
     gauge = alpha.gauge_value(x2) - alpha.gauge_value(x1)
     e1 = _reference_slope(h1, lam, alpha, x1)
     e2 = _reference_slope(h2, lam, alpha, x2)
+    de1 = _reference_curvature(h1, lam, alpha, x1)
+    de2 = _reference_curvature(h2, lam, alpha, x2)
+    tau_x1, tau_x2 = _reference_tau(h1, lam, x1), _reference_tau(h2, lam, x2)
     terms = []
     for ip in points:
         c = ip.point
-        s1, t1 = arc_action(curve1, curve1.level, x1, c, s_x1, curve1.locate(c))
-        s2, t2 = arc_action(curve2, curve2.level, x2, c, s_x2, curve2.locate(c))
+        s1, t1, dt1 = arc_action(curve1, curve1.level, x1, c, s_x1, curve1.locate(c))
+        s2, t2, dt2 = arc_action(curve2, curve2.level, x2, c, s_x2, curve2.locate(c))
+        dt1 = dt1 + _crossing_tau(h1, h2, c) - tau_x1
+        dt2 = dt2 + _crossing_tau(h2, h1, c) - tau_x2
         action = s1 - s2 + gauge
         mu = maslov_segment(curve2, x2, c, h1)
         hess = 1.0 / abs(ip.bracket)
@@ -690,6 +718,7 @@ def overlap(
                 bracket=ip.bracket,
                 action=action,
                 slopes=(t1 - e1, e2 - t2),
+                curvatures=(dt1 - de1, de2 - dt2),
                 maslov=mu,
                 hessian_det=hess,
                 hessian_bracket_dev=math.nan,
@@ -708,40 +737,7 @@ def overlap(
         curve2=curve2,
         x1=x1,
         x2=x2,
-        lam=lam,
-        alpha=alpha,
     )
-
-
-def action_curvature(amp: SemiclassicalAmplitude, term: OverlapTerm, slot: int) -> float:
-    """d^2 S / db_i^2 of one term of ``amp`` in closed form, i = ``slot``.
-
-    Differentiating the slopes dS/db1 = T1 - e1 and dS/db2 = e2 - T2 once
-    more gives +-(dT_i/db_i - de_i/db_i).  The flow time T_i runs along
-    fiber i from x_i to the intersection c, and its level derivative is
-    dT/db = ``arc_time_derivative`` + tau(c) - tau(x_i).  The first term
-    moves both ends normal to the fiber; tau(z) = (dz/db . X_H) / |grad H|^2
-    adds the flow time of each end's actual motion along the fiber: c slides
-    along the other fiber, dc/db_i = X_other / {H_i, H_other}, and x_i along
-    p = lam(q), dx/db = (1, lam') / (H_q + H_p lam').  de_i/db_i is the
-    chain rule on ``_reference_slope`` along lam (``_reference_curvature``).
-    """
-    curve, other, x = (
-        (amp.curve1, amp.curve2, amp.x1) if slot == 1 else (amp.curve2, amp.curve1, amp.x2)
-    )
-    h_obs, c = curve.observable, term.point
-    rate = arc_time_derivative(curve, x, c, curve.locate(x), curve.locate(c))
-    # tau(c), with {H_i, H_other} and X_other at c
-    hq, hp = h_obs.gradient(c)
-    oq, op = other.observable.gradient(c)
-    tau_c = (op * hp + oq * hq) / ((hq * op - hp * oq) * (hq * hq + hp * hp))
-    # tau(x): (1, lam') . X_H = H_p - lam' H_q
-    hq, hp = h_obs.gradient(x)
-    slope = float(amp.lam.slope(x.q))
-    tau_x = (hp - slope * hq) / ((hq + hp * slope) * (hq * hq + hp * hp))
-    dt = rate + tau_c - tau_x
-    de = _reference_curvature(h_obs, amp.lam, amp.alpha, x)
-    return dt - de if slot == 1 else de - dt
 
 
 def complementary_overlap_term(
@@ -759,21 +755,24 @@ def complementary_overlap_term(
     # reverse-direction arc from x2 to c = reversed forward arc c -> x2
     guide = curve2.scaffold(s_c, s_x2)
     guide[0], guide[-1] = c, x2
-    s_back, t_back = chart_action(curve2.observable, curve2.level, guide)
+    s_back, t_back, dt_back = chart_action(curve2.observable, curve2.level, guide)
     guide_rev = guide[::-1].copy()
     mu_complement = _maslov_over_guide(
         curve2, guide_rev, transverse, -1.0, TRANS_TOL
     )
     # S = S1 - S2 and the gauge part change only through S2, dS/db2 = e2 - T2
-    # only through T2 (by the period in all: dA/db = T)
-    s2_forward, t2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
+    # only through T2 (by the period in all: dA/db = T), and d^2 S/db2^2 only
+    # through dT2/db2 (by the period's slope)
+    s2_forward, t2_forward, dt2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
     action = t.action + s2_forward + s_back
     slopes = (t.slopes[0], t.slopes[1] + t2_forward + t_back)
+    curvatures = (t.curvatures[0], t.curvatures[1] + dt2_forward + dt_back)
     contribution = _contribution(
         t.weight * math.sqrt(abs(t.hessian_det)), action, mu_complement, amp.h
     )
     return replace(
-        t, action=action, slopes=slopes, maslov=mu_complement, contribution=contribution
+        t, action=action, slopes=slopes, curvatures=curvatures,
+        maslov=mu_complement, contribution=contribution,
     )
 
 
@@ -1115,10 +1114,10 @@ def compose_kernels(
 ) -> ComposedAmplitude:
     """One-dimensional stationary-phase composition over the intermediate label.
 
-    Per branch pair the phase is phi(b) = S20 + S01.  Its slope phi' every
-    overlap term carries in closed form (``OverlapTerm.slopes``), and its
-    curvature phi'' = d^2 S20/db1^2 + d^2 S01/db2^2 comes in closed form
-    from the two terms (``action_curvature``).  ``_stationary_levels`` reads
+    Per branch pair the phase is phi(b) = S20 + S01.  Every overlap term
+    carries its slope phi' = dS20/db1 + dS01/db2 and its curvature
+    phi'' = d^2 S20/db1^2 + d^2 S01/db2^2 in closed form
+    (``OverlapTerm.slopes`` and ``.curvatures``).  ``_stationary_levels`` reads
     (phi', phi'') at _COMPOSE_GRID levels of the interval, bisects the cells
     where phi'' or the Hermite interpolant of phi' warns of a hidden pair of
     zeros, and polishes each zero b* by safeguarded Newton on phi' to a
@@ -1146,10 +1145,7 @@ def compose_kernels(
                 f"kernel terms change from {n2_0} x {n1_0} at b = {b0:.12g} to "
                 f"{n2} x {n1} at b = {b:.12g}; narrow the interval"
             )
-        t20, t01 = _sorted_terms(amp20), _sorted_terms(amp01)
-        d2_20 = [action_curvature(amp20, t, 1) for t in t20]
-        d2_01 = [action_curvature(amp01, t, 2) for t in t01]
-        return t20, t01, d2_20, d2_01
+        return _sorted_terms(amp20), _sorted_terms(amp01)
 
     grid = np.linspace(*interval, _COMPOSE_GRID)
     for b in grid:
@@ -1161,12 +1157,17 @@ def compose_kernels(
         for k in range(n1):
 
             def dphi(b: float, j=j, k=k) -> tuple[float, float]:
-                t20, t01, d2_20, d2_01 = at_level(b)
-                return t20[j].slopes[0] + t01[k].slopes[1], d2_20[j] + d2_01[k]
+                t20, t01 = at_level(b)
+                t20, t01 = t20[j], t01[k]
+                return (
+                    t20.slopes[0] + t01.slopes[1],
+                    t20.curvatures[0] + t01.curvatures[1],
+                )
 
             for b_star in _stationary_levels(dphi, grid):
-                t20, t01, d2_20, d2_01 = at_level(b_star)
-                t20, t01, d2 = t20[j], t01[k], d2_20[j] + d2_01[k]
+                t20, t01 = at_level(b_star)
+                t20, t01 = t20[j], t01[k]
+                d2 = t20.curvatures[0] + t01.curvatures[1]
                 action = t20.action + t01.action  # phi(b*)
                 if abs(d2) < HESS_TOL:
                     raise DegenerateStationaryPoint(
@@ -1210,23 +1211,23 @@ def overlap_kernel(
     ``fixed_slot`` = 1 puts the fixed system in the linear slot (kernel rows
     labelled by the intermediate), 2 the reverse.  The fixed fiber is traced
     at the first call and kept in ``kernel.cache["curve"]``.  ``fibers``
-    maps intermediate levels to fibers, shared by the two kernels of one
-    composition.  A level the mapping holds is read from it; any other level
-    moves the held fiber of the nearest level onto b (``moved_fiber``), and
-    only where that move is refused (an open fiber, or one that fails the
-    guard) is the fiber traced.  Either way it joins the mapping, so a
+    maps intermediate levels to fibers; the two kernels of one composition
+    share it, and a kernel given none keeps its own.  A level the mapping
+    holds is read from it; any other level moves the held fiber of the
+    nearest level onto b (``moved_fiber``), and only where that move is
+    refused (an open fiber, or one that fails the guard) or nothing is held
+    yet is the fiber traced.  Either way it joins the mapping, so a
     composition over a closed intermediate family traces one fiber, and
     each later level is a short move from a neighbour.
     """
     cache: dict[str, FiberCurve | None] = {"curve": None}
+    fibers = {} if fibers is None else fibers
 
     def kernel(b: float) -> SemiclassicalAmplitude:
-        inter_curve = None
-        if fibers:
-            inter_curve = fibers.get(b)
-            if inter_curve is None:
-                held = fibers[min(fibers, key=lambda level: abs(level - b))]
-                inter_curve = moved_fiber(held, b)
+        inter_curve = fibers.get(b)
+        if inter_curve is None and fibers:
+            held = fibers[min(fibers, key=lambda level: abs(level - b))]
+            inter_curve = moved_fiber(held, b)
         if fixed_slot == 1:
             sys1, sys2 = fixed_sys, (intermediate, b)
             curves = (cache["curve"], inter_curve)
@@ -1242,7 +1243,7 @@ def overlap_kernel(
         )
         if cache["curve"] is None:
             cache["curve"] = fixed_curve
-        if fibers is not None and inter_curve is not None:
+        if inter_curve is not None:
             fibers.setdefault(b, inter_curve)
         return amp
 

@@ -28,9 +28,9 @@ from scoverlap.geometry import (
     _newton_intersection,
     action_along_fiber,
     chart_action,
-    chart_time_derivative,
     find_intersections,
     loop_data,
+    moved_fiber,
     poisson_bracket,
     reference_point,
     trace_level_curve,
@@ -374,7 +374,7 @@ class TestChartQuadrature:
         (qa, pa), (qb, pb) = guide[0], guide[-1]
         chord = 0.5 * (pa + pb) * (qa - qb)
         segment = b * (sweep - math.sin(sweep))
-        action, time = chart_action(HO, b, guide)
+        action, time, _ = chart_action(HO, b, guide)
         assert action + chord == pytest.approx(segment, abs=1e-13)
         assert time == pytest.approx(sweep, abs=1e-12)
 
@@ -382,7 +382,7 @@ class TestChartQuadrature:
     def test_oscillator_loop_is_2_pi_b(self, b):
         guide = circle_arc(b, 0.4, 2 * math.pi, n=90, wobble=2e-3)
         guide[-1] = guide[0]
-        action, time = chart_action(HO, b, guide)
+        action, time, _ = chart_action(HO, b, guide)
         assert action == pytest.approx(2 * math.pi * b, abs=1e-13)
         assert time == pytest.approx(2 * math.pi, abs=1e-12)
 
@@ -393,7 +393,7 @@ class TestChartQuadrature:
         guide = c.scaffold(0.0, 0.0)
         guide[0] = guide[-1] = c.point(0)
         action, period = loop_data(PEND, b, seed)
-        got_action, got_time = chart_action(PEND, b, guide)
+        got_action, got_time, _ = chart_action(PEND, b, guide)
         assert got_action == pytest.approx(action, abs=1e-11)
         assert got_time == pytest.approx(period, abs=1e-10)
 
@@ -410,7 +410,7 @@ class TestChartQuadrature:
         )
         (qa, pa), (qb, pb) = guide[0], guide[-1]
         expected = 0.5 * (pa + pb) * (qb - qa)
-        action, time = chart_action(line, b, guide)
+        action, time, _ = chart_action(line, b, guide)
         assert action == pytest.approx(expected, abs=1e-14)
         assert time == pytest.approx((qb - qa) / math.sin(theta), abs=1e-13)
 
@@ -434,7 +434,7 @@ class TestChartQuadrature:
         # ends moving along grad H / |grad H|^2 move radially and keep their
         # angles, and the flow turns at unit angular speed on every level
         guide = circle_arc(0.7, theta_from, sweep, wobble=1e-3)
-        assert chart_time_derivative(HO, 0.7, guide) == pytest.approx(0.0, abs=1e-12)
+        assert chart_action(HO, 0.7, guide)[2] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("b", [-0.5, 0.4])
     def test_pendulum_loop_time_derivative_is_dT_db(self, b):
@@ -450,7 +450,7 @@ class TestChartQuadrature:
         guide = c.scaffold(0.0, 0.0)
         guide[0] = guide[-1] = c.point(0)
         reference = (4 * central(1e-3) - central(2e-3)) / 3
-        assert chart_time_derivative(PEND, b, guide) == pytest.approx(reference, abs=1e-7)
+        assert chart_action(PEND, b, guide)[2] == pytest.approx(reference, abs=1e-7)
 
     def test_off_fiber_guide_rejected(self):
         # |p| > |q| picks p(q), but no p solves H(1.5, p) = 0.5
@@ -472,7 +472,7 @@ class TestChartQuadrature:
             chart_action(HO, 0.5, self._polygon(5))
 
     def test_twelve_gon_guide_is_accepted(self):
-        action, time = chart_action(HO, 0.5, self._polygon(12))
+        action, time, _ = chart_action(HO, 0.5, self._polygon(12))
         assert action == pytest.approx(math.pi, abs=1e-12)
         assert time == pytest.approx(2 * math.pi, abs=1e-12)
 
@@ -520,3 +520,14 @@ class TestParsing:
         assert header == "q,p,arclength,action,time"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape[1] == 5
+
+    def test_moved_fiber_csv_dump(self, tmp_path):
+        # a moved fiber carries no action or time samples, so its file has
+        # only the polyline columns
+        c = moved_fiber(trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0)), 0.6)
+        assert c.action is None and c.time is None
+        path = tmp_path / "fiber.csv"
+        c.to_csv(path)
+        assert path.read_text().splitlines()[0] == "q,p,arclength"
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(data, np.stack([c.qs, c.ps, c.arclength], axis=1))

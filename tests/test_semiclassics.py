@@ -30,7 +30,6 @@ from scoverlap.geometry import (
 from scoverlap.oracle import GridSpec, build_weyl_operator, eigensystem, half_density_bridge
 from scoverlap.semiclassics import (
     BSLevel,
-    action_curvature,
     bohr_sommerfeld_levels,
     complementary_overlap_term,
     compose_kernels,
@@ -700,7 +699,7 @@ class TestActionSlopes:
 
 
 class TestActionCurvatures:
-    """``action_curvature`` gives d^2 S / db_i^2 of a term in closed form; a
+    """Every overlap term carries d^2 S / db_i^2 in closed form; a
     Richardson central difference of the closed-form slopes at shifted
     levels is the reference."""
 
@@ -730,7 +729,29 @@ class TestActionCurvatures:
                     return (slope(d) - slope(-d)) / (2 * d)
 
                 reference = (4 * central(1e-3) - central(2e-3)) / 3
-                assert action_curvature(amp, t, slot) == pytest.approx(reference, abs=1e-9)
+                assert t.curvatures[slot - 1] == pytest.approx(reference, abs=1e-9)
+
+    @pytest.mark.parametrize("h_obs, b", [
+        (PEND, -0.3),
+        (Observable.from_text("1/2 p^2 + 1/4 q^4"), 0.6),
+        (HO, 0.5),
+    ], ids=["pendulum", "quartic", "oscillator"])
+    def test_complementary_term_shifts_curvature_by_period_slope(self, h_obs, b):
+        # the complementary arc adds the loop to T2, so d^2 S/db2^2 moves by
+        # dT/db of the closed fiber: 1.27 on the pendulum, 0 on the oscillator
+        def period(level):
+            return _loop_data_at(h_obs, level)[1]
+
+        def central(d):
+            return (period(b + d) - period(b - d)) / (2 * d)
+
+        reference = (4 * central(1e-3) - central(2e-3)) / 3
+        amp = overlap((Q, 0.4), (h_obs, b), LAM, ALPHA, 0.1)
+        assert amp.terms
+        for i, t in enumerate(amp.terms):
+            alt = complementary_overlap_term(amp, i, Q)
+            assert alt.curvatures[0] == t.curvatures[0]
+            assert alt.curvatures[1] - t.curvatures[1] == pytest.approx(reference, abs=1e-9)
 
 
 class TestMovedFiber:
@@ -952,6 +973,25 @@ class TestComposition:
         # and no kernel is called twice at one level
         assert len(set(calls[1])) == len(calls[1])
         assert len(set(calls[2])) == len(calls[2])
+
+    def test_unshared_kernels_move_their_own_fibers(self, monkeypatch):
+        # two kernels given no mapping each trace their first intermediate
+        # fiber and move it to every later level: with the two fixed fibers,
+        # four traces for the whole composition
+        traced = []
+        trace = semiclassics.trace_level_curve
+
+        def counted(h_obs, b, *args, **kwargs):
+            traced.append((h_obs, b))
+            return trace(h_obs, b, *args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "trace_level_curve", counted)
+        h = 0.1
+        u01 = overlap_kernel((Q, 0.6), HO, LAM, ALPHA, h, fixed_slot=1)
+        u20 = overlap_kernel((P, 0.8), HO, LAM, ALPHA, h, fixed_slot=2)
+        composed = compose_kernels(u20, u01, h, (0.36, 0.95))
+        assert composed.terms[0].b_star == pytest.approx(0.5, abs=1e-12)
+        assert len(traced) <= 4
 
     def test_shared_fibers_match_independent_kernels(self):
         shared, _ = self._glue_example({})

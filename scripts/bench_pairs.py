@@ -75,7 +75,10 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if len(values) == 1:  # quantiles needs two points
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 

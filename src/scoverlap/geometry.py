@@ -1130,9 +1130,10 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
     Each chart switch before the last guide point becomes an on-fiber
     subdivision node; any on-fiber point near the switch works, since
     integrals over the runs telescope.  Per run, in flow order along the
-    guide: its end nodes xa and xb, ``solve_p`` (True on q-charts), and
-    ``on_fiber(u)``, which solves the other coordinate on {H = b} at chart
-    coordinates u by Newton from the guide's interpolant.
+    guide: its end nodes xa and xb, the gradient rows (H_q, H_p) at xa and
+    xb, ``solve_p`` (True on q-charts), and ``on_fiber(u)``, which solves
+    the other coordinate on {H = b} at chart coordinates u by Newton from
+    the guide's interpolant.
 
     A switch sits at a guide point, so a segment could otherwise reach past
     the fold of the chart it leaves; a guide along which the fiber's normal
@@ -1168,6 +1169,8 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
     )
     bounds = np.concatenate([[1], switches, [n - 1]])
     run_charts = chart[np.concatenate([[0], switches])]
+    q, p = nodes[:, 0], nodes[:, 1]
+    grads = np.column_stack([h.dq(q, p), h.dp(q, p)]).tolist()
 
     for k, ch in enumerate(run_charts):
         xa, xb = nodes[k], nodes[k + 1]
@@ -1180,7 +1183,7 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
         def on_fiber(u, u_knots=u_knots, v_knots=v_knots, solve_p=solve_p):
             return _solve_on_fiber(h, b, u, np.interp(u, u_knots, v_knots), solve_p)
 
-        yield xa, xb, solve_p, on_fiber
+        yield xa, xb, grads[k:k + 2], solve_p, on_fiber
 
 
 def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float, float]:
@@ -1208,24 +1211,22 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, flo
     if len(guide) < 2:
         return 0.0, 0.0, 0.0
     total = time = dtime = 0.0
-    for xa, xb, solve_p, on_fiber in _chart_runs(h, b, guide):
+    for xa, xb, ends, solve_p, on_fiber in _chart_runs(h, b, guide):
         axis = 0 if solve_p else 1
         ua, ub = xa[axis], xb[axis]
         val = 0.0
         if ua != ub:
             val, u, v, half = _adaptive_gk21(on_fiber, ua, ub)
             if solve_p:
-                hp = h.dp(u, v)
-                time += _gk21_sum(1.0 / hp, half)
-                dtime += _gk21_sum(-h.deriv(u, v, 0, 2) / hp**3, half)
+                dt, second = 1.0 / h.dp(u, v), h.deriv(u, v, 0, 2)
             else:
-                hq = h.dq(v, u)
-                time += _gk21_sum(-1.0 / hq, half)
-                dtime += _gk21_sum(h.deriv(v, u, 2, 0) / hq**3, half)
+                dt, second = -1.0 / h.dq(v, u), h.deriv(v, u, 2, 0)
+            time += _gk21_sum(dt, half)
+            # -H_pp / H_p^3 and H_qq / H_q^3 are both -second * dt^3
+            dtime -= _gk21_sum(second * (dt * dt * dt), half)
         # q(p) charts integrate q dp; p dq = d(pq) - q dp
         total += val if solve_p else xb[1] * xb[0] - xa[1] * xa[0] - val
-        for x, sign in ((xb, 1.0), (xa, -1.0)):
-            gq, gp = h.gradient(x)
+        for (gq, gp), sign in ((ends[1], 1.0), (ends[0], -1.0)):
             end = gq / gp if solve_p else -gp / gq
             dtime += sign * end / (gq * gq + gp * gp)
     return total, time, dtime

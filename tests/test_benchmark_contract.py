@@ -130,3 +130,16 @@ def test_tracer_counts_the_four_products_of_an_associativity_defect(perfbench):
     assert tracer.missing == []
     assert tracer.calls["starprod.moyal_product"] == 4
     assert tracer.calls["starprod.associativity_defect"] == 1
+
+
+def test_bench_pairs_summarises_a_single_pair(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "scripts"))
+    import bench_pairs
+
+    side = {"run_s": 0.5, "setup_s": 1.0, "peak_rss_mb": 90.0,
+            "accuracy": {"rel_err": 1e-15}, "warnings": []}
+    summary = bench_pairs._summary([{"parent": side, "change": dict(side, run_s=0.4)}])
+    assert summary["run_s"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert summary["run_s"]["lower_in"] == 1 and summary["run_s"]["pairs"] == 1
+    assert summary["accuracy_worst"]["rel_err"] == {"parent": 1e-15, "change": 1e-15}

@@ -784,6 +784,7 @@ class TestMovedFiber:
         for tm, tt in pairs:
             assert abs(tm.action - tt.action) <= 1e-12
             assert tm.slopes == pytest.approx(tt.slopes, abs=1e-12)
+            assert tm.curvatures == pytest.approx(tt.curvatures, abs=1e-12)
             assert tm.maslov == tt.maslov
 
     def test_no_move_across_the_pendulum_separatrix(self, monkeypatch):
@@ -993,8 +994,12 @@ class TestComposition:
         assert composed.terms[0].b_star == pytest.approx(0.5, abs=1e-12)
         assert len(traced) <= 4
 
-    def test_shared_fibers_match_independent_kernels(self):
+    def test_shared_fibers_match_independent_kernels(self, monkeypatch):
+        # the reference traces the intermediate fiber at every level, so the
+        # moved fibers' actions, slopes and curvatures are checked against
+        # traced ones through the composed value
         shared, _ = self._glue_example({})
+        monkeypatch.setattr(semiclassics, "moved_fiber", lambda curve, b: None)
         alone, _ = self._glue_example()
         (t_shared,), (t_alone,) = shared.terms, alone.terms
         assert abs(t_shared.b_star - t_alone.b_star) <= 1e-12

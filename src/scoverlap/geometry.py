@@ -1,8 +1,9 @@
 """Symplectic geometry of the phase plane.
 
 Observables (Hamiltonians with analytic derivatives), level-curve fibers
-traced by arclength-normalized Hamiltonian flow, fiber intersections, and
-line integrals of the prequantization one-form ``p dq + df``.
+sampled on the level (straight lines in closed form, curved fibers traced
+along the Hamiltonian flow and projected), fiber intersections, and line
+integrals of the prequantization one-form ``p dq + df``.
 
 Conventions, fixed once for the whole package:
   * symplectic form  dq ^ dp,
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,13 +34,18 @@ from .errors import (
 from .monomials import format_monomials, parse_monomials, to_float_table
 
 CURVE_TOL = 1e-9
-NEWTON_TOL = 1e-10
 TRANS_TOL = 1e-6
 DEDUP_RADIUS = 1e-6
 DOMAIN_BOUND = 8.0
 
 _PROJ_TOL = 1e-14
 _GRAD_FLOOR = 1e-9
+# DOP853 tolerances of a fiber trace, whose samples are projected onto the
+# level (at rtol 1e-7 the oscillator already misses the 1e-6 return test),
+# and of the verifier ``loop_data``, whose action and period are ODE rows
+_TRACE_RTOL, _TRACE_ATOL = 1e-9, 1e-10
+_LOOP_RTOL, _LOOP_ATOL = 1e-12, 1e-13
+_ON_FIBER_TOL = 1e-6  # |H - b| / max(1, |b|) of action_along_fiber's endpoints
 # guard on a closed polyline moved to a new level: Newton steps allowed per
 # point, the largest growth of one segment over the median segment's, and
 # the cosine of the largest turn of the fiber's normal along one segment
@@ -339,24 +346,22 @@ class ReferenceLagrangian:
 class TraceOptions:
     domain: float = DOMAIN_BOUND
     n_samples: int = 600
-    rtol: float = 1e-12
-    atol: float = 1e-13
     max_arclength: float = 300.0
     curve_tol: float = CURVE_TOL
 
 
 @dataclass(frozen=True)
 class FiberCurve:
-    """A level set {H = b} sampled along the Hamiltonian flow direction.
+    """A level set {H = b} as a polyline of samples in flow direction.
 
-    A traced fiber (``trace_level_curve``) carries per sample the cumulative
-    arclength, the cumulative action of p dq and the flow time.  Closed
-    curves wrap: the final sample coincides with the first, and ``period`` /
-    ``loop_action`` hold the flow period and the loop integral of p dq (the
-    enclosed area).  A moved fiber (``moved_fiber``) is a closed polyline
-    pulled onto the level: its arclength is the cumulative chord length, and
-    ``action``, ``time``, ``period`` and ``loop_action`` are None.  Overlaps
-    read only the polyline and take every integral by ``chart_action``.
+    ``trace_level_curve`` and ``moved_fiber`` both make one.  Every sample
+    lies on the level to |H - b| <= 1e-14 max(1, |b|), and ``arclength`` is
+    the cumulative chord length.  Closed curves wrap: the final sample
+    repeats the first.  Open curves are truncated at the domain box.
+    Overlaps read only the polyline and take every integral by
+    ``chart_action``; so do ``loop_action`` and ``period`` of a closed curve
+    (the loop integral of p dq, the enclosed area, and the flow period), on
+    their first read.  An open curve has neither (None).
     """
 
     observable: Observable
@@ -364,13 +369,17 @@ class FiberCurve:
     qs: np.ndarray
     ps: np.ndarray
     arclength: np.ndarray
-    action: np.ndarray | None
-    time: np.ndarray | None
     closed: bool
-    truncated: bool
-    period: float | None = None
-    loop_action: float | None = None
-    curve_tol_check: float = 1e-6
+
+    @cached_property
+    def _loop(self) -> tuple[float | None, float | None]:
+        if not self.closed:
+            return None, None
+        return chart_action(self.observable, self.level, np.column_stack([self.qs, self.ps]))[:2]
+
+    loop_action = property(lambda self: self._loop[0])
+    period = property(lambda self: self._loop[1])
+    truncated = property(lambda self: not self.closed)
 
     @property
     def total_arclength(self) -> float:
@@ -378,10 +387,6 @@ class FiberCurve:
 
     def point(self, i: int) -> PhasePoint:
         return PhasePoint(float(self.qs[i]), float(self.ps[i]))
-
-    def nearest_index(self, x: PhasePoint) -> int:
-        d2 = (self.qs - x[0]) ** 2 + (self.ps - x[1]) ** 2
-        return int(np.argmin(d2))
 
     def locate(self, x: PhasePoint) -> float:
         """Arclength parameter of the sample polyline point closest to ``x``."""
@@ -394,7 +399,7 @@ class FiberCurve:
     def _closest(self, x: PhasePoint) -> tuple[float, float]:
         """(arclength, squared distance) of the polyline point closest to
         ``x`` on the two segments beside the nearest sample."""
-        i = self.nearest_index(x)
+        i = int(np.argmin((self.qs - x[0]) ** 2 + (self.ps - x[1]) ** 2))
         best_s = float(self.arclength[i])
         best_d2 = (self.qs[i] - x[0]) ** 2 + (self.ps[i] - x[1]) ** 2
         for j0 in (i - 1, i):
@@ -463,13 +468,17 @@ class FiberCurve:
         )
 
     def to_csv(self, path) -> None:
-        """Write one row per sample; a moved fiber has no action or time
-        columns."""
-        columns = {"q": self.qs, "p": self.ps, "arclength": self.arclength,
-                   "action": self.action, "time": self.time}
-        columns = {name: col for name, col in columns.items() if col is not None}
-        data = np.stack(list(columns.values()), axis=1)
-        np.savetxt(path, data, delimiter=",", header=",".join(columns), comments="")
+        """Write one row per sample: q, p, arclength."""
+        data = np.column_stack([self.qs, self.ps, self.arclength])
+        np.savetxt(path, data, delimiter=",", header="q,p,arclength", comments="")
+
+
+def _polyline_fiber(
+    h: Observable, b: float, qs: np.ndarray, ps: np.ndarray, closed: bool
+) -> FiberCurve:
+    """The fiber {H = b} sampled at (qs, ps), with chord-length arclength."""
+    chords = np.hypot(np.diff(qs), np.diff(ps))
+    return FiberCurve(h, b, qs, ps, np.concatenate([[0.0], np.cumsum(chords)]), closed)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +501,25 @@ def project_to_fiber(h: Observable, b: float, x: PhasePoint, tol: float = _PROJ_
         q -= gq * step
         p -= gp * step
     raise SingularFiber(f"projection onto level {b} did not converge from {tuple(x)}")
+
+
+def _newton_onto_level(
+    h: Observable, b: float, q: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The points (q, p) moved onto {H = b} by Newton steps along grad H,
+    all points at once, or None unless every point reaches
+    |H - b| <= _PROJ_TOL max(1, |b|) within _MOVE_STEPS iterations (a
+    residual check, then a step)."""
+    scale = max(1.0, abs(b))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MOVE_STEPS):
+            r = h.value(q, p) - b
+            if np.all(np.abs(r) <= _PROJ_TOL * scale):
+                return q, p
+            gq, gp = h.dq(q, p), h.dp(q, p)
+            step = r / (gq * gq + gp * gp)
+            q, p = q - gq * step, p - gp * step
+    return None
 
 
 def _newton_intersection(
@@ -530,9 +558,15 @@ class IntersectionPoint:
 
 def _trace_direction(
     h: Observable, b: float, x0: PhasePoint, sign: float, opts: TraceOptions,
-    dense: bool = True,
+    verify: bool = False,
 ):
-    """Integrate the arclength-normalized flow from x0; return solver output."""
+    """Integrate the arclength-normalized flow from x0; return the solver
+    chunks and, if the fiber closes, (arclength, state) at the return.
+
+    The state (q, p) is integrated at _TRACE_RTOL with dense output; with
+    ``verify`` (``loop_data``) it also carries the action of p dq and the
+    flow time, at _LOOP_RTOL without dense output.
+    """
     h_dq = h.dq
     h_dp = h.dp
 
@@ -542,10 +576,10 @@ def _trace_direction(
         gp = h_dp(q, p)
         norm = math.hypot(gq, gp)
         if norm < _GRAD_FLOOR:
-            return (0.0, 0.0, 0.0, 0.0)
+            return (0.0,) * len(y)
         vq = sign * gp / norm
         vp = -sign * gq / norm
-        return (vq, vp, p * vq, 1.0 / norm)
+        return (vq, vp, p * vq, 1.0 / norm) if verify else (vq, vp)
 
     def singular(s, y):
         return math.hypot(h_dq(y[0], y[1]), h_dp(y[0], y[1])) - _GRAD_FLOOR
@@ -569,23 +603,22 @@ def _trace_direction(
 
     left_seed.terminal = True
 
-    y0 = [x0[0], x0[1], 0.0, 0.0]
-    sol_a = solve_ivp(
-        rhs,
-        (0.0, opts.max_arclength),
-        y0,
-        method="DOP853",
-        rtol=opts.rtol,
-        atol=opts.atol,
-        events=(singular, box_exit, left_seed),
-        dense_output=dense,
-    )
+    rtol, atol = (_LOOP_RTOL, _LOOP_ATOL) if verify else (_TRACE_RTOL, _TRACE_ATOL)
+
+    def solve(s0, y, events):
+        return solve_ivp(
+            rhs, (s0, opts.max_arclength), y, method="DOP853", rtol=rtol, atol=atol,
+            events=events, dense_output=not verify,
+        )
+
+    y0 = [x0[0], x0[1], 0.0, 0.0] if verify else [x0[0], x0[1]]
+    sol_a = solve(0.0, y0, (singular, box_exit, left_seed))
     if sol_a.t_events[0].size:
         raise SingularFiber(
             f"gradient of {h} vanished while tracing level {b}"
         )
     if sol_a.t_events[1].size or not sol_a.t_events[2].size:
-        return [sol_a], None, v0  # exited box (or stalled) before leaving seed ball
+        return [sol_a], None  # exited box (or stalled) before leaving seed ball
 
     s_start = float(sol_a.t_events[2][0])
     y_start = sol_a.y_events[2][0]
@@ -600,16 +633,7 @@ def _trace_direction(
     closure = None
     s_cur, y_cur = s_start, y_start
     for _ in range(64):
-        sol_b = solve_ivp(
-            rhs,
-            (s_cur, opts.max_arclength),
-            y_cur,
-            method="DOP853",
-            rtol=opts.rtol,
-            atol=opts.atol,
-            events=(singular, box_exit, plane),
-            dense_output=dense,
-        )
+        sol_b = solve(s_cur, y_cur, (singular, box_exit, plane))
         chunks.append(sol_b)
         if sol_b.t_events[0].size:
             raise SingularFiber(f"gradient of {h} vanished while tracing level {b}")
@@ -622,7 +646,7 @@ def _trace_direction(
             s_cur, y_cur = s_ev, y_ev  # distant plane crossing: keep going
             continue
         break  # box exit or ran out of arclength
-    return chunks, closure, v0
+    return chunks, closure
 
 
 def loop_data(
@@ -630,33 +654,57 @@ def loop_data(
 ) -> tuple[float, float]:
     """(loop action, flow period) of a closed fiber, without sampling it.
 
-    The ODE verifier: action and time are extra rows of one DOP853 trace.
-    The engine takes both from ``chart_action`` over a closed polyline
-    (``semiclassics.probe_loop_actions``); the tests hold it to this.
+    The ODE verifier: action and time are extra rows of one DOP853 trace at
+    rtol 1e-12.  The engine takes both from ``chart_action`` over a closed
+    polyline (``FiberCurve.loop_action`` and ``.period``,
+    ``semiclassics.probe_loop_actions``); the tests hold it to this.
     """
     x0 = project_to_fiber(h, b, seed)
     if math.hypot(*h.gradient(x0)) < _GRAD_FLOOR:
         raise SingularFiber(f"gradient vanishes at seed {tuple(x0)}")
-    _, closure, _ = _trace_direction(h, b, x0, +1.0, opts, dense=False)
+    _, closure = _trace_direction(h, b, x0, +1.0, opts, verify=True)
     if closure is None:
         raise SingularFiber(f"fiber of {h} at {b} is not closed inside the box")
     _, y_end = closure
     return float(y_end[2]), float(y_end[3])
 
 
-def _sample_solution(chunks, s_end: float, n: int):
-    if not isinstance(chunks, list):
-        chunks = [chunks]
-    svals = np.linspace(0.0, s_end, n)
-    out = np.empty((4, n))
-    done = np.zeros(n, dtype=bool)
+def _sample_solution(chunks, svals: np.ndarray) -> np.ndarray:
+    """The dense solution of consecutive solver chunks at arclengths svals."""
+    out = np.empty((chunks[0].y.shape[0], svals.size))
+    done = np.zeros(svals.size, dtype=bool)
     for k, sol in enumerate(chunks):
         hi = float(sol.t[-1])
         mask = (~done) & (svals <= hi + 1e-12) if k < len(chunks) - 1 else ~done
         if mask.any():
             out[:, mask] = sol.sol(np.clip(svals[mask], float(sol.t[0]), hi))
         done |= mask
-    return svals, out
+    return out
+
+
+def _open_offsets(n: int, s_fwd: float, s_bwd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arclength offsets of an open fiber's forward and backward samples
+    from the seed, about n in all, shared in proportion to the two reaches."""
+    n_f = max(2, int(n * s_fwd / max(s_fwd + s_bwd, 1e-12)))
+    n_b = max(2, n - n_f)
+    return np.linspace(0.0, s_fwd, n_f), np.linspace(0.0, s_bwd, n_b)
+
+
+def _line_samples(
+    x0: PhasePoint, flow: tuple[float, float], opts: TraceOptions
+) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of the straight fiber through x0 with flow direction ``flow``,
+    clipped to the box |q|, |p| <= opts.domain and to opts.max_arclength
+    on either side of x0, in flow order."""
+    v = np.array(flow) / math.hypot(*flow)
+
+    def reach(d):
+        exits = [(math.copysign(opts.domain, di) - xi) / di for xi, di in zip(x0, d) if di]
+        return min(opts.max_arclength, max(0.0, min(exits)))
+
+    sv_f, sv_b = _open_offsets(opts.n_samples, reach(v), reach(-v))
+    s = np.concatenate([-sv_b[:0:-1], sv_f])
+    return x0[0] + s * v[0], x0[1] + s * v[1]
 
 
 def trace_level_curve(
@@ -664,77 +712,46 @@ def trace_level_curve(
 ) -> FiberCurve:
     """Trace the connected component of {H = b} through ``seed``.
 
-    The seed is first projected onto the level set.  Closed components are
-    detected by return to the start; open components are truncated at the
-    domain box and marked as such.
+    The seed is first projected onto the level set.  A linear observable's
+    fiber is the straight segment through it, in closed form; any other is
+    integrated along the flow at _TRACE_RTOL, sampled evenly in flow
+    arclength, and projected onto the level (``_newton_onto_level``;
+    ``SingularFiber`` if that fails).  Closed components are detected by
+    return to the start; open components are truncated at the domain box.
     """
     x0 = project_to_fiber(h, b, seed)
     gq, gp = h.gradient(x0)
     if math.hypot(gq, gp) < _GRAD_FLOOR:
         raise SingularFiber(f"gradient vanishes at seed {tuple(x0)}")
-    if abs(float(h.value(*x0)) - b) > NEWTON_TOL * max(1.0, abs(b)):
-        raise SingularFiber("seed projection failed to reach the level set")
 
-    fwd, closure, _ = _trace_direction(h, b, x0, +1.0, opts)
-
-    if closure is not None:
-        closure_s = closure[0]
-        n = opts.n_samples
-        svals, y = _sample_solution(fwd, closure_s, n + 1)
-        qs, ps, acts, ts = y
-        # snap the closure point exactly onto the start
-        qs[-1], ps[-1] = x0[0], x0[1]
-        curve = FiberCurve(
-            observable=h,
-            level=b,
-            qs=qs,
-            ps=ps,
-            arclength=svals,
-            action=acts,
-            time=ts,
-            closed=True,
-            truncated=False,
-            period=float(ts[-1]),
-            loop_action=float(acts[-1]),
-        )
+    closed = False
+    if h.is_linear:
+        qs, ps = _line_samples(x0, (gp, -gq), opts)
     else:
-        # open component: also trace backwards, then stitch
-        bwd, _, _ = _trace_direction(h, b, x0, -1.0, opts)
-        s_fwd = float(fwd[-1].t[-1])
-        s_bwd = float(bwd[-1].t[-1])
-        n_f = max(2, int(opts.n_samples * s_fwd / max(s_fwd + s_bwd, 1e-12)))
-        n_b = max(2, opts.n_samples - n_f)
-        sv_f, y_f = _sample_solution(fwd, s_fwd, n_f)
-        sv_b, y_b = _sample_solution(bwd, s_bwd, n_b)
-        # backward samples describe the curve prior to the seed; reverse them
-        qs = np.concatenate([y_b[0][::-1][:-1], y_f[0]])
-        ps = np.concatenate([y_b[1][::-1][:-1], y_f[1]])
-        # backward action samples are line integrals along the reversed path,
-        # which is already the forward-cumulative value at points before the
-        # seed; time and arclength flip sign
-        acts = np.concatenate([y_b[2][::-1][:-1], y_f[2]])
-        ts = np.concatenate([-y_b[3][::-1][:-1], y_f[3]])
-        svals = np.concatenate([-sv_b[::-1][:-1], sv_f])
-        svals = svals - svals[0]
-        acts = acts - acts[0]
-        ts = ts - ts[0]
-        curve = FiberCurve(
-            observable=h,
-            level=b,
-            qs=qs,
-            ps=ps,
-            arclength=svals,
-            action=acts,
-            time=ts,
-            closed=False,
-            truncated=True,
-        )
-    resid = np.max(np.abs(h.value(curve.qs, curve.ps) - b))
+        fwd, closure = _trace_direction(h, b, x0, +1.0, opts)
+        closed = closure is not None
+        if closed:
+            # the last sample, back at the start, is the projected first
+            qs, ps = _sample_solution(fwd, np.linspace(0.0, closure[0], opts.n_samples + 1)[:-1])
+        else:
+            bwd, _ = _trace_direction(h, b, x0, -1.0, opts)
+            sv_f, sv_b = _open_offsets(opts.n_samples, float(fwd[-1].t[-1]), float(bwd[-1].t[-1]))
+            # backward samples describe the curve before the seed; reverse them
+            qs, ps = np.concatenate(
+                [_sample_solution(bwd, sv_b)[:, :0:-1], _sample_solution(fwd, sv_f)], axis=1
+            )
+    onto = _newton_onto_level(h, b, qs, ps)
+    if onto is None:
+        raise SingularFiber(f"samples of the fiber {h} = {b} did not project onto the level")
+    qs, ps = onto
+    if closed:
+        qs, ps = np.append(qs, qs[0]), np.append(ps, ps[0])
+    resid = np.max(np.abs(h.value(qs, ps) - b))
     if resid > opts.curve_tol * max(1.0, abs(b)):
         raise SingularFiber(
             f"traced samples drifted off the level set (residual {resid:.3e})"
         )
-    return curve
+    return _polyline_fiber(h, b, qs, ps, closed)
 
 
 def _normal_turns(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -749,8 +766,8 @@ def _normal_turns(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
 def _moved_guide(h: Observable, b: float, guide: np.ndarray) -> np.ndarray | None:
     """The closed polyline ``guide`` moved onto {H = b}, or None.
 
-    Every point takes Newton steps along grad H, all points at once.  The
-    move is accepted only if
+    Every point takes Newton steps along grad H, all points at once
+    (``_newton_onto_level``).  The move is accepted only if
       * every point reaches |H - b| <= 1e-14 max(1, |b|) within
         _MOVE_STEPS Newton iterations (a residual check, then a step);
       * no segment grows by more than _MOVE_STRETCH times the median
@@ -764,19 +781,12 @@ def _moved_guide(h: Observable, b: float, guide: np.ndarray) -> np.ndarray | Non
         Across a separatrix the jump joins branches whose normals point
         apart, so this check rejects that move as well.
     """
-    q, p = guide[:-1, 0].copy(), guide[:-1, 1].copy()
-    scale = max(1.0, abs(b))
+    onto = _newton_onto_level(h, b, guide[:-1, 0], guide[:-1, 1])
+    if onto is None:
+        return None
+    q, p = onto
+    moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MOVE_STEPS):
-            r = h.value(q, p) - b
-            if np.all(np.abs(r) <= _PROJ_TOL * scale):
-                break
-            gq, gp = h.dq(q, p), h.dp(q, p)
-            step = r / (gq * gq + gp * gp)
-            q, p = q - gq * step, p - gp * step
-        else:
-            return None
-        moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
         growth = np.hypot(*np.diff(moved, axis=0).T) / np.hypot(*np.diff(guide, axis=0).T)
         turn = _normal_turns(h.dq(*moved.T), h.dp(*moved.T))
     # comparisons written so that a NaN rejects
@@ -791,26 +801,14 @@ def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
     """The closed fiber ``curve`` moved onto the level b of its observable.
 
     The sample polyline is moved by ``_moved_guide`` and keeps its guard;
-    None when the guard refuses the move or the fiber is open.  The result
-    has chord-length arclength and no action, time, period or loop action.
+    None when the guard refuses the move or the fiber is open.
     """
     if not curve.closed:
         return None
     moved = _moved_guide(curve.observable, b, np.column_stack([curve.qs, curve.ps]))
     if moved is None:
         return None
-    chords = np.hypot(*np.diff(moved, axis=0).T)
-    return FiberCurve(
-        observable=curve.observable,
-        level=b,
-        qs=moved[:, 0].copy(),
-        ps=moved[:, 1].copy(),
-        arclength=np.concatenate([[0.0], np.cumsum(chords)]),
-        action=None,
-        time=None,
-        closed=True,
-        truncated=False,
-    )
+    return _polyline_fiber(curve.observable, b, moved[:, 0].copy(), moved[:, 1].copy(), True)
 
 
 # ---------------------------------------------------------------------------
@@ -1276,7 +1274,7 @@ def action_along_fiber(
     scale = max(1.0, abs(curve.level))
     for pt in (start, end):
         resid = abs(float(curve.observable.value(pt[0], pt[1])) - curve.level)
-        if resid > curve.curve_tol_check * scale:
+        if resid > _ON_FIBER_TOL * scale:
             raise PointNotOnFiber(
                 f"|H(x) - b| = {resid:.3e} at {tuple(pt)} is off the fiber"
             )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from scoverlap import geometry
 from scoverlap.errors import (
     CoarseGuide,
     NoReferencePoint,
@@ -17,6 +18,7 @@ from scoverlap.errors import (
     TangentialIntersection,
 )
 from scoverlap.geometry import (
+    _PROJ_TOL,
     DEDUP_RADIUS,
     TRANS_TOL,
     IntersectionPoint,
@@ -111,9 +113,47 @@ class TestTracing:
     def test_ho_circle(self):
         c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
         assert c.closed and not c.truncated
-        assert c.period == pytest.approx(2 * math.pi, abs=1e-8)
-        assert c.loop_action == pytest.approx(math.pi, abs=1e-8)
+        assert c.period == pytest.approx(2 * math.pi, abs=1e-12)
+        assert c.loop_action == pytest.approx(math.pi, abs=1e-12)
         assert np.max(np.abs(HO.value(c.qs, c.ps) - 0.5)) < 1e-9
+
+    @pytest.mark.parametrize("h, b, seed", [
+        (HO, 0.6, PhasePoint(1.1, 0.0)),
+        (PEND, -0.3, PhasePoint(math.acos(0.3), 0.0)),
+        (Observable.from_coeffs({(2, 0): 2.0, (0, 2): 0.5, (4, 0): 0.3}), 1.7, PhasePoint(0.0, 1.0)),
+    ])
+    def test_closed_trace_samples_sit_on_the_level(self, h, b, seed):
+        c = trace_level_curve(h, b, seed)
+        assert c.closed and (c.qs[-1], c.ps[-1]) == (c.qs[0], c.ps[0])
+        assert np.max(np.abs(h.value(c.qs, c.ps) - b)) <= _PROJ_TOL * max(1.0, abs(b))
+        chords = np.hypot(np.diff(c.qs), np.diff(c.ps))
+        assert np.array_equal(c.arclength, np.concatenate([[0.0], np.cumsum(chords)]))
+        # the loop integrals are taken on first read, not by the trace
+        assert "_loop" not in c.__dict__
+
+    @pytest.mark.parametrize("theta, b", [(0.0, 0.3), (math.pi / 2, -0.4), (0.7, 1.1), (2.9, 0.45)])
+    def test_linear_fiber_is_a_closed_form_segment(self, theta, b, monkeypatch):
+        def no_ode(*args, **kwargs):
+            raise AssertionError("solve_ivp called for a straight fiber")
+
+        monkeypatch.setattr(geometry, "solve_ivp", no_ode)
+        h = Observable.linear(theta)
+        c = trace_level_curve(h, b, PhasePoint(0.2, -0.1))
+        assert not c.closed and c.truncated and c.period is None
+        # on the level to rounding, straight, in flow direction (H_p, -H_q)
+        assert np.max(np.abs(h.value(c.qs, c.ps) - b)) <= 4 * np.finfo(float).eps * 8.0
+        step = np.array([c.qs[-1] - c.qs[0], c.ps[-1] - c.ps[0]]) / c.total_arclength
+        assert step == pytest.approx([math.sin(theta), -math.cos(theta)], abs=1e-14)
+        assert np.all(np.diff(c.arclength) > 0)
+        for i in (0, -1):
+            assert max(abs(c.qs[i]), abs(c.ps[i])) == pytest.approx(8.0, abs=1e-13)
+
+    def test_refused_projection_raises(self, monkeypatch):
+        # one Newton step per sample cannot take the loose trace's samples
+        # onto the level to the projection's 1e-14
+        monkeypatch.setattr(geometry, "_MOVE_STEPS", 1)
+        with pytest.raises(SingularFiber, match="did not project onto the level"):
+            trace_level_curve(HO, 0.6, PhasePoint(1.1, 0.0))
 
     def test_position_fiber_is_open(self):
         c = trace_level_curve(Q, 0.3, PhasePoint(0.3, 0.0))
@@ -517,15 +557,13 @@ class TestParsing:
         path = tmp_path / "fiber.csv"
         c.to_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "q,p,arclength,action,time"
+        assert header == "q,p,arclength"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape[1] == 5
+        assert data.shape[1] == 3
 
     def test_moved_fiber_csv_dump(self, tmp_path):
-        # a moved fiber carries no action or time samples, so its file has
-        # only the polyline columns
+        # a moved fiber writes the same polyline columns as a traced one
         c = moved_fiber(trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0)), 0.6)
-        assert c.action is None and c.time is None
         path = tmp_path / "fiber.csv"
         c.to_csv(path)
         assert path.read_text().splitlines()[0] == "q,p,arclength"

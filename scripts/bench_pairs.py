@@ -5,12 +5,17 @@
         --workload glue:10 --workload density:3 --first-seed 1401 --seconds 30
 
 ``--parent`` is a source tree of the parent commit (a ``git archive`` or
-``git clone`` of it); the change is this checkout.  Both sides run their own
-unchanged ``perfbench/run.py --trace 0`` from their own root, one process at
-a time.  Pair i of a workload gives both sides the seed first-seed + i (each
-workload after the first starts where the previous one's seeds ended), and
-the side that runs first alternates from pair to pair, so a drift of the
-host during the session falls on both sides alike.
+``git clone`` of it).  The change side runs from a copy of this checkout's
+tracked files, as they are in the working tree, made in a new directory
+beside ``--parent`` and removed at the end.  Both sides thus run from copies
+made the same way in the same place: run from the checkout itself, the
+change once read ``ladder`` slower than the same files copied beside the
+parent, at equal work per pass, and the cause was not traced.  Both sides
+run their own unchanged ``perfbench/run.py --trace 0`` from their own root,
+one process at a time.  Pair i of a workload gives both sides the seed
+first-seed + i (each workload after the first starts where the previous
+one's seeds ended), and the side that runs first alternates from pair to
+pair, so a drift of the host during the session falls on both sides alike.
 
 The summary goes to ``BENCH_<label>.json`` in this checkout's root: per
 workload, every pair (seed, and per side ``run_s``, ``setup_s``,
@@ -27,9 +32,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,6 +79,17 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     detail = json.loads(lines[-2])
     row.update(accuracy=detail["accuracy"], warnings=detail["warnings"])
     return row
+
+
+def _copy_tracked(dest: Path) -> None:
+    """Copy this checkout's tracked files, as in the working tree, to dest."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=CHANGE, check=True,
+                            capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        src = CHANGE / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def _spread(values: list[float]) -> dict:
@@ -125,22 +143,25 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     seed = args.first_seed
-    for workload, n_pairs in args.workload:
-        pairs = []
-        for i in range(n_pairs):
-            sides = [("parent", parent), ("change", CHANGE)]
-            if i % 2:
-                sides.reverse()
-            pair = {"seed": seed, "first": sides[0][0]}
-            for side, root in sides:
-                start = time.perf_counter()
-                pair[side] = _run(root, workload, seed, args.seconds)
-                print(f"{workload} pair {i} seed {seed} {side}: "
-                      f"run_s {pair[side]['run_s']:.4f} "
-                      f"({time.perf_counter() - start:.0f} s)", flush=True)
-            pairs.append(pair)
-            seed += 1
-        report["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs)}
+    with tempfile.TemporaryDirectory(prefix="change-", dir=parent.parent) as copy:
+        change = Path(copy)
+        _copy_tracked(change)
+        for workload, n_pairs in args.workload:
+            pairs = []
+            for i in range(n_pairs):
+                sides = [("parent", parent), ("change", change)]
+                if i % 2:
+                    sides.reverse()
+                pair = {"seed": seed, "first": sides[0][0]}
+                for side, root in sides:
+                    start = time.perf_counter()
+                    pair[side] = _run(root, workload, seed, args.seconds)
+                    print(f"{workload} pair {i} seed {seed} {side}: "
+                          f"run_s {pair[side]['run_s']:.4f} "
+                          f"({time.perf_counter() - start:.0f} s)", flush=True)
+                pairs.append(pair)
+                seed += 1
+            report["workloads"][workload] = {"pairs": pairs, "summary": _summary(pairs)}
     out = CHANGE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .monomials import format_monomials, parse_monomials, to_float_table
 
-CURVE_TOL = 1e-9
 TRANS_TOL = 1e-6
 DEDUP_RADIUS = 1e-6
 DOMAIN_BOUND = 8.0
@@ -66,13 +65,12 @@ class PhasePoint(NamedTuple):
 class Observable:
     """A Hamiltonian on the phase plane with analytic partials through order 2.
 
-    ``kind`` is one of ``"polynomial"`` (coefficient table over monomials
-    q^a p^b), ``"pendulum"`` (p^2/2 - cos q), or ``"sum"`` of parts.
+    ``kind`` is ``"polynomial"`` (coefficient table over monomials q^a p^b)
+    or ``"pendulum"`` (p^2/2 - cos q).
     """
 
     kind: str
     coeffs: tuple[tuple[tuple[int, int], float], ...] = ()
-    parts: tuple["Observable", ...] = ()
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -116,9 +114,6 @@ class Observable:
         """q cos(theta) + p sin(theta)."""
         return Observable.from_coeffs({(1, 0): math.cos(theta), (0, 1): math.sin(theta)})
 
-    def __add__(self, other: "Observable") -> "Observable":
-        return Observable(kind="sum", parts=(self, other))
-
     # -- evaluation ---------------------------------------------------------
     def _deriv_table(self, dq_order: int, dp_order: int):
         key = ("_tab", dq_order, dp_order)
@@ -146,8 +141,6 @@ class Observable:
             for a, b, c in self._deriv_table(dq_order, dp_order):
                 out += c * q**a * p**b
             return out
-        if self.kind == "sum":
-            return sum(part.deriv(q, p, dq_order, dp_order) for part in self.parts)
         if self.kind == "pendulum":
             key = (dq_order, dp_order)
             if key == (0, 0):
@@ -173,8 +166,6 @@ class Observable:
             for a, b, c in self._deriv_table(dq_order, dp_order):
                 out = out + c * q**a * p**b
             return out
-        if self.kind == "sum":
-            return sum(part._deriv_array(q, p, dq_order, dp_order) for part in self.parts)
         if self.kind == "pendulum":
             key = (dq_order, dp_order)
             zero = np.zeros(np.broadcast(q, p).shape)
@@ -216,12 +207,6 @@ class Observable:
     def coeff_table(self) -> dict[tuple[int, int], float]:
         if self.kind == "polynomial":
             return dict(self.coeffs)
-        if self.kind == "sum":
-            merged: dict[tuple[int, int], float] = {}
-            for part in self.parts:
-                for k, v in part.coeff_table().items():
-                    merged[k] = merged.get(k, 0.0) + v
-            return {k: v for k, v in merged.items() if v != 0.0}
         raise ValueError(f"{self.kind} observable has no coefficient table")
 
     @property
@@ -236,15 +221,6 @@ class Observable:
         """Split H = sum_b c_b(q) p^b into momentum-power slices."""
         if self.kind == "pendulum":
             return {0: lambda qs: -np.cos(qs), 2: lambda qs: 0.5 * np.ones_like(qs)}
-        if self.kind == "sum":
-            out: dict[int, list] = {}
-            for part in self.parts:
-                for b, fn in part.momentum_decomposition().items():
-                    out.setdefault(b, []).append(fn)
-            return {
-                b: (lambda qs, fns=tuple(fns): sum(f(qs) for f in fns))
-                for b, fns in out.items()
-            }
         slices: dict[int, dict[int, float]] = {}
         for (a, b), c in self.coeffs:
             slices.setdefault(b, {})[a] = c
@@ -347,7 +323,6 @@ class TraceOptions:
     domain: float = DOMAIN_BOUND
     n_samples: int = 600
     max_arclength: float = 300.0
-    curve_tol: float = CURVE_TOL
 
 
 @dataclass(frozen=True)
@@ -423,12 +398,34 @@ class FiberCurve:
                 )
         return best_s, best_d2
 
+    def arc(
+        self, a: PhasePoint, b: PhasePoint, s_a: float, s_b: float
+    ) -> tuple[np.ndarray, int]:
+        """(guide, sign) of the fiber arc from the on-fiber point a, at
+        arclength parameter ``s_a``, to b at ``s_b``: the only place an arc is
+        oriented.
+
+        The guide runs in flow direction, with the exact points a and b as its
+        ends; ``sign`` is +1 when a -> b runs with the flow and -1 when it runs
+        against it, so a signed integral (or tangency count) from a to b is
+        ``sign`` times the one over the guide.  A closed curve always gives
+        +1: the arc runs forward from a, wrapping, and is the whole loop when
+        s_a == s_b.  An open curve's guide runs from the earlier parameter to
+        the later one.
+        """
+        forward = self.closed or s_b >= s_a
+        if not forward:
+            a, b, s_a, s_b = b, a, s_b, s_a
+        guide = self.scaffold(s_a, s_b)
+        guide[0], guide[-1] = a, b
+        return guide, 1 if forward else -1
+
     def scaffold(self, s_from: float, s_to: float) -> np.ndarray:
         """Polyline guide points covering the forward arc s_from -> s_to.
 
-        On closed curves the arc wraps; returned points interpolate the sample
-        chain (they guide chart quadrature, exact endpoints are supplied by
-        the caller).
+        On closed curves the arc wraps; on open curves s_from <= s_to.  The
+        returned points interpolate the sample chain (they guide chart
+        quadrature; ``arc`` sets the exact endpoints).
         """
         s = self.arclength
         total = self.total_arclength
@@ -445,15 +442,11 @@ class FiberCurve:
             b = self._interp_point((s_from + span) % total)
             inner = np.stack([self.qs[keep], self.ps[keep]], axis=1)
             return np.vstack([a, inner, b])
-        lo, hi = min(s_from, s_to), max(s_from, s_to)
-        mask = (s > lo + 1e-12) & (s < hi - 1e-12)
+        mask = (s > s_from + 1e-12) & (s < s_to - 1e-12)
         inner = np.stack([self.qs[mask], self.ps[mask]], axis=1)
-        a = np.array(self._interp_point(lo))
-        b = np.array(self._interp_point(hi))
-        pts = np.vstack([a, inner, b])
-        if s_to < s_from:
-            pts = pts[::-1]
-        return pts
+        a = np.array(self._interp_point(s_from))
+        b = np.array(self._interp_point(s_to))
+        return np.vstack([a, inner, b])
 
     def _interp_point(self, sv: float) -> tuple[float, float]:
         s = self.arclength
@@ -746,11 +739,6 @@ def trace_level_curve(
     qs, ps = onto
     if closed:
         qs, ps = np.append(qs, qs[0]), np.append(ps, ps[0])
-    resid = np.max(np.abs(h.value(qs, ps) - b))
-    if resid > opts.curve_tol * max(1.0, abs(b)):
-        raise SingularFiber(
-            f"traced samples drifted off the level set (residual {resid:.3e})"
-        )
     return _polyline_fiber(h, b, qs, ps, closed)
 
 
@@ -1230,34 +1218,6 @@ def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, flo
     return total, time, dtime
 
 
-def arc_action(
-    curve: FiberCurve,
-    level: float,
-    a: PhasePoint,
-    b: PhasePoint,
-    s_a: float,
-    s_b: float,
-) -> tuple[float, float, float]:
-    """p dq integral, flow time and its level derivative (``chart_action``)
-    from a to b along the fiber {H = level}.
-
-    The traced curve provides the homotopy scaffold between its arclength
-    parameters ``s_a`` and ``s_b``; the endpoints are exact points on
-    {H = level}, which may differ from the trace level by a finite
-    difference step.  Closed curves integrate forward (wrapping), open
-    curves signed along the curve, all three values negative when b
-    precedes a.
-    """
-    if curve.closed or s_b >= s_a:
-        guide = curve.scaffold(s_a, s_b)
-        guide[0], guide[-1] = a, b
-        return chart_action(curve.observable, level, guide)
-    guide = curve.scaffold(s_b, s_a)
-    guide[0], guide[-1] = b, a
-    action, time, dtime = chart_action(curve.observable, level, guide)
-    return -action, -time, -dtime
-
-
 def action_along_fiber(
     curve: FiberCurve,
     start: PhasePoint,
@@ -1281,6 +1241,5 @@ def action_along_fiber(
     a = project_to_fiber(curve.observable, curve.level, start)
     bpt = project_to_fiber(curve.observable, curve.level, end)
     gauge = alpha.gauge_value(bpt) - alpha.gauge_value(a)
-    return arc_action(
-        curve, curve.level, a, bpt, curve.locate(a), curve.locate(bpt)
-    )[0] + gauge
+    guide, sign = curve.arc(a, bpt, curve.locate(a), curve.locate(bpt))
+    return sign * chart_action(curve.observable, curve.level, guide)[0] + gauge

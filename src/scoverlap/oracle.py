@@ -17,8 +17,6 @@ from scipy.linalg import circulant
 from .errors import CountMismatch, GridMismatch, OpenFiber, UnsupportedOrdering
 from .geometry import FiberCurve, Observable
 
-HERMITICITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -63,7 +63,6 @@ from .geometry import (
     _moved_guide,
     _newton_intersection,
     _newton_on_lagrangian,
-    arc_action,
     chart_action,
     find_intersections,
     lagrangian_intersections,
@@ -117,35 +116,33 @@ def _tangency_newton(
     return None
 
 
-def _crossing_sign(
-    transverse: Observable, h2: Observable, x: PhasePoint, sigma: float
-) -> int:
-    """Sign of one tangency crossing, traversed with direction ``sigma``
-    relative to the flow of ``h2``.
+def _crossing_sign(transverse: Observable, h2: Observable, x: PhasePoint) -> int:
+    """Sign of one tangency crossing, traversed along the flow of ``h2``.
 
     The tangent line of the fiber rotates through the transverse fibration's
     fiber direction; a clockwise passage counts +1.  In bracket terms the
-    sign is -sigma * sign(d{H1,H2}/ds) * sign(X1 . X2), which for parallel
-    tangents reduces to +1 when the bracket passes from positive to negative
-    along the flow.
+    sign is -sign(d{H1,H2}/ds) * sign(X1 . X2), which for parallel tangents
+    reduces to +1 when the bracket passes from positive to negative along
+    the flow.
     """
     gq, gp = _bracket_gradient(transverse, h2, x)
     x2 = (float(h2.dp(*x)), -float(h2.dq(*x)))
     x1 = (float(transverse.dp(*x)), -float(transverse.dq(*x)))
     dbeta = gq * x2[0] + gp * x2[1]
     dot = x1[0] * x2[0] + x1[1] * x2[1]
-    s = -sigma * math.copysign(1.0, dbeta) * math.copysign(1.0, dot)
-    return int(s)
+    return int(-math.copysign(1.0, dbeta) * math.copysign(1.0, dot))
 
 
 def _maslov_over_guide(
     curve: FiberCurve,
     guide: np.ndarray,
     transverse: Observable,
-    sigma: float,
     trans_tol: float,
     endpoint_check: bool = True,
 ) -> int:
+    """Signed tangency count along ``guide``, a polyline on ``curve`` in flow
+    direction (``FiberCurve.arc``).  Every test below is symmetric under
+    reversal, so the arc traversed against the flow counts minus this."""
     h2, b2 = curve.observable, curve.level
     beta = np.asarray(_bracket_field(transverse, h2, guide[:, 0], guide[:, 1]), float)
     if endpoint_check and (abs(beta[0]) <= trans_tol or abs(beta[-1]) <= trans_tol):
@@ -164,7 +161,7 @@ def _maslov_over_guide(
         tp = _tangency_newton(transverse, h2, b2, mid)
         if tp is None:
             tp = mid
-        total += _crossing_sign(transverse, h2, tp, sigma)
+        total += _crossing_sign(transverse, h2, tp)
     # interior dips of |beta| to ~0 without a sign change: touch points
     mags = np.abs(beta)
     inner = mags[1:-1]
@@ -193,18 +190,12 @@ def maslov_segment(
 
     On closed curves the segment runs forward in flow direction (wrapping);
     on open curves it runs along the curve with the orientation implied by
-    the endpoints.
+    the endpoints (``FiberCurve.arc``).
     """
     a = project_to_fiber(curve.observable, curve.level, start)
     b = project_to_fiber(curve.observable, curve.level, end)
-    s_a, s_b = curve.locate(a), curve.locate(b)
-    if curve.closed or s_b >= s_a:
-        guide = curve.scaffold(s_a, s_b)
-        guide[0], guide[-1] = a, b
-        return _maslov_over_guide(curve, guide, transverse, +1.0, trans_tol)
-    guide = curve.scaffold(s_b, s_a)[::-1].copy()
-    guide[0], guide[-1] = a, b
-    return _maslov_over_guide(curve, guide, transverse, -1.0, trans_tol)
+    guide, sign = curve.arc(a, b, curve.locate(a), curve.locate(b))
+    return sign * _maslov_over_guide(curve, guide, transverse, trans_tol)
 
 
 def maslov_loop_index(curve: FiberCurve, transverse: Observable) -> int:
@@ -212,11 +203,10 @@ def maslov_loop_index(curve: FiberCurve, transverse: Observable) -> int:
     if not curve.closed:
         raise ValueError("loop index requested for an open fiber")
     beta = np.abs(_bracket_field(transverse, curve.observable, curve.qs, curve.ps))
-    s0 = float(curve.arclength[int(np.argmax(beta))])
-    guide = curve.scaffold(s0, s0)
-    return _maslov_over_guide(
-        curve, guide, transverse, +1.0, TRANS_TOL, endpoint_check=False
-    )
+    i = int(np.argmax(beta))
+    s0 = float(curve.arclength[i])
+    guide, _ = curve.arc(curve.point(i), curve.point(i), s0, s0)
+    return _maslov_over_guide(curve, guide, transverse, TRANS_TOL, endpoint_check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +535,10 @@ class _PairGeometry:
             raise SingularFiber("reference continuation failed in stencil")
         x1p = PhasePoint(q1, float(lam.value(q1)))
         x2p = PhasePoint(q2, float(lam.value(q2)))
-        s1 = arc_action(
-            curve1, b1p, x1p, c, curve1.locate(self.x1), curve1.locate(c_anchor)
-        )[0]
-        s2 = arc_action(
-            curve2, b2p, x2p, c, curve2.locate(self.x2), curve2.locate(c_anchor)
-        )[0]
-        return s1 - s2
+        guide1, sign1 = curve1.arc(x1p, c, curve1.locate(self.x1), curve1.locate(c_anchor))
+        guide2, sign2 = curve2.arc(x2p, c, curve2.locate(self.x2), curve2.locate(c_anchor))
+        s1 = sign1 * chart_action(h1, b1p, guide1)[0]
+        return s1 - sign2 * chart_action(h2, b2p, guide2)[0]
 
     def cross_hessian(self, c_anchor: PhasePoint, step: float) -> float:
         """|d^2 S / db1 db2| by a Richardson-extrapolated cross stencil."""
@@ -624,7 +611,6 @@ def overlap(
     alpha: PrequantumForm = PrequantumForm(),
     h: float = 0.1,
     domain: float = DOMAIN_BOUND,
-    trace_opts: TraceOptions | None = None,
     curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
     weight_fn: Callable[[PhasePoint], complex] | None = None,
 ) -> SemiclassicalAmplitude:
@@ -640,10 +626,12 @@ def overlap(
     term ``_reference_slope`` at x_i (Hamilton-Jacobi).  Its curvatures
     d^2 S/db1^2 = dT1/db1 - de1/db1 and d^2 S/db2^2 = de2/db2 - dT2/db2
     differentiate them once more: dT_i/db_i is the arc's level derivative
-    from ``arc_action`` (both ends moving normal to the fiber) plus the flow
+    from ``chart_action`` (both ends moving normal to the fiber) plus the flow
     time of each end's actual motion along it, tau(c) - tau(x_i)
     (``_crossing_tau``, ``_reference_tau``), and de_i/db_i is the chain rule
-    on ``_reference_slope`` along lam (``_reference_curvature``).
+    on ``_reference_slope`` along lam (``_reference_curvature``).  Each term
+    builds one guide per fiber (``FiberCurve.arc``); fiber 2's carries both
+    S2 and the turning-point count.
 
     Each fiber is one component, traced through the first intersection
     unless ``curves`` supplies it; an intersection farther than
@@ -651,7 +639,7 @@ def overlap(
     """
     h1, b1 = sys1
     h2, b2 = sys2
-    opts = trace_opts or TraceOptions(domain=domain)
+    opts = TraceOptions(domain=domain)
     convention = {"constant": 1.0, "power_of_2pi_h": -0.5}
 
     points = find_intersections(h1, b1, h2, b2, domain=domain)
@@ -703,12 +691,14 @@ def overlap(
     terms = []
     for ip in points:
         c = ip.point
-        s1, t1, dt1 = arc_action(curve1, curve1.level, x1, c, s_x1, curve1.locate(c))
-        s2, t2, dt2 = arc_action(curve2, curve2.level, x2, c, s_x2, curve2.locate(c))
+        guide1, sign1 = curve1.arc(x1, c, s_x1, curve1.locate(c))
+        guide2, sign2 = curve2.arc(x2, c, s_x2, curve2.locate(c))
+        s1, t1, dt1 = (sign1 * v for v in chart_action(h1, b1, guide1))
+        s2, t2, dt2 = (sign2 * v for v in chart_action(h2, b2, guide2))
         dt1 = dt1 + _crossing_tau(h1, h2, c) - tau_x1
         dt2 = dt2 + _crossing_tau(h2, h1, c) - tau_x2
         action = s1 - s2 + gauge
-        mu = maslov_segment(curve2, x2, c, h1)
+        mu = sign2 * _maslov_over_guide(curve2, guide2, h1, TRANS_TOL)
         hess = 1.0 / abs(ip.bracket)
         w = 1.0 + 0.0j if weight_fn is None else complex(weight_fn(c))
         contribution = _contribution(w * math.sqrt(abs(hess)), action, mu, h)
@@ -749,21 +739,19 @@ def complementary_overlap_term(
     curve2 = amp.curve2
     if curve2 is None or not curve2.closed:
         raise ValueError("complementary arc needs a closed second fiber")
-    x2 = project_to_fiber(curve2.observable, curve2.level, amp.x2)
-    c = project_to_fiber(curve2.observable, curve2.level, t.point)
+    h2, b2 = curve2.observable, curve2.level
+    x2 = project_to_fiber(h2, b2, amp.x2)
+    c = project_to_fiber(h2, b2, t.point)
     s_x2, s_c = curve2.locate(x2), curve2.locate(c)
-    # reverse-direction arc from x2 to c = reversed forward arc c -> x2
-    guide = curve2.scaffold(s_c, s_x2)
-    guide[0], guide[-1] = c, x2
-    s_back, t_back, dt_back = chart_action(curve2.observable, curve2.level, guide)
-    guide_rev = guide[::-1].copy()
-    mu_complement = _maslov_over_guide(
-        curve2, guide_rev, transverse, -1.0, TRANS_TOL
-    )
+    forward, _ = curve2.arc(x2, c, s_x2, s_c)
+    # the arc from x2 to c against the flow is the forward arc c -> x2, reversed
+    back, _ = curve2.arc(c, x2, s_c, s_x2)
+    s_back, t_back, dt_back = chart_action(h2, b2, back)
+    mu_complement = -_maslov_over_guide(curve2, back, transverse, TRANS_TOL)
     # S = S1 - S2 and the gauge part change only through S2, dS/db2 = e2 - T2
     # only through T2 (by the period in all: dA/db = T), and d^2 S/db2^2 only
     # through dT2/db2 (by the period's slope)
-    s2_forward, t2_forward, dt2_forward = arc_action(curve2, curve2.level, x2, c, s_x2, s_c)
+    s2_forward, t2_forward, dt2_forward = chart_action(h2, b2, forward)
     action = t.action + s2_forward + s_back
     slopes = (t.slopes[0], t.slopes[1] + t2_forward + t_back)
     curvatures = (t.curvatures[0], t.curvatures[1] + dt2_forward + dt_back)
@@ -835,26 +823,16 @@ def transition_probability(
     domain: float = DOMAIN_BOUND,
     curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
 ) -> float:
-    """Squared-modulus transition density: the double intersection sum with
-    relative actions and turning-point indices, prefactor 1/(2 pi h).
+    """Squared-modulus transition density |overlap|^2: the double sum over
+    intersection pairs, with relative actions and turning-point indices and
+    prefactor 1/(2 pi h), is |sum of contributions|^2 / (2 pi h).
 
     ``curves`` passes pre-traced fibers on to ``overlap``, so a caller that
     sweeps positions at one level traces that fiber once."""
     if lam is None:
         lam = pick_reference_lagrangian(sys1, sys2, domain)
     amp = overlap(sys1, sys2, lam, alpha, h, domain=domain, curves=curves)
-    total = 0.0 + 0.0j
-    for ta in amp.terms:
-        for tc in amp.terms:
-            rel_action = tc.action - ta.action
-            rel_maslov = tc.maslov - ta.maslov
-            mag = math.sqrt(abs(tc.hessian_det * ta.hessian_det))
-            total += (
-                (tc.weight * ta.weight.conjugate())
-                * mag
-                * cmath.exp(1j * rel_action / h + 1j * math.pi * rel_maslov / 2)
-            )
-    return float(total.real) / (2 * math.pi * h)
+    return abs(amp.value) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,58 @@ class TestActions:
             action_along_fiber(c, PhasePoint(0.5, 0.5), PhasePoint(1.0, 0.0))
 
 
+PARABOLA = Observable.from_coeffs({(0, 2): 0.5, (1, 0): -1.0})  # p^2/2 - q
+
+
+def parabola_point(b, p):
+    return PhasePoint(0.5 * p * p - b, p)
+
+
+class TestFiberArc:
+    def test_closed_arcs_run_with_the_flow_and_sum_to_the_period(self):
+        c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
+        a, b = PhasePoint(0.6, 0.8), PhasePoint(-0.8, -0.6)
+        s_a, s_b = c.locate(a), c.locate(b)
+        ab, sign_ab = c.arc(a, b, s_a, s_b)
+        ba, sign_ba = c.arc(b, a, s_b, s_a)
+        assert sign_ab == sign_ba == 1
+        assert tuple(ab[0]) == a and tuple(ab[-1]) == b
+        assert tuple(ba[0]) == b and tuple(ba[-1]) == a
+        t_ab, t_ba = chart_action(HO, 0.5, ab)[1], chart_action(HO, 0.5, ba)[1]
+        # on the unit circle the flow turns clockwise at unit angular speed
+        assert t_ab == pytest.approx(math.atan2(0.8, 0.6) - math.atan2(-0.6, -0.8), abs=1e-12)
+        assert t_ab + t_ba == pytest.approx(c.period, abs=1e-12)
+
+    def test_closed_arc_from_a_point_to_itself_is_the_loop(self):
+        c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
+        a = PhasePoint(0.6, 0.8)
+        guide, sign = c.arc(a, a, c.locate(a), c.locate(a))
+        assert sign == 1
+        action, time, _ = chart_action(HO, 0.5, guide)
+        assert action == pytest.approx(c.loop_action, abs=1e-12)
+        assert time == pytest.approx(c.period, abs=1e-12)
+
+    def test_open_arc_against_the_flow_is_the_reversed_forward_guide(self):
+        b = 0.3
+        c = trace_level_curve(PARABOLA, b, parabola_point(b, 0.0))
+        a, d = parabola_point(b, -0.5), parabola_point(b, 0.8)
+        forward, sign_f = c.arc(a, d, c.locate(a), c.locate(d))
+        backward, sign_b = c.arc(d, a, c.locate(d), c.locate(a))
+        # the flow (H_p, -H_q) = (p, 1) runs towards larger p
+        assert (sign_f, sign_b) == (1, -1)
+        assert np.array_equal(forward, backward)
+        assert tuple(forward[0]) == a and tuple(forward[-1]) == d
+
+    def test_open_action_is_antisymmetric(self):
+        # p dq = p^2 dp along q = p^2/2 - b
+        b = 0.3
+        c = trace_level_curve(PARABOLA, b, parabola_point(b, 0.0))
+        a, d = parabola_point(b, -0.5), parabola_point(b, 0.8)
+        forward = action_along_fiber(c, a, d)
+        assert forward == pytest.approx((0.8**3 + 0.5**3) / 3, abs=1e-13)
+        assert action_along_fiber(c, d, a) == -forward
+
+
 def circle_arc(b, theta_from, sweep, n=40, wobble=0.0):
     """Guide along the oscillator fiber H = b in flow (clockwise) direction;
     interior points are pushed off the fiber radially by ``wobble``."""

@@ -123,6 +123,15 @@ class TestMaslov:
         loop = maslov_loop_index(c, Q)
         assert maslov_segment(c, a, d, Q) + maslov_segment(c, d, a, Q) == loop == 2
 
+    def test_open_segment_against_the_flow_counts_minus(self):
+        # on q = p^2/2 - b the bracket {Q, H} = p changes sign once, at p = 0;
+        # the flow runs towards larger p
+        b = 0.3
+        parabola = Observable.from_coeffs({(0, 2): 0.5, (1, 0): -1.0})
+        c = trace_level_curve(parabola, b, PhasePoint(-b, 0.0))
+        a, d = PhasePoint(0.125 - b, -0.5), PhasePoint(0.32 - b, 0.8)
+        assert maslov_segment(c, a, d, Q) == -maslov_segment(c, d, a, Q) == 1
+
     def test_tangency_at_endpoint_rejected(self):
         b2 = 0.5
         c = trace_level_curve(HO, b2, PhasePoint(1.0, 0.0))
@@ -538,7 +547,7 @@ class TestOverlap:
         qs = np.sqrt(1.0 - ps * ps)
         guide = np.stack([np.concatenate([[-qs[0], -qs[1]], qs[2:]]), ps], axis=1)
         with pytest.warns(DoubleRoot):
-            count = _maslov_over_guide(curve, guide, Q, +1.0, 1e-6)
+            count = _maslov_over_guide(curve, guide, Q, 1e-6)
         assert count == 0
 
     def test_term_dump_fields(self):

@@ -291,17 +291,23 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
     probes = probe_loop_actions(h_obs2, (cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2)))
     errs = []
     for h in cfg.hs:
-        es = eigensystem(build_weyl_operator(h_obs2, grid, h))
         solved: dict[int, BSLevel] = {}
-        fibers: dict[int, tuple[float, FiberCurve]] = {}
-        case_errs = []
+        nearest = []
         for target in b2_targets:
             # only the two levels bracketing the target are solved
             bracket = probes.bracket(h, target)
             for n in bracket:
                 if n not in solved:
                     solved[n] = probes.level(h, n)
-            level = nearest_level([solved[n] for n in bracket], target)
+            nearest.append(nearest_level([solved[n] for n in bracket], target))
+        # keep the eigenvalues up to one level spacing above the top solved
+        # level, as _run_spectrum does
+        top = solved[max(solved)] if solved else None
+        cutoff = None if top is None else top.b + 2 * math.pi * h / top.period
+        es = eigensystem(build_weyl_operator(h_obs2, grid, h), retain_below=cutoff)
+        fibers: dict[int, tuple[float, FiberCurve]] = {}
+        case_errs = []
+        for level in nearest:
             if level.n not in fibers:
                 # positions are fractions of the level's p = 0 turning radius;
                 # the fiber is traced once and shared by every position

@@ -137,9 +137,16 @@ class Observable:
         if isinstance(q, np.ndarray) or isinstance(p, np.ndarray):
             return self._deriv_array(q, p, dq_order, dp_order)
         if self.kind == "polynomial":
+            # each term is (c * q**a) * p**b with a power-0 factor left out:
+            # x**0 is exactly 1 for every x, NaN and inf included, and x * 1
+            # is x, so the sum is the same to the bit
             out = 0.0
             for a, b, c in self._deriv_table(dq_order, dp_order):
-                out += c * q**a * p**b
+                if a:
+                    c = c * q**a
+                if b:
+                    c = c * p**b
+                out += c
             return out
         if self.kind == "pendulum":
             key = (dq_order, dp_order)
@@ -164,7 +171,12 @@ class Observable:
         if self.kind == "polynomial":
             out = np.zeros(np.broadcast(q, p).shape)
             for a, b, c in self._deriv_table(dq_order, dp_order):
-                out = out + c * q**a * p**b
+                # as in ``deriv``: no power-0 factor, the same bits
+                if a:
+                    c = c * q**a
+                if b:
+                    c = c * p**b
+                out = out + c
             return out
         if self.kind == "pendulum":
             key = (dq_order, dp_order)
@@ -905,22 +917,28 @@ def _newton_on_lagrangian(
     return None
 
 
+def _graph_hits(qs: np.ndarray, phi: np.ndarray) -> list[float]:
+    """Starting q for each place a polyline meets a graph, phi = p - lam(q)
+    at its samples: per segment in order, the segment's first sample when
+    it lies on the graph, else the linear crossing of a sign change; then
+    the last sample when it lies on the graph."""
+    a, bb = phi[:-1], phi[1:]
+    seg = np.nonzero((a == 0.0) | (a * bb < 0.0))[0]
+    hits = qs[seg]
+    cross = a[seg] != 0.0
+    i = seg[cross]
+    hits[cross] += a[i] / (a[i] - bb[i]) * (qs[i + 1] - qs[i])
+    hits = hits.tolist()
+    if phi[-1] == 0.0:
+        hits.append(float(qs[-1]))
+    return hits
+
+
 def lagrangian_intersections(
     curve: FiberCurve, lam: ReferenceLagrangian, trans_tol: float = TRANS_TOL
 ) -> list[PhasePoint]:
     """Transversal intersections of a traced fiber with the graph p = lam(q)."""
-    phi = curve.ps - np.asarray(lam.value(curve.qs))
-    hits: list[float] = []
-    for i in range(len(phi) - 1):
-        a, bb = phi[i], phi[i + 1]
-        if a == 0.0:
-            hits.append(float(curve.qs[i]))
-        elif a * bb < 0.0:
-            t = a / (a - bb)
-            hits.append(float(curve.qs[i] + t * (curve.qs[i + 1] - curve.qs[i])))
-    if phi[-1] == 0.0:
-        hits.append(float(curve.qs[-1]))
-
+    hits = _graph_hits(curve.qs, curve.ps - np.asarray(lam.value(curve.qs)))
     found: list[PhasePoint] = []
     h, b = curve.observable, curve.level
     for qg in hits:

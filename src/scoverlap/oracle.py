@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import circulant
+from scipy.linalg import circulant, eigh
 
 from .errors import CountMismatch, GridMismatch, OpenFiber, UnsupportedOrdering
 from .geometry import FiberCurve, Observable
@@ -160,7 +160,6 @@ class Eigensystem:
     states: np.ndarray  # columns, Delta-q normalized
     grid: GridSpec
     h: float
-    operator_norm: float
 
     @property
     def count(self) -> int:
@@ -207,28 +206,33 @@ def eigensystem(
     """Eigendecomposition, keeping states below the box-contamination cutoff.
 
     The default cutoff is H(half_width, 0)/2; pass ``retain_below`` to
-    override (e.g. on a natural compact domain there is no contamination).
+    override (e.g. the top level a caller compares against plus one level
+    spacing, or a natural compact domain with no contamination).  When no
+    eigenvalue lies below the cutoff, the lowest 8 states are kept.
 
     A real operator on an even grid that commutes exactly (bit for bit)
     with the reflection k -> n - k, i.e. q -> -q, is diagonalized through
     its even and odd parity blocks, about a quarter of the dense work; its
-    states then have definite parity.  Any other operator takes one dense
-    ``eigh``.
+    states then have definite parity.  Any other operator is diagonalized
+    whole.  A ``retain_below`` under the default cutoff asks for few states,
+    so each block (or the whole operator) takes LAPACK's ``evr`` solve of
+    only the eigenpairs below it; at the default cutoff the kept share is
+    large enough that the full ``np.linalg.eigh`` is faster, and it runs
+    unchanged.
     """
     a = gq.operator
+    default = float(gq.observable.value(gq.grid.half_width, 0.0)) / 2.0
+    cutoff = default if retain_below is None else retain_below
+    subset = cutoff if cutoff < default else None
     if _reflection_even(a):
-        evals, columns = _parity_eigh(a)
+        evals, columns = _parity_eigh(a, subset)
     else:
-        evals, vecs = np.linalg.eigh(a)
+        ((evals, vecs),) = _block_eigh([a], subset)
 
         def columns(keep: np.ndarray) -> np.ndarray:
             return vecs[:, keep]
 
-    if retain_below is None:
-        retain_below = float(
-            gq.observable.value(gq.grid.half_width, 0.0)
-        ) / 2.0
-    keep = evals < retain_below
+    keep = evals < cutoff
     if not np.any(keep):
         keep = np.zeros_like(evals, dtype=bool)
         keep[: min(8, len(evals))] = True
@@ -239,8 +243,30 @@ def eigensystem(
         states=states,
         grid=gq.grid,
         h=gq.h,
-        operator_norm=float(np.max(np.abs(a))),
     )
+
+
+def _block_eigh(blocks: list[np.ndarray], cutoff: float | None):
+    """(eigenvalues, eigenvectors) of each Hermitian block.
+
+    With no ``cutoff``, every eigenpair from the dense ``np.linalg.eigh``.
+    Otherwise only the eigenpairs at or below ``cutoff``; when no block has
+    an eigenvalue strictly below it, the lowest min(8, size) of each block,
+    which hold the lowest 8 overall.
+    """
+    if cutoff is None:
+        return [np.linalg.eigh(block) for block in blocks]
+    if cutoff > -np.inf:
+        pairs = [
+            eigh(block, subset_by_value=(-np.inf, cutoff), driver="evr")
+            for block in blocks
+        ]
+        if any(np.any(w < cutoff) for w, _ in pairs):
+            return pairs
+    return [
+        eigh(block, subset_by_index=(0, min(8, len(block)) - 1), driver="evr")
+        for block in blocks
+    ]
 
 
 def _reflection_even(a: np.ndarray) -> bool:
@@ -256,15 +282,16 @@ def _reflection_even(a: np.ndarray) -> bool:
     )
 
 
-def _parity_eigh(a: np.ndarray):
+def _parity_eigh(a: np.ndarray, cutoff: float | None):
     """Spectrum of a reflection-even operator from its two parity blocks.
 
     The even basis is e_0, (e_k + e_{n-k})/sqrt2 for k = 1..m-1, e_m with
     m = n/2; the odd basis is (e_k - e_{n-k})/sqrt2.  Both blocks are read
-    off A's entries.  Returns the merged eigenvalues in ascending order and
-    a function ``columns(keep)`` that writes only the eigenvectors selected
-    by the boolean ``keep`` (over the merged order) into a new array of
-    unit-norm grid-basis columns.
+    off A's entries and solved by ``_block_eigh`` with ``cutoff``, so each
+    may return fewer than all its eigenpairs.  Returns the merged
+    eigenvalues in ascending order and a function ``columns(keep)`` that
+    writes only the eigenvectors selected by the boolean ``keep`` (over the
+    merged order) into a new array of unit-norm grid-basis columns.
     """
     n = a.shape[0]
     m = n // 2
@@ -275,14 +302,16 @@ def _parity_eigh(a: np.ndarray):
     even[m, 1:m] = even[1:m, m] = np.sqrt(2.0) * a[m, 1:m]
     even[0, 0], even[m, m] = a[0, 0], a[m, m]
     even[0, m] = even[m, 0] = a[0, m]
-    ev_even, vec_even = np.linalg.eigh(even)
-    ev_odd, vec_odd = np.linalg.eigh(a[1:m, 1:m] - mirror)
+    (ev_even, vec_even), (ev_odd, vec_odd) = _block_eigh(
+        [even, a[1:m, 1:m] - mirror], cutoff
+    )
     evals = np.concatenate((ev_even, ev_odd))
     order = np.argsort(evals, kind="stable")
+    n_even = ev_even.size
 
     def columns(keep: np.ndarray) -> np.ndarray:
         picked = order[keep]
-        is_even = picked <= m
+        is_even = picked < n_even
         out = np.empty((n, picked.size))
         cols = np.nonzero(is_even)[0]
         v = vec_even[:, picked[is_even]]
@@ -292,7 +321,7 @@ def _parity_eigh(a: np.ndarray):
         out[:m:-1, cols] = out[1:m, cols]
         cols = np.nonzero(~is_even)[0]
         out[0, cols] = out[m, cols] = 0.0
-        out[1:m, cols] = vec_odd[:, picked[~is_even] - (m + 1)] / np.sqrt(2.0)
+        out[1:m, cols] = vec_odd[:, picked[~is_even] - n_even] / np.sqrt(2.0)
         out[:m:-1, cols] = -out[1:m, cols]
         return out
 

@@ -598,6 +598,127 @@ class TestReferencePoints:
             reference_point(c, ReferenceLagrangian.flat())
 
 
+def _monomial_sum(obs, q, p, dq_order, dp_order):
+    """The plain sum of c q^a p^b over the derivative's table, power-0
+    factors included, from a zero start: the reference for ``deriv``."""
+    table = obs._deriv_table(dq_order, dp_order)
+    if isinstance(q, np.ndarray) or isinstance(p, np.ndarray):
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        out = np.zeros(np.broadcast(q, p).shape)
+        for a, b, c in table:
+            out = out + c * q**a * p**b
+        return out
+    out = 0.0
+    for a, b, c in table:
+        out += c * q**a * p**b
+    return out
+
+
+def _loop_hits(qs, phi):
+    """The segment-by-segment walk: the reference for ``_graph_hits``."""
+    hits = []
+    for i in range(len(phi) - 1):
+        a, bb = phi[i], phi[i + 1]
+        if a == 0.0:
+            hits.append(float(qs[i]))
+        elif a * bb < 0.0:
+            t = a / (a - bb)
+            hits.append(float(qs[i] + t * (qs[i + 1] - qs[i])))
+    if phi[-1] == 0.0:
+        hits.append(float(qs[-1]))
+    return hits
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(x, y, equal_nan=True)
+        and np.array_equal(np.signbit(x), np.signbit(y))
+    )
+
+
+class TestKernels:
+    @given(
+        monomials=st.sets(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=6
+        ),
+        order=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        specials=st.lists(
+            st.tuples(
+                st.integers(0, 11), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+            ),
+            max_size=4,
+        ),
+        shape=st.sampled_from(["vector", "grid", "scalar", "q-only grid"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_deriv_matches_the_plain_monomial_sum(
+        self, monomials, order, seed, sizes, specials, shape
+    ):
+        # generic coefficients and points from the seed; -0.0, NaN and inf
+        # put in at drawn places
+        rng = np.random.default_rng(seed)
+        if shape == "q-only grid":
+            monomials = {(a, 0) for a, _ in monomials}
+        obs = Observable.from_coeffs(
+            {k: rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0) for k in sorted(monomials)}
+        )
+        points = rng.uniform(-50.0, 50.0, sum(sizes))
+        for i, x in specials:
+            points[i % len(points)] = x
+        q, p = points[: sizes[0]], points[sizes[0]:]
+        if shape == "vector":
+            p = np.resize(p, sizes[0])
+        elif shape == "scalar":
+            q, p = float(q[0]), float(p[0])
+        else:
+            q, p = q[:, None], p[None, :]
+        with np.errstate(all="ignore"):
+            got = obs.deriv(q, p, *order)
+            ref = _monomial_sum(obs, q, p, *order)
+        assert type(got) is type(ref)
+        assert _same_bits(got, ref)
+
+    @given(
+        phi=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_graph_hits_match_the_segment_walk(self, phi):
+        phi = np.array(phi)
+        qs = np.cumsum(np.linspace(0.1, 0.3, len(phi))) - 1.0
+        assert geometry._graph_hits(qs, phi) == _loop_hits(qs, phi)
+
+    @pytest.mark.parametrize(
+        "obs, b, start, lam",
+        [
+            (HO, 0.5, PhasePoint(1.0, 0.0), ReferenceLagrangian.flat()),
+            (HO, 0.5, PhasePoint(1.0, 0.0), ReferenceLagrangian.line(0.5, 0.2)),
+            (PEND, 0.3, PhasePoint(1.2, 0.0), ReferenceLagrangian.flat()),
+            (P, 0.4, PhasePoint(0.0, 0.4), ReferenceLagrangian.line(1.0)),
+        ],
+        ids=["ho-flat", "ho-line", "pendulum-flat", "momentum-diagonal"],
+    )
+    def test_lagrangian_intersections_match_the_segment_walk(
+        self, monkeypatch, obs, b, start, lam
+    ):
+        c = trace_level_curve(obs, b, start)
+        phi = c.ps - np.asarray(lam.value(c.qs))
+        if lam == ReferenceLagrangian.flat():
+            # the traced curve starts on p = 0: a sample on the Lagrangian
+            assert np.any(phi == 0.0)
+        assert geometry._graph_hits(c.qs, phi) == _loop_hits(c.qs, phi)
+        got = geometry.lagrangian_intersections(c, lam)
+        monkeypatch.setattr(geometry, "_graph_hits", _loop_hits)
+        assert got == geometry.lagrangian_intersections(c, lam)
+
+
 class TestParsing:
     def test_observable_from_text(self):
         obs = Observable.from_text("1/2 q^2 + 1/2 p^2")

@@ -49,7 +49,7 @@ class TestOperatorBuild:
     def test_residuals_and_orthonormality(self, ho_system):
         gq, es = ho_system
         for n in (0, 3, 17):
-            assert es.residual(gq.operator, n) < 1e-8 * es.operator_norm
+            assert es.residual(gq.operator, n) < 1e-8 * np.max(np.abs(gq.operator))
         m = 40
         gram = es.states[:, :m].conj().T @ es.states[:, :m] * GRID.dq
         assert np.max(np.abs(gram - np.eye(m))) < 1e-10
@@ -145,13 +145,26 @@ class TestOperatorDtype:
         assert np.max(np.abs(es.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _default_cutoff(gq):
+    return float(gq.observable.value(gq.grid.half_width, 0.0)) / 2.0
+
+
 def _dense_eigensystem(gq, retain_below=None):
-    """The plain dense solve: one eigh, then the retained columns over sqrt(dq)."""
+    """The plain dense solve: one eigh, then the retained columns over sqrt(dq)
+    (the lowest 8 when none is below the cutoff)."""
     evals, vecs = np.linalg.eigh(gq.operator)
     if retain_below is None:
-        retain_below = float(gq.observable.value(gq.grid.half_width, 0.0)) / 2.0
+        retain_below = _default_cutoff(gq)
     keep = evals < retain_below
+    if not np.any(keep):
+        keep[:8] = True
     return evals[keep], vecs[:, keep] / np.sqrt(gq.grid.dq)
+
+
+def _caller_cutoff(gq, kept):
+    """A cutoff halfway between the dense solve's kept-th and next eigenvalue."""
+    w = np.linalg.eigvalsh(gq.operator)
+    return 0.5 * (w[kept - 1] + w[kept])
 
 
 def _random_even_system(seed, parity, grid=None):
@@ -168,28 +181,61 @@ def _random_even_system(seed, parity, grid=None):
     return obs, GridSpec(*(grid or (half_width, points)))
 
 
+# cutoffs: "default" is the oracle's own (0.9 above it for the pendulum),
+# "keep" a caller cutoff that keeps a seeded 5..30 states (5..16 on the
+# pendulum, below its near-degenerate rotation pairs), "ground" one below the
+# ground state, "at" the default passed explicitly and "above" twice it
 PARITY_CASES = (
-    [("quartic", seed, parity, None) for seed in range(6) for parity in (0, 1)]
-    + [("quartic", seed, 0, grid) for seed, grid in enumerate([(7.3, 300), (5.5, 76), (6.1, 128)])]
-    + [("pendulum", 128, 0, None), ("pendulum", 127, 1, None)]
+    [("quartic", seed, parity, None, "default") for seed in range(6) for parity in (0, 1)]
+    + [
+        ("quartic", seed, 0, grid, "default")
+        for seed, grid in enumerate([(7.3, 300), (5.5, 76), (6.1, 128)])
+    ]
+    + [("pendulum", 128, 0, None, "default"), ("pendulum", 127, 1, None, "default")]
+    + [("quartic", seed, parity, None, "keep") for seed in range(6) for parity in (0, 1)]
+    + [("quartic", 0, 0, (7.3, 300), "keep")]
+    + [("pendulum", 128, 0, None, "keep"), ("pendulum", 127, 1, None, "keep")]
+    + [("quartic", seed, parity, None, cut)
+       for cut in ("ground", "at", "above") for seed in (0, 1) for parity in (0, 1)]
 )
 PARITY_IDS = [
-    f"{kind}-{seed}-{parity}" + (f"-{grid[0]}x{grid[1]}" if grid else "")
-    for kind, seed, parity, grid in PARITY_CASES
+    f"{kind}-{seed}-{parity}"
+    + (f"-{grid[0]}x{grid[1]}" if grid else "")
+    + ("" if cut == "default" else f"-{cut}")
+    for kind, seed, parity, grid, cut in PARITY_CASES
 ]
 
 
 class TestParityBlocks:
-    @pytest.mark.parametrize("kind, seed, parity, grid", PARITY_CASES, ids=PARITY_IDS)
-    def test_matches_dense_eigh(self, kind, seed, parity, grid):
+    @pytest.mark.parametrize("kind, seed, parity, grid, cut", PARITY_CASES, ids=PARITY_IDS)
+    def test_matches_dense_eigh(self, kind, seed, parity, grid, cut):
         if kind == "quartic":
             (obs, grid), retain = _random_even_system(seed, parity, grid), None
         else:
             obs, grid, retain = PEND, GridSpec(math.pi, seed), 0.9
         gq = build_weyl_operator(obs, grid, 0.1)
+        default = _default_cutoff(gq)
+        kept = int(np.random.default_rng(seed).integers(5, 31 if kind == "quartic" else 17))
+        retain = {
+            "default": retain,
+            "keep": _caller_cutoff(gq, kept),
+            "ground": np.linalg.eigvalsh(gq.operator)[0] - 1.0,
+            "at": default,
+            "above": 2.0 * default,
+        }[cut]
         es = eigensystem(gq, retain_below=retain)
         ref_vals, ref_states = _dense_eigensystem(gq, retain)
-        assert es.count == len(ref_vals) > 8
+        assert es.count == len(ref_vals)
+        if cut == "keep":
+            assert retain < default and es.count == kept
+        elif cut == "ground":
+            assert es.count == 8
+        else:
+            assert es.count > 8
+            # at or above the default cutoff the full solve runs unchanged
+            full = eigensystem(gq, retain_below=np.inf)
+            assert np.array_equal(es.eigenvalues, full.eigenvalues[: es.count])
+            assert np.array_equal(es.states, full.states[:, : es.count])
         scale = np.max(np.abs(np.linalg.eigvalsh(gq.operator)))
         assert np.max(np.abs(es.eigenvalues - ref_vals)) <= 1e-12 * scale
         low = min(es.count, 20)
@@ -200,21 +246,36 @@ class TestParityBlocks:
             # the blocked solve: every state is exactly even or exactly odd
             for v in es.states.T:
                 assert np.array_equal(v[1:], v[:0:-1]) or np.array_equal(v[1:], -v[:0:-1])
+        elif cut != "keep" and cut != "ground":
+            assert np.array_equal(es.eigenvalues, ref_vals)
+            assert np.array_equal(es.states, ref_states)
 
     @pytest.mark.parametrize(
-        "obs",
+        "obs, kept",
         [
-            Observable.from_coeffs({(2, 0): 0.5, (0, 2): 0.5, (1, 0): 0.3}),
-            Observable.from_coeffs({(1, 1): 1.0, (2, 0): 0.5}),
+            (Observable.from_coeffs({(2, 0): 0.5, (0, 2): 0.5, (1, 0): 0.3}), None),
+            (Observable.from_coeffs({(1, 1): 1.0, (2, 0): 0.5}), None),
+            (Observable.from_coeffs({(2, 0): 0.5, (0, 2): 0.5, (1, 0): 0.3}), 12),
+            (Observable.from_coeffs({(1, 1): 1.0, (2, 0): 0.5}), 12),
         ],
-        ids=["displaced oscillator", "q p"],
+        ids=["displaced oscillator", "q p", "displaced oscillator-keep", "q p-keep"],
     )
-    def test_other_operators_take_the_dense_solve(self, obs):
+    def test_other_operators_take_the_dense_solve(self, obs, kept):
         gq = build_weyl_operator(obs, SMALL_GRID, 0.1)
-        es = eigensystem(gq)
-        ref_vals, ref_states = _dense_eigensystem(gq)
-        assert np.array_equal(es.eigenvalues, ref_vals)
-        assert np.array_equal(es.states, ref_states)
+        retain = None if kept is None else _caller_cutoff(gq, kept)
+        es = eigensystem(gq, retain_below=retain)
+        ref_vals, ref_states = _dense_eigensystem(gq, retain)
+        if kept is None:
+            assert np.array_equal(es.eigenvalues, ref_vals)
+            assert np.array_equal(es.states, ref_states)
+            return
+        # below a caller cutoff the whole operator takes the subset solve
+        assert retain < _default_cutoff(gq) and es.count == len(ref_vals) == kept
+        scale = np.max(np.abs(np.linalg.eigvalsh(gq.operator)))
+        assert np.max(np.abs(es.eigenvalues - ref_vals)) <= 1e-12 * scale
+        assert np.max(np.abs(np.abs(es.states) ** 2 - np.abs(ref_states) ** 2)) <= 1e-10
+        gram = es.states.conj().T @ es.states * SMALL_GRID.dq
+        assert np.max(np.abs(gram - np.eye(kept))) <= 1e-12
 
     @pytest.mark.parametrize("half_width, points", [(math.pi, 256), (10.0, 1024), (7.3, 300)])
     def test_grid_is_reflection_exact(self, half_width, points):

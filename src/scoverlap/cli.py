@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import semiclassics
 from .errors import (
     CausticNearby,
     ConfigError,
@@ -33,15 +32,16 @@ from .errors import (
     QuadratureLimit,
 )
 from .geometry import (
-    DOMAIN_BOUND,
     FiberCurve,
     Observable,
     PrequantumForm,
     ReferenceLagrangian,
     project_to_fiber,
+    seed_on_level,
     trace_level_curve,
 )
 from .oracle import (
+    Eigensystem,
     GridSpec,
     build_weyl_operator,
     eigensystem,
@@ -253,6 +253,16 @@ def _grid_from(cfg: ExperimentConfig) -> GridSpec:
     )
 
 
+def _eigensystem_below(
+    h_obs: Observable, grid: GridSpec, h: float, top: BSLevel | None
+) -> Eigensystem:
+    """The grid eigensystem of ``h_obs`` at h, keeping the eigenvalues up
+    to one level spacing 2 pi h / T above the level ``top`` (with no level,
+    the oracle's default cutoff)."""
+    cutoff = None if top is None else top.b + 2 * math.pi * h / top.period
+    return eigensystem(build_weyl_operator(h_obs, grid, h), retain_below=cutoff)
+
+
 def _run_spectrum(cfg: ExperimentConfig) -> Report:
     h_obs = cfg.system("system")
     rep = Report(kind="spectrum")
@@ -262,11 +272,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> Report:
     errs = []
     for h in cfg.hs:
         levels = probes.levels(h)
-        # keep the eigenvalues up to one level spacing 2 pi h / T above the
-        # top level (with no level, the oracle's default cutoff)
-        top = levels[-1] if levels else None
-        cutoff = None if top is None else top.b + 2 * math.pi * h / top.period
-        es = eigensystem(build_weyl_operator(h_obs, grid, h), retain_below=cutoff)
+        es = _eigensystem_below(h_obs, grid, h, levels[-1] if levels else None)
         pairing = match_levels(es, levels)
         for n, ev, b, dev in zip(
             pairing.indices, pairing.eigenvalues, pairing.levels, pairing.deviations
@@ -288,31 +294,37 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
     b2_targets = cfg.floats("levels")
     us = cfg.floats("positions")
     qobs = cfg.system("system1")
-    probes = probe_loop_actions(h_obs2, (cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2)))
-    errs = []
+    b_lo, b_hi = cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2)
+    probes = probe_loop_actions(h_obs2, (b_lo, b_hi))
+    # every h picks its levels first, so one without a level fails before
+    # any eigensolve
+    picks = []
     for h in cfg.hs:
         solved: dict[int, BSLevel] = {}
         nearest = []
         for target in b2_targets:
             # only the two levels bracketing the target are solved
             bracket = probes.bracket(h, target)
+            if not bracket:
+                raise ConfigError(
+                    f"h = {h} has no quantized level of system2 in "
+                    f"[b_min, b_max] = [{b_lo}, {b_hi}]"
+                )
             for n in bracket:
                 if n not in solved:
                     solved[n] = probes.level(h, n)
             nearest.append(nearest_level([solved[n] for n in bracket], target))
-        # keep the eigenvalues up to one level spacing above the top solved
-        # level, as _run_spectrum does
-        top = solved[max(solved)] if solved else None
-        cutoff = None if top is None else top.b + 2 * math.pi * h / top.period
-        es = eigensystem(build_weyl_operator(h_obs2, grid, h), retain_below=cutoff)
+        picks.append((h, nearest, solved[max(solved)] if solved else None))
+    errs = []
+    for h, nearest, top in picks:
+        es = _eigensystem_below(h_obs2, grid, h, top)
         fibers: dict[int, tuple[float, FiberCurve]] = {}
         case_errs = []
         for level in nearest:
             if level.n not in fibers:
                 # positions are fractions of the level's p = 0 turning radius;
                 # the fiber is traced once and shared by every position
-                seed = semiclassics._seed_on_level(h_obs2, level.b, DOMAIN_BOUND)
-                start = project_to_fiber(h_obs2, level.b, seed)
+                start = project_to_fiber(h_obs2, level.b, seed_on_level(h_obs2, level.b))
                 fibers[level.n] = (
                     abs(start.q), trace_level_curve(h_obs2, level.b, start)
                 )
@@ -550,9 +562,7 @@ def _write_outputs(cfg: ExperimentConfig, report: Report) -> None:
         )
         for i, b in enumerate(levels[:4]):
             try:
-                curve = trace_level_curve(
-                    h_obs2, b, semiclassics._seed_on_level(h_obs2, b, DOMAIN_BOUND)
-                )
+                curve = trace_level_curve(h_obs2, b, seed_on_level(h_obs2, b))
                 curve.to_csv(cfg.out_dir / f"fiber_{i}.csv")
             except Exception as exc:
                 report.warnings.append(

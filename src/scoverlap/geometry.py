@@ -44,6 +44,8 @@ _GRAD_FLOOR = 1e-9
 # and of the verifier ``loop_data``, whose action and period are ODE rows
 _TRACE_RTOL, _TRACE_ATOL = 1e-9, 1e-10
 _LOOP_RTOL, _LOOP_ATOL = 1e-12, 1e-13
+_MAX_ARCLENGTH = 300.0  # flow arclength a trace covers in each direction
+_SCAN_CELLS = 400  # cells per side of find_intersections' grid over the box
 _ON_FIBER_TOL = 1e-6  # |H - b| / max(1, |b|) of action_along_fiber's endpoints
 # guard on a closed polyline moved to a new level: Newton steps allowed per
 # point, the largest growth of one segment over the median segment's, and
@@ -331,13 +333,6 @@ class ReferenceLagrangian:
 
 
 @dataclass(frozen=True)
-class TraceOptions:
-    domain: float = DOMAIN_BOUND
-    n_samples: int = 600
-    max_arclength: float = 300.0
-
-
-@dataclass(frozen=True)
 class FiberCurve:
     """A level set {H = b} as a polyline of samples in flow direction.
 
@@ -366,7 +361,6 @@ class FiberCurve:
 
     loop_action = property(lambda self: self._loop[0])
     period = property(lambda self: self._loop[1])
-    truncated = property(lambda self: not self.closed)
 
     @property
     def total_arclength(self) -> float:
@@ -490,13 +484,13 @@ def _polyline_fiber(
 # Newton utilities
 # ---------------------------------------------------------------------------
 
-def project_to_fiber(h: Observable, b: float, x: PhasePoint, tol: float = _PROJ_TOL) -> PhasePoint:
+def project_to_fiber(h: Observable, b: float, x: PhasePoint) -> PhasePoint:
     """Pull a nearby point exactly onto {H = b} by Newton along the gradient."""
     q, p = float(x[0]), float(x[1])
     scale = max(1.0, abs(b))
     for _ in range(80):
         r = float(h.value(q, p)) - b
-        if abs(r) <= tol * scale:
+        if abs(r) <= _PROJ_TOL * scale:
             return PhasePoint(q, p)
         gq, gp = float(h.dq(q, p)), float(h.dp(q, p))
         g2 = gq * gq + gp * gp
@@ -562,8 +556,7 @@ class IntersectionPoint:
 # ---------------------------------------------------------------------------
 
 def _trace_direction(
-    h: Observable, b: float, x0: PhasePoint, sign: float, opts: TraceOptions,
-    verify: bool = False,
+    h: Observable, b: float, x0: PhasePoint, sign: float, verify: bool = False
 ):
     """Integrate the arclength-normalized flow from x0; return the solver
     chunks and, if the fiber closes, (arclength, state) at the return.
@@ -592,7 +585,7 @@ def _trace_direction(
     singular.terminal = True
 
     def box_exit(s, y):
-        return opts.domain - max(abs(y[0]), abs(y[1]))
+        return DOMAIN_BOUND - max(abs(y[0]), abs(y[1]))
 
     box_exit.terminal = True
 
@@ -612,7 +605,7 @@ def _trace_direction(
 
     def solve(s0, y, events):
         return solve_ivp(
-            rhs, (s0, opts.max_arclength), y, method="DOP853", rtol=rtol, atol=atol,
+            rhs, (s0, _MAX_ARCLENGTH), y, method="DOP853", rtol=rtol, atol=atol,
             events=events, dense_output=not verify,
         )
 
@@ -654,9 +647,7 @@ def _trace_direction(
     return chunks, closure
 
 
-def loop_data(
-    h: Observable, b: float, seed: PhasePoint, opts: TraceOptions = TraceOptions()
-) -> tuple[float, float]:
+def loop_data(h: Observable, b: float, seed: PhasePoint) -> tuple[float, float]:
     """(loop action, flow period) of a closed fiber, without sampling it.
 
     The ODE verifier: action and time are extra rows of one DOP853 trace at
@@ -667,7 +658,7 @@ def loop_data(
     x0 = project_to_fiber(h, b, seed)
     if math.hypot(*h.gradient(x0)) < _GRAD_FLOOR:
         raise SingularFiber(f"gradient vanishes at seed {tuple(x0)}")
-    _, closure = _trace_direction(h, b, x0, +1.0, opts, verify=True)
+    _, closure = _trace_direction(h, b, x0, +1.0, verify=True)
     if closure is None:
         raise SingularFiber(f"fiber of {h} at {b} is not closed inside the box")
     _, y_end = closure
@@ -696,24 +687,50 @@ def _open_offsets(n: int, s_fwd: float, s_bwd: float) -> tuple[np.ndarray, np.nd
 
 
 def _line_samples(
-    x0: PhasePoint, flow: tuple[float, float], opts: TraceOptions
+    x0: PhasePoint, flow: tuple[float, float], n_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of the straight fiber through x0 with flow direction ``flow``,
-    clipped to the box |q|, |p| <= opts.domain and to opts.max_arclength
-    on either side of x0, in flow order."""
+    """About n_samples samples of the straight fiber through x0 with flow
+    direction ``flow``, clipped to the box |q|, |p| <= DOMAIN_BOUND and to
+    _MAX_ARCLENGTH on either side of x0, in flow order."""
     v = np.array(flow) / math.hypot(*flow)
 
     def reach(d):
-        exits = [(math.copysign(opts.domain, di) - xi) / di for xi, di in zip(x0, d) if di]
-        return min(opts.max_arclength, max(0.0, min(exits)))
+        exits = [(math.copysign(DOMAIN_BOUND, di) - xi) / di for xi, di in zip(x0, d) if di]
+        return min(_MAX_ARCLENGTH, max(0.0, min(exits)))
 
-    sv_f, sv_b = _open_offsets(opts.n_samples, reach(v), reach(-v))
+    sv_f, sv_b = _open_offsets(n_samples, reach(v), reach(-v))
     s = np.concatenate([-sv_b[:0:-1], sv_f])
     return x0[0] + s * v[0], x0[1] + s * v[1]
 
 
+def seed_on_level(h: Observable, b: float) -> PhasePoint:
+    """A point near {H = b} on the q axis (else the p axis): the linear
+    crossing of the level, scanned at 4001 points across the box, closest
+    to the origin."""
+    ts = np.linspace(-DOMAIN_BOUND, DOMAIN_BOUND, 4001)
+    for axis in ("q", "p"):
+        vals = (
+            np.asarray(h.value(ts, 0.0 * ts), dtype=float)
+            if axis == "q"
+            else np.asarray(h.value(0.0 * ts, ts), dtype=float)
+        ) - b
+        sign = np.sign(vals)
+        crossing = (sign[:-1] * sign[1:] < 0) | (vals[:-1] == 0.0)
+        hits = np.nonzero(crossing)[0]
+        if vals[-1] == 0.0:
+            hits = np.append(hits, len(vals) - 2)
+        if hits.size:
+            # crossing closest to the origin picks the principal component
+            # (periodic potentials repeat their wells across the box)
+            i = int(hits[np.argmin(np.abs(ts[hits]))])
+            dv = vals[i + 1] - vals[i]
+            t = float(ts[i] if dv == 0 else ts[i] - vals[i] * (ts[i + 1] - ts[i]) / dv)
+            return PhasePoint(t, 0.0) if axis == "q" else PhasePoint(0.0, t)
+    raise SingularFiber(f"no seed found on level {b}")
+
+
 def trace_level_curve(
-    h: Observable, b: float, seed: PhasePoint, opts: TraceOptions = TraceOptions()
+    h: Observable, b: float, seed: PhasePoint, n_samples: int = 600
 ) -> FiberCurve:
     """Trace the connected component of {H = b} through ``seed``.
 
@@ -723,6 +740,7 @@ def trace_level_curve(
     arclength, and projected onto the level (``_newton_onto_level``;
     ``SingularFiber`` if that fails).  Closed components are detected by
     return to the start; open components are truncated at the domain box.
+    About ``n_samples`` samples are taken.
     """
     x0 = project_to_fiber(h, b, seed)
     gq, gp = h.gradient(x0)
@@ -731,16 +749,16 @@ def trace_level_curve(
 
     closed = False
     if h.is_linear:
-        qs, ps = _line_samples(x0, (gp, -gq), opts)
+        qs, ps = _line_samples(x0, (gp, -gq), n_samples)
     else:
-        fwd, closure = _trace_direction(h, b, x0, +1.0, opts)
+        fwd, closure = _trace_direction(h, b, x0, +1.0)
         closed = closure is not None
         if closed:
             # the last sample, back at the start, is the projected first
-            qs, ps = _sample_solution(fwd, np.linspace(0.0, closure[0], opts.n_samples + 1)[:-1])
+            qs, ps = _sample_solution(fwd, np.linspace(0.0, closure[0], n_samples + 1)[:-1])
         else:
-            bwd, _ = _trace_direction(h, b, x0, -1.0, opts)
-            sv_f, sv_b = _open_offsets(opts.n_samples, float(fwd[-1].t[-1]), float(bwd[-1].t[-1]))
+            bwd, _ = _trace_direction(h, b, x0, -1.0)
+            sv_f, sv_b = _open_offsets(n_samples, float(fwd[-1].t[-1]), float(bwd[-1].t[-1]))
             # backward samples describe the curve before the seed; reverse them
             qs, ps = np.concatenate(
                 [_sample_solution(bwd, sv_b)[:, :0:-1], _sample_solution(fwd, sv_f)], axis=1
@@ -837,13 +855,7 @@ def _straddling(f: np.ndarray, any_corner) -> np.ndarray:
 
 
 def find_intersections(
-    h1: Observable,
-    b1: float,
-    h2: Observable,
-    b2: float,
-    domain: float = DOMAIN_BOUND,
-    grid_n: int = 400,
-    trans_tol: float = TRANS_TOL,
+    h1: Observable, b1: float, h2: Observable, b2: float
 ) -> list[IntersectionPoint]:
     """All transversal points of {H1 = b1} and {H2 = b2} inside the box.
 
@@ -851,10 +863,10 @@ def find_intersections(
     grid cell can hold a crossing only if both level functions straddle zero
     on its corners, so H1 is evaluated on the whole grid and H2 only at the
     corners of H1's straddling cells.  Tangential roots (|{H1,H2}| <=
-    trans_tol) raise :class:`TangentialIntersection` carrying the offending
+    TRANS_TOL) raise :class:`TangentialIntersection` carrying the offending
     points.
     """
-    axis = np.linspace(-domain, domain, grid_n + 1)
+    axis = np.linspace(-DOMAIN_BOUND, DOMAIN_BOUND, _SCAN_CELLS + 1)
     f1 = np.asarray(h1.value(axis[:, None], axis[None, :]), dtype=float) - b1
     ii, jj = np.nonzero(_straddling(f1, _any_grid_corner))
     # corner k of cell (i, j) is the node (i + _CORNER_DI[k], j + _CORNER_DJ[k])
@@ -871,7 +883,7 @@ def find_intersections(
         r = _newton_intersection(h1, b1, h2, b2, c)
         if r is None:
             continue
-        if max(abs(r.q), abs(r.p)) > domain + 1e-9:
+        if max(abs(r.q), abs(r.p)) > DOMAIN_BOUND + 1e-9:
             continue
         if all((r.q - o.q) ** 2 + (r.p - o.p) ** 2 > DEDUP_RADIUS**2 for o in roots):
             roots.append(r)
@@ -880,14 +892,14 @@ def find_intersections(
     points = []
     for r in roots:
         br = poisson_bracket(h1, h2, r)
-        if abs(br) <= trans_tol:
+        if abs(br) <= TRANS_TOL:
             tangential.append(r)
         else:
             points.append(IntersectionPoint(point=r, bracket=br))
     if tangential:
         raise TangentialIntersection(
             f"{len(tangential)} tangential intersection(s) found "
-            f"(|bracket| <= {trans_tol:g})",
+            f"(|bracket| <= {TRANS_TOL:g})",
             points=tangential,
         )
     points.sort(key=lambda ip: (ip.point.q, ip.point.p))
@@ -934,9 +946,7 @@ def _graph_hits(qs: np.ndarray, phi: np.ndarray) -> list[float]:
     return hits
 
 
-def lagrangian_intersections(
-    curve: FiberCurve, lam: ReferenceLagrangian, trans_tol: float = TRANS_TOL
-) -> list[PhasePoint]:
+def lagrangian_intersections(curve: FiberCurve, lam: ReferenceLagrangian) -> list[PhasePoint]:
     """Transversal intersections of a traced fiber with the graph p = lam(q)."""
     hits = _graph_hits(curve.qs, curve.ps - np.asarray(lam.value(curve.qs)))
     found: list[PhasePoint] = []
@@ -947,7 +957,7 @@ def lagrangian_intersections(
             continue
         pt = PhasePoint(q, float(lam.value(q)))
         det = float(h.dq(*pt)) + float(h.dp(*pt)) * float(lam.slope(q))
-        if abs(det) <= trans_tol:
+        if abs(det) <= TRANS_TOL:
             continue
         if all((pt.q - o.q) ** 2 + (pt.p - o.p) ** 2 > DEDUP_RADIUS**2 for o in found):
             found.append(pt)

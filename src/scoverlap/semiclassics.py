@@ -50,14 +50,12 @@ from .errors import (
 )
 from .geometry import (
     _PROJ_TOL,
-    DOMAIN_BOUND,
     TRANS_TOL,
     FiberCurve,
     Observable,
     PhasePoint,
     PrequantumForm,
     ReferenceLagrangian,
-    TraceOptions,
     _bracket_field,
     _bracket_gradient,
     _moved_guide,
@@ -70,6 +68,7 @@ from .geometry import (
     poisson_bracket,
     project_to_fiber,
     reference_point,
+    seed_on_level,
     trace_level_curve,
 )
 
@@ -84,7 +83,7 @@ _COMPOSE_GRID = 9  # levels at which compose_kernels scans (phi', phi'')
 _COMPOSE_XTOL = 1e-12  # Newton on phi' stops at a level this close to b*
 _COMPOSE_NEWTON_MAX = 100
 
-_BS_TRACE = TraceOptions(n_samples=160)
+_BS_SAMPLES = 160  # samples of a traced Bohr-Sommerfeld probe fiber
 _BS_PROBES = 17
 _BS_NEWTON_MAX = 30
 # two levels whose distances to a target differ by less than this fraction
@@ -137,7 +136,6 @@ def _maslov_over_guide(
     curve: FiberCurve,
     guide: np.ndarray,
     transverse: Observable,
-    trans_tol: float,
     endpoint_check: bool = True,
 ) -> int:
     """Signed tangency count along ``guide``, a polyline on ``curve`` in flow
@@ -145,7 +143,7 @@ def _maslov_over_guide(
     reversal, so the arc traversed against the flow counts minus this."""
     h2, b2 = curve.observable, curve.level
     beta = np.asarray(_bracket_field(transverse, h2, guide[:, 0], guide[:, 1]), float)
-    if endpoint_check and (abs(beta[0]) <= trans_tol or abs(beta[-1]) <= trans_tol):
+    if endpoint_check and (abs(beta[0]) <= TRANS_TOL or abs(beta[-1]) <= TRANS_TOL):
         raise TangencyAtEndpoint(
             "transversality bracket vanishes at a segment endpoint"
         )
@@ -166,7 +164,7 @@ def _maslov_over_guide(
     mags = np.abs(beta)
     inner = mags[1:-1]
     touch = (
-        (inner <= trans_tol)
+        (inner <= TRANS_TOL)
         & (inner <= mags[:-2])
         & (inner <= mags[2:])
         & ~crossing_cells[:-2]
@@ -184,7 +182,6 @@ def maslov_segment(
     start: PhasePoint,
     end: PhasePoint,
     transverse: Observable,
-    trans_tol: float = TRANS_TOL,
 ) -> int:
     """Signed tangency count along the fiber segment from start to end.
 
@@ -195,7 +192,7 @@ def maslov_segment(
     a = project_to_fiber(curve.observable, curve.level, start)
     b = project_to_fiber(curve.observable, curve.level, end)
     guide, sign = curve.arc(a, b, curve.locate(a), curve.locate(b))
-    return sign * _maslov_over_guide(curve, guide, transverse, trans_tol)
+    return sign * _maslov_over_guide(curve, guide, transverse)
 
 
 def maslov_loop_index(curve: FiberCurve, transverse: Observable) -> int:
@@ -206,7 +203,7 @@ def maslov_loop_index(curve: FiberCurve, transverse: Observable) -> int:
     i = int(np.argmax(beta))
     s0 = float(curve.arclength[i])
     guide, _ = curve.arc(curve.point(i), curve.point(i), s0, s0)
-    return _maslov_over_guide(curve, guide, transverse, TRANS_TOL, endpoint_check=False)
+    return _maslov_over_guide(curve, guide, transverse, endpoint_check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -222,35 +219,12 @@ class BSLevel:
     period: float
 
 
-def _seed_on_level(h_obs: Observable, b: float, domain: float) -> PhasePoint:
-    for axis in ("q", "p"):
-        ts = np.linspace(-domain, domain, 4001)
-        vals = (
-            np.asarray(h_obs.value(ts, 0.0 * ts), dtype=float)
-            if axis == "q"
-            else np.asarray(h_obs.value(0.0 * ts, ts), dtype=float)
-        ) - b
-        sign = np.sign(vals)
-        crossing = (sign[:-1] * sign[1:] < 0) | (vals[:-1] == 0.0)
-        hits = np.nonzero(crossing)[0]
-        if vals[-1] == 0.0:
-            hits = np.append(hits, len(vals) - 2)
-        if hits.size:
-            # crossing closest to the origin picks the principal component
-            # (periodic potentials repeat their wells across the box)
-            i = int(hits[np.argmin(np.abs(ts[hits]))])
-            dv = vals[i + 1] - vals[i]
-            t = float(ts[i] if dv == 0 else ts[i] - vals[i] * (ts[i + 1] - ts[i]) / dv)
-            return PhasePoint(t, 0.0) if axis == "q" else PhasePoint(0.0, t)
-    raise SingularFiber(f"no seed found on level {b}")
-
-
 def _traced_loop(
     h_obs: Observable, b: float
 ) -> tuple[FiberCurve, float, float, np.ndarray]:
-    """The closed fiber {H = b} through ``_seed_on_level``, traced afresh:
+    """The closed fiber {H = b} through ``seed_on_level``, traced afresh:
     the curve, its loop action and period, and its closed sample polyline."""
-    curve = trace_level_curve(h_obs, b, _seed_on_level(h_obs, b, DOMAIN_BOUND), _BS_TRACE)
+    curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b), _BS_SAMPLES)
     if not curve.closed:
         raise SingularFiber(f"fiber at {b} is not closed")
     guide = np.column_stack([curve.qs, curve.ps])
@@ -610,7 +584,6 @@ def overlap(
     lam: ReferenceLagrangian,
     alpha: PrequantumForm = PrequantumForm(),
     h: float = 0.1,
-    domain: float = DOMAIN_BOUND,
     curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
     weight_fn: Callable[[PhasePoint], complex] | None = None,
 ) -> SemiclassicalAmplitude:
@@ -639,18 +612,17 @@ def overlap(
     """
     h1, b1 = sys1
     h2, b2 = sys2
-    opts = TraceOptions(domain=domain)
     convention = {"constant": 1.0, "power_of_2pi_h": -0.5}
 
-    points = find_intersections(h1, b1, h2, b2, domain=domain)
+    points = find_intersections(h1, b1, h2, b2)
     if not points:
         prefactor, value = _prefactor_and_value(h, ())
         return SemiclassicalAmplitude(
             h=h, terms=(), prefactor=prefactor, value=value, convention=convention,
         )
 
-    curve1 = curves[0] or trace_level_curve(h1, b1, points[0].point, opts)
-    curve2 = curves[1] or trace_level_curve(h2, b2, points[0].point, opts)
+    curve1 = curves[0] or trace_level_curve(h1, b1, points[0].point)
+    curve2 = curves[1] or trace_level_curve(h2, b2, points[0].point)
     off = [
         ip.point for ip in points
         if max(curve1.distance(ip.point), curve2.distance(ip.point)) > COMPONENT_TOL
@@ -698,7 +670,7 @@ def overlap(
         dt1 = dt1 + _crossing_tau(h1, h2, c) - tau_x1
         dt2 = dt2 + _crossing_tau(h2, h1, c) - tau_x2
         action = s1 - s2 + gauge
-        mu = sign2 * _maslov_over_guide(curve2, guide2, h1, TRANS_TOL)
+        mu = sign2 * _maslov_over_guide(curve2, guide2, h1)
         hess = 1.0 / abs(ip.bracket)
         w = 1.0 + 0.0j if weight_fn is None else complex(weight_fn(c))
         contribution = _contribution(w * math.sqrt(abs(hess)), action, mu, h)
@@ -747,7 +719,7 @@ def complementary_overlap_term(
     # the arc from x2 to c against the flow is the forward arc c -> x2, reversed
     back, _ = curve2.arc(c, x2, s_c, s_x2)
     s_back, t_back, dt_back = chart_action(h2, b2, back)
-    mu_complement = -_maslov_over_guide(curve2, back, transverse, TRANS_TOL)
+    mu_complement = -_maslov_over_guide(curve2, back, transverse)
     # S = S1 - S2 and the gauge part change only through S2, dS/db2 = e2 - T2
     # only through T2 (by the period in all: dA/db = T), and d^2 S/db2^2 only
     # through dT2/db2 (by the period's slope)
@@ -798,15 +770,13 @@ _LAM_CANDIDATES = (
 
 
 def pick_reference_lagrangian(
-    sys1: tuple[Observable, float], sys2: tuple[Observable, float],
-    domain: float = DOMAIN_BOUND,
+    sys1: tuple[Observable, float], sys2: tuple[Observable, float]
 ) -> ReferenceLagrangian:
     """First candidate graph transversal to both fibers (deterministic)."""
     for lam in _LAM_CANDIDATES:
         try:
             for h_obs, b in (sys1, sys2):
-                seed = _seed_on_level(h_obs, b, domain)
-                curve = trace_level_curve(h_obs, b, seed, _BS_TRACE)
+                curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b), _BS_SAMPLES)
                 reference_point(curve, lam)
             return lam
         except (NoReferencePoint, SingularFiber):
@@ -820,7 +790,6 @@ def transition_probability(
     h: float,
     lam: ReferenceLagrangian | None = None,
     alpha: PrequantumForm = PrequantumForm(),
-    domain: float = DOMAIN_BOUND,
     curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
 ) -> float:
     """Squared-modulus transition density |overlap|^2: the double sum over
@@ -830,8 +799,8 @@ def transition_probability(
     ``curves`` passes pre-traced fibers on to ``overlap``, so a caller that
     sweeps positions at one level traces that fiber once."""
     if lam is None:
-        lam = pick_reference_lagrangian(sys1, sys2, domain)
-    amp = overlap(sys1, sys2, lam, alpha, h, domain=domain, curves=curves)
+        lam = pick_reference_lagrangian(sys1, sys2)
+    amp = overlap(sys1, sys2, lam, alpha, h, curves=curves)
     return abs(amp.value) ** 2
 
 
@@ -862,7 +831,6 @@ def cyclic_amplitude(
     lam: ReferenceLagrangian,
     alpha: PrequantumForm = PrequantumForm(),
     chain: Sequence[PhasePoint] | None = None,
-    domain: float = DOMAIN_BOUND,
 ) -> CyclicAmplitude:
     """Cyclic product of overlaps around k fibrations (2 <= k <= 4).
 
@@ -877,7 +845,7 @@ def cyclic_amplitude(
     prefactor = (2 * math.pi * h) ** (-k / 2.0)
     pair_amps = []
     for a in range(k):
-        amp = overlap(systems[a], systems[(a + 1) % k], lam, alpha, h, domain=domain)
+        amp = overlap(systems[a], systems[(a + 1) % k], lam, alpha, h)
         if not amp.terms:
             return CyclicAmplitude(h=h, k=k, chains=(), prefactor=prefactor, value=0.0j)
         pair_amps.append(amp)
@@ -1180,7 +1148,6 @@ def overlap_kernel(
     alpha: PrequantumForm,
     h: float,
     fixed_slot: int,
-    domain: float = DOMAIN_BOUND,
     weight_fn: Callable[[PhasePoint], complex] | None = None,
     fibers: dict[float, FiberCurve] | None = None,
 ) -> Callable[[float], SemiclassicalAmplitude]:
@@ -1212,10 +1179,7 @@ def overlap_kernel(
         else:
             sys1, sys2 = (intermediate, b), fixed_sys
             curves = (inter_curve, cache["curve"])
-        amp = overlap(
-            sys1, sys2, lam, alpha, h, domain=domain,
-            curves=curves, weight_fn=weight_fn,
-        )
+        amp = overlap(sys1, sys2, lam, alpha, h, curves=curves, weight_fn=weight_fn)
         fixed_curve, inter_curve = (
             (amp.curve1, amp.curve2) if fixed_slot == 1 else (amp.curve2, amp.curve1)
         )

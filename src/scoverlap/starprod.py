@@ -368,12 +368,9 @@ def semiclassical_matrix_element(
     lam: ReferenceLagrangian,
     alpha: PrequantumForm = PrequantumForm(),
     h: float = 0.1,
-    **overlap_kwargs,
 ) -> SemiclassicalAmplitude:
     """Overlap with every intersection weighted by f at that point."""
-    return overlap(
-        sys1, sys2, lam, alpha, h, weight_fn=_weight_at(f, h), **overlap_kwargs
-    )
+    return overlap(sys1, sys2, lam, alpha, h, weight_fn=_weight_at(f, h))
 
 
 def matrix_element_kernel(

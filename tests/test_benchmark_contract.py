@@ -44,6 +44,20 @@ def test_density_audit_runs(perfbench):
     assert isinstance(value, float) and math.isfinite(value)
 
 
+def test_density_workload_runs_a_finest_h_case(perfbench):
+    # the timed density pass calls transition_probability positionally;
+    # q1 = 0.3125 is a grid point away from the nodes of n = 9
+    _, workloads = perfbench
+    h, n = workloads.DENSITY_HS[-1], 9
+    inputs = workloads.DensityInputs(
+        grid=workloads.oracle.GridSpec(*workloads.DENSITY_GRID),
+        cases=[(h, n, h * (n + 0.5), 0.3125)],
+    )
+    out = workloads.run_density(inputs, None)
+    assert out.attempted == 1
+    assert out.failures == []
+
+
 def test_tracer_counts_every_kernel_call_in_a_composition(perfbench):
     # C10's linear triple q -> p -> (q + p)/sqrt 2: every kernel call is one
     # overlap, and the tracer's per-composition count must see each of them

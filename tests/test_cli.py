@@ -263,6 +263,26 @@ class TestConfigValidation:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    def test_sweep_with_no_level_at_some_h_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the oscillator's lowest level at h = 0.2 is 0.1, above b_max
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the levels were checked")
+
+        monkeypatch.setattr("scoverlap.cli.eigensystem", no_eigensolve)
+        text = (EXAMPLES / "q_vs_ho_sweep.ini").read_text()
+        text = text.replace("b_max = 1.2", "b_max = 0.05")
+        text = text.replace("h = 0.2, 0.1, 0.05, 0.025", "h = 0.2, 0.1, 0.05")
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        line = next(l for l in err.splitlines() if l.startswith("config error:"))
+        assert "h = 0.2 " in line and "0.05" in line
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-4", "256.5"])
     def test_grid_points_is_a_positive_integer(self, tmp_path, capsys, value):
         cfg = tmp_path / "bad.ini"

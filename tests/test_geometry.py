@@ -112,7 +112,7 @@ class TestBracket:
 class TestTracing:
     def test_ho_circle(self):
         c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
-        assert c.closed and not c.truncated
+        assert c.closed
         assert c.period == pytest.approx(2 * math.pi, abs=1e-12)
         assert c.loop_action == pytest.approx(math.pi, abs=1e-12)
         assert np.max(np.abs(HO.value(c.qs, c.ps) - 0.5)) < 1e-9
@@ -139,7 +139,7 @@ class TestTracing:
         monkeypatch.setattr(geometry, "solve_ivp", no_ode)
         h = Observable.linear(theta)
         c = trace_level_curve(h, b, PhasePoint(0.2, -0.1))
-        assert not c.closed and c.truncated and c.period is None
+        assert not c.closed and c.period is None
         # on the level to rounding, straight, in flow direction (H_p, -H_q)
         assert np.max(np.abs(h.value(c.qs, c.ps) - b)) <= 4 * np.finfo(float).eps * 8.0
         step = np.array([c.qs[-1] - c.qs[0], c.ps[-1] - c.ps[0]]) / c.total_arclength
@@ -157,7 +157,7 @@ class TestTracing:
 
     def test_position_fiber_is_open(self):
         c = trace_level_curve(Q, 0.3, PhasePoint(0.3, 0.0))
-        assert not c.closed and c.truncated
+        assert not c.closed
         assert np.allclose(c.qs, 0.3)
         assert c.ps[0] == pytest.approx(8.0) and c.ps[-1] == pytest.approx(-8.0)
 

@@ -25,6 +25,7 @@ from scoverlap.geometry import (
     find_intersections,
     loop_data,
     moved_fiber,
+    seed_on_level,
     trace_level_curve,
 )
 from scoverlap.oracle import GridSpec, build_weyl_operator, eigensystem, half_density_bridge
@@ -92,12 +93,10 @@ class TestMaslov:
     def test_segment_matches_dense_resampling(self):
         ellipse = Observable.from_coeffs({(2, 0): 2.0, (0, 2): 0.5, (1, 0): -0.6})
         b = 0.9
-        from scoverlap.geometry import TraceOptions, project_to_fiber
+        from scoverlap.geometry import project_to_fiber
 
         coarse = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3))
-        fine = trace_level_curve(
-            ellipse, b, PhasePoint(1.0, 0.3), TraceOptions(n_samples=6000)
-        )
+        fine = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3), n_samples=6000)
         a = project_to_fiber(ellipse, b, PhasePoint(0.9, 0.5))
         d = project_to_fiber(ellipse, b, PhasePoint(0.2, -0.9))
         assert maslov_segment(coarse, a, d, Q) == maslov_segment(fine, a, d, Q)
@@ -185,11 +184,8 @@ class TestBohrSommerfeld:
         [(HO, 0.1, (0.004, 3.2)), (PEND, 0.05, (-0.92, 0.7))],
     )
     def test_period_is_loop_data_period(self, h_obs, h, b_range):
-        import scoverlap.semiclassics as sc
-
         for l in bohr_sommerfeld_levels(h_obs, h, b_range):
-            seed = sc._seed_on_level(h_obs, l.b, sc.DOMAIN_BOUND)
-            _, period = loop_data(h_obs, l.b, seed, sc._BS_TRACE)
+            _, period = loop_data(h_obs, l.b, seed_on_level(h_obs, l.b))
             assert l.period == pytest.approx(period, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -261,9 +257,7 @@ class TestBohrSommerfeld:
 
 
 def _loop_data_at(h_obs, b):
-    import scoverlap.semiclassics as sc
-
-    return loop_data(h_obs, b, sc._seed_on_level(h_obs, b, sc.DOMAIN_BOUND), sc._BS_TRACE)
+    return loop_data(h_obs, b, seed_on_level(h_obs, b))
 
 
 QUARTIC = Observable.from_text("1/2 p^2 + 1/2 q^2 + 1/10 q^4")
@@ -307,9 +301,9 @@ class TestLoopQuadrature:
         traced = []
         real = sc.trace_level_curve
 
-        def counted(h_obs, b, seed, opts):
+        def counted(h_obs, b, seed, n_samples):
             traced.append(b)
-            return real(h_obs, b, seed, opts)
+            return real(h_obs, b, seed, n_samples)
 
         monkeypatch.setattr(sc, "trace_level_curve", counted)
         probes = probe_loop_actions(DOUBLE_WELL, b_range)
@@ -409,15 +403,16 @@ class TestOverlap:
     @pytest.mark.parametrize("swap", [False, True])
     def test_intersections_on_several_wells_are_rejected(self, slope, swap):
         # the pendulum level -0.5 has one well per period; p = 0.3 crosses
-        # the wells at 0 and +-2 pi (q = +-0.994, +-5.289), and the fiber is
-        # traced through q = -5.289 only
+        # the wells at 0 and +-2 pi (q = +-0.994, +-5.289, +-7.278), and the
+        # fiber is traced through q = -7.278: the closed -2 pi well, which
+        # also carries q = -5.289
         systems = [(PEND, -0.5), (P, 0.3)]
         if swap:
             systems.reverse()
         with pytest.raises(MultipleComponents) as info:
-            overlap(*systems, ReferenceLagrangian.line(slope), h=0.1, domain=6.0)
+            overlap(*systems, ReferenceLagrangian.line(slope), h=0.1)
         off = sorted(x.q for x in info.value.points)
-        assert off == pytest.approx([-0.994, 0.994, 5.289], abs=1e-3)
+        assert off == pytest.approx([-0.994, 0.994, 5.289, 7.278], abs=1e-3)
 
     def test_plane_wave_closed_form(self):
         b1, b2, h = 1.3, 0.4, 0.1
@@ -547,7 +542,7 @@ class TestOverlap:
         qs = np.sqrt(1.0 - ps * ps)
         guide = np.stack([np.concatenate([[-qs[0], -qs[1]], qs[2:]]), ps], axis=1)
         with pytest.warns(DoubleRoot):
-            count = _maslov_over_guide(curve, guide, Q, 1e-6)
+            count = _maslov_over_guide(curve, guide, Q)
         assert count == 0
 
     def test_term_dump_fields(self):
@@ -770,7 +765,7 @@ class TestMovedFiber:
 
     @staticmethod
     def _traced(h_obs, b):
-        return trace_level_curve(h_obs, b, semiclassics._seed_on_level(h_obs, b, 8.0))
+        return trace_level_curve(h_obs, b, seed_on_level(h_obs, b))
 
     @pytest.mark.parametrize(
         "fixed, family, b_from, b",

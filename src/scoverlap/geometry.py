@@ -54,7 +54,7 @@ _MOVE_STEPS = 12
 _MOVE_STRETCH = 4.0
 _MOVE_TURN = math.cos(math.radians(30.0))
 # cosine of the largest turn of the fiber's normal along one segment of a
-# guide that chart quadrature accepts (see ``_moved_guide``)
+# guide that chart quadrature accepts (see ``moved_fiber``)
 _CHART_TURN = math.cos(math.radians(45.0))
 
 
@@ -781,52 +781,46 @@ def _normal_turns(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
     return nq[:-1] * nq[1:] + np_[:-1] * np_[1:]
 
 
-def _moved_guide(h: Observable, b: float, guide: np.ndarray) -> np.ndarray | None:
-    """The closed polyline ``guide`` moved onto {H = b}, or None.
+def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
+    """The closed fiber ``curve`` moved onto the level b of its observable,
+    or None when the fiber is open or the guard refuses the move.
 
-    Every point takes Newton steps along grad H, all points at once
+    Every sample takes Newton steps along grad H, all at once
     (``_newton_onto_level``).  The move is accepted only if
-      * every point reaches |H - b| <= 1e-14 max(1, |b|) within
+      * every sample reaches |H - b| <= 1e-14 max(1, |b|) within
         _MOVE_STEPS Newton iterations (a residual check, then a step);
       * no segment grows by more than _MOVE_STRETCH times the median
-        segment's growth: a guide dragged across a separatrix or into
+        segment's growth: a fiber dragged across a separatrix or into
         another well breaks there, one segment jumping while the others
         follow the level, whether or not Newton converges at the saddle;
       * the fiber's normal turns by less than 30 degrees along every
-        segment.  ``chart_action`` switches charts at guide points, where
+        segment.  ``chart_action`` switches charts at polyline points, where
         |H_q| and |H_p| cross; a segment that turns by less than 45 degrees
         cannot reach from that crossing to the fold of the chart it leaves.
         Across a separatrix the jump joins branches whose normals point
         apart, so this check rejects that move as well.
     """
-    onto = _newton_onto_level(h, b, guide[:-1, 0], guide[:-1, 1])
+    if not curve.closed:
+        return None
+    h = curve.observable
+    onto = _newton_onto_level(h, b, curve.qs[:-1], curve.ps[:-1])
     if onto is None:
         return None
     q, p = onto
-    moved = np.column_stack([np.append(q, q[0]), np.append(p, p[0])])
+    q, p = np.append(q, q[0]), np.append(p, p[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        growth = np.hypot(*np.diff(moved, axis=0).T) / np.hypot(*np.diff(guide, axis=0).T)
-        turn = _normal_turns(h.dq(*moved.T), h.dp(*moved.T))
+        # chords, not differences of the cumulative ``arclength``, which
+        # round differently and could flip a borderline decision
+        growth = np.hypot(np.diff(q), np.diff(p)) / np.hypot(
+            np.diff(curve.qs), np.diff(curve.ps)
+        )
+        turn = _normal_turns(h.dq(q, p), h.dp(q, p))
     # comparisons written so that a NaN rejects
     if not np.max(growth) <= _MOVE_STRETCH * np.median(growth):
         return None
     if not np.min(turn) > _MOVE_TURN:
         return None
-    return moved
-
-
-def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
-    """The closed fiber ``curve`` moved onto the level b of its observable.
-
-    The sample polyline is moved by ``_moved_guide`` and keeps its guard;
-    None when the guard refuses the move or the fiber is open.
-    """
-    if not curve.closed:
-        return None
-    moved = _moved_guide(curve.observable, b, np.column_stack([curve.qs, curve.ps]))
-    if moved is None:
-        return None
-    return _polyline_fiber(curve.observable, b, moved[:, 0].copy(), moved[:, 1].copy(), True)
+    return _polyline_fiber(h, b, q, p, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,7 +1145,7 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
 
     A switch sits at a guide point, so a segment could otherwise reach past
     the fold of the chart it leaves; a guide along which the fiber's normal
-    turns by 45 degrees or more on one segment (the bound ``_moved_guide``
+    turns by 45 degrees or more on one segment (the bound ``moved_fiber``
     derives) raises :class:`CoarseGuide`, naming the segment and its turn.
     """
     n = len(guide)

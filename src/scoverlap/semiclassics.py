@@ -58,7 +58,6 @@ from .geometry import (
     ReferenceLagrangian,
     _bracket_field,
     _bracket_gradient,
-    _moved_guide,
     _newton_intersection,
     _newton_on_lagrangian,
     chart_action,
@@ -219,34 +218,12 @@ class BSLevel:
     period: float
 
 
-def _traced_loop(
-    h_obs: Observable, b: float
-) -> tuple[FiberCurve, float, float, np.ndarray]:
-    """The closed fiber {H = b} through ``seed_on_level``, traced afresh:
-    the curve, its loop action and period, and its closed sample polyline."""
+def _traced_loop(h_obs: Observable, b: float) -> FiberCurve:
+    """The closed fiber {H = b} through ``seed_on_level``, traced afresh."""
     curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b), _BS_SAMPLES)
     if not curve.closed:
         raise SingularFiber(f"fiber at {b} is not closed")
-    guide = np.column_stack([curve.qs, curve.ps])
-    return curve, curve.loop_action, curve.period, guide
-
-
-def _loop_on_level(
-    h_obs: Observable, b: float, guide: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """(loop action, period, closed guide) of the fiber {H = b}.
-
-    ``guide`` is a closed polyline on a nearby level of the same family.  It
-    is moved onto b (``geometry._moved_guide``) and one ``chart_action``
-    over it gives the action and period.  Where the move fails its guard,
-    the fiber is traced afresh and keeps the trace's own action and period
-    (``SingularFiber`` if it does not close).
-    """
-    moved = _moved_guide(h_obs, b, guide)
-    if moved is None:
-        return _traced_loop(h_obs, b)[1:]
-    action, period, _ = chart_action(h_obs, b, moved)
-    return action, period, moved
+    return curve
 
 
 @dataclass(frozen=True)
@@ -255,15 +232,14 @@ class LoopActionProbes:
 
     ``probes`` holds (b, loop action A, period T) at evenly spaced levels,
     with A strictly increasing; ``maslov`` is the position fibration's loop
-    index; ``guides`` holds each probe's closed fiber polyline as an (N, 2)
-    array, the first point repeated last.  All depend only on the observable
-    and the range, so one set quantizes every h.
+    index; ``fibers`` holds each probe's closed fiber.  All depend only on
+    the observable and the range, so one set quantizes every h.
     """
 
     observable: Observable
     probes: tuple[tuple[float, float, float], ...]
     maslov: int
-    guides: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    fibers: tuple[FiberCurve, ...] = field(compare=False, repr=False)
 
     def _quantum_numbers(self, h: float) -> range:
         """Quantum numbers whose levels lie inside the probed range."""
@@ -282,10 +258,10 @@ class LoopActionProbes:
         The loop action has slope dA/db = T(b), the flow period.  The level
         starts from the inverse cubic Hermite interpolant of b(A) on its
         bracketing probes (slopes 1/T) and is polished by Newton steps.  Each
-        iterate moves the guide of the nearer bracketing probe onto its level
-        and integrates it by ``chart_action`` (``_loop_on_level``), which
-        gives A and T together; an iterate whose moved guide fails the guard
-        traces its fiber afresh.  No iterate runs an ODE trace otherwise.
+        iterate moves the fiber of the nearer bracketing probe onto its level
+        (``moved_fiber``, as a composition step does) and reads A and T from
+        it; an iterate whose move the guard refuses traces its fiber afresh.
+        No iterate runs an ODE trace otherwise.
         """
         h_obs, probes, mu = self.observable, self.probes, self.maslov
         target = 2 * math.pi * h * (n + mu / 4.0)
@@ -305,8 +281,9 @@ class LoopActionProbes:
         )
         for _ in range(_BS_NEWTON_MAX):
             b = min(max(b_next, b0), b1)
-            guide = self.guides[k - 1] if b - b0 <= b1 - b else self.guides[k]
-            act, period, _ = _loop_on_level(h_obs, b, guide)
+            held = self.fibers[k - 1] if b - b0 <= b1 - b else self.fibers[k]
+            fiber = moved_fiber(held, b) or _traced_loop(h_obs, b)
+            act, period = fiber.loop_action, fiber.period
             b_next = b - (act - target) / period
             if abs(b_next - b) <= 1e-13:
                 break
@@ -354,31 +331,31 @@ def probe_loop_actions(
     """Probe the loop action and period at evenly spaced levels of a closed
     family.  The first closed probe is traced, and the position fibration's
     Maslov index is counted on that trace; each later probe moves the
-    previous probe's closed polyline onto its level and integrates it by
-    ``chart_action`` (``_loop_on_level``).  Levels without a closed fiber
-    are skipped with a warning."""
+    previous probe's fiber onto its level (``moved_fiber``) and traces it
+    afresh only where the guard refuses the move.  Levels without a closed
+    fiber are skipped with a warning."""
     probes: list[tuple[float, float, float]] = []  # (b, A, T)
-    guides: list[np.ndarray] = []
+    fibers: list[FiberCurve] = []
     mu = None
     for b in np.linspace(b_range[0], b_range[1], _BS_PROBES):
         b = float(b)
         try:
             if mu is None:
-                curve, action, period, guide = _traced_loop(h_obs, b)
-                mu = maslov_loop_index(curve, Observable.position())
+                fiber = _traced_loop(h_obs, b)
+                mu = maslov_loop_index(fiber, Observable.position())
             else:
-                action, period, guide = _loop_on_level(h_obs, b, guides[-1])
+                fiber = moved_fiber(fibers[-1], b) or _traced_loop(h_obs, b)
         except SingularFiber:
             warnings.warn(f"level {b:.6g} skipped: no closed fiber", LevelSkipped)
             continue
-        probes.append((b, action, period))
-        guides.append(guide)
+        probes.append((b, fiber.loop_action, fiber.period))
+        fibers.append(fiber)
     if len(probes) < 2:
         raise SingularFiber("fewer than two closed levels in the range")
     if not np.all(np.diff([a for _, a, _ in probes]) > 0):
         raise NonMonotoneAction("loop action is not increasing on the requested range")
     return LoopActionProbes(
-        observable=h_obs, probes=tuple(probes), maslov=mu, guides=tuple(guides)
+        observable=h_obs, probes=tuple(probes), maslov=mu, fibers=tuple(fibers)
     )
 
 
@@ -761,34 +738,11 @@ def stencil_overlap_term(
     )
 
 
-_LAM_CANDIDATES = (
-    ReferenceLagrangian.line(1.0),
-    ReferenceLagrangian.flat(),
-    ReferenceLagrangian.line(-1.0),
-    ReferenceLagrangian.line(0.5, -0.37),
-)
-
-
-def pick_reference_lagrangian(
-    sys1: tuple[Observable, float], sys2: tuple[Observable, float]
-) -> ReferenceLagrangian:
-    """First candidate graph transversal to both fibers (deterministic)."""
-    for lam in _LAM_CANDIDATES:
-        try:
-            for h_obs, b in (sys1, sys2):
-                curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b), _BS_SAMPLES)
-                reference_point(curve, lam)
-            return lam
-        except (NoReferencePoint, SingularFiber):
-            continue
-    raise NoReferencePoint("no candidate reference Lagrangian fits both fibers")
-
-
 def transition_probability(
     sys1: tuple[Observable, float],
     sys2: tuple[Observable, float],
     h: float,
-    lam: ReferenceLagrangian | None = None,
+    lam: ReferenceLagrangian,
     alpha: PrequantumForm = PrequantumForm(),
     curves: tuple[FiberCurve | None, FiberCurve | None] = (None, None),
 ) -> float:
@@ -798,8 +752,6 @@ def transition_probability(
 
     ``curves`` passes pre-traced fibers on to ``overlap``, so a caller that
     sweeps positions at one level traces that fiber once."""
-    if lam is None:
-        lam = pick_reference_lagrangian(sys1, sys2)
     amp = overlap(sys1, sys2, lam, alpha, h, curves=curves)
     return abs(amp.value) ** 2
 

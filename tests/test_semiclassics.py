@@ -18,6 +18,7 @@ from scoverlap.errors import (
     TangencyAtEndpoint,
 )
 from scoverlap.geometry import (
+    FiberCurve,
     Observable,
     PhasePoint,
     PrequantumForm,
@@ -40,7 +41,6 @@ from scoverlap.semiclassics import (
     nearest_level,
     overlap,
     overlap_kernel,
-    pick_reference_lagrangian,
     probe_loop_actions,
     stencil_overlap_term,
     transition_probability,
@@ -155,14 +155,8 @@ class TestBohrSommerfeld:
         assert [round(l.b, 9) for l in levels] == [0.25, 0.75]
 
     def test_non_monotone_rejected(self, monkeypatch):
-        import scoverlap.semiclassics as sc
-
-        fake = {0: 1.0, 1: 0.5}
-
-        def fake_loop(h_obs, b, guide):
-            return (1.0 + math.sin(8 * b), 1.0, guide)
-
-        monkeypatch.setattr(sc, "_loop_on_level", fake_loop)
+        fake_action = property(lambda fiber: 1.0 + math.sin(8 * fiber.level))
+        monkeypatch.setattr(FiberCurve, "loop_action", fake_action)
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.004, 2.0))
 
@@ -170,12 +164,8 @@ class TestBohrSommerfeld:
         # continuous with the traced first probe (A = 2 pi b at b = 0.5) and
         # strictly decreasing after it, with a positive period: dA/db = T > 0
         # rules such a family out, so it is rejected, not solved
-        import scoverlap.semiclassics as sc
-
-        def fake_loop(h_obs, b, guide):
-            return (math.pi + 0.5 - b, 1.0, guide)
-
-        monkeypatch.setattr(sc, "_loop_on_level", fake_loop)
+        fake_action = property(lambda fiber: math.pi + 0.5 - fiber.level)
+        monkeypatch.setattr(FiberCurve, "loop_action", fake_action)
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.5, 2.0))
 
@@ -221,16 +211,16 @@ class TestBohrSommerfeld:
         import scoverlap.semiclassics as sc
 
         calls = []
-        real = sc._loop_on_level
+        real = sc.moved_fiber
 
-        def counted(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counted(fiber, b):
+            calls.append(b)
+            return real(fiber, b)
 
-        monkeypatch.setattr(sc, "_loop_on_level", counted)
+        monkeypatch.setattr(sc, "moved_fiber", counted)
         levels = bohr_sommerfeld_levels(PEND, 0.05, (-0.92, 0.7))
-        # the first of the 17 probes is traced, the other 16 are evaluated
-        # on their levels like each Newton iterate
+        # the first of the 17 probes is traced, the other 16 are moved onto
+        # their levels like each Newton iterate
         assert (len(calls) - 16) / len(levels) <= 2.5
         for l in levels:
             target = 2 * math.pi * 0.05 * (l.n + l.loop_maslov / 4.0)
@@ -265,7 +255,7 @@ DOUBLE_WELL = Observable.from_text("1/2 p^2 - q^2 + 1/4 q^4")
 
 
 class TestLoopQuadrature:
-    """Probes and levels by chart quadrature over moved guides, against the
+    """Probes and levels by chart quadrature over moved fibers, against the
     ODE verifier ``loop_data``."""
 
     @pytest.mark.parametrize(
@@ -274,12 +264,35 @@ class TestLoopQuadrature:
     )
     def test_probes_and_levels_match_loop_data(self, h_obs, b_range, h):
         probes = probe_loop_actions(h_obs, b_range)
-        assert len(probes.probes) == len(probes.guides) == 17
+        assert len(probes.probes) == len(probes.fibers) == 17
         checked = list(probes.probes) + [(l.b, l.loop_action, l.period) for l in probes.levels(h)]
         for b, action, period in checked:
             ref_action, ref_period = _loop_data_at(h_obs, b)
             assert abs(action - ref_action) <= 1e-11
             assert abs(period - ref_period) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "h_obs, b_range, h", [(PEND, (-0.92, 0.7), 0.05), (QUARTIC, (0.02, 3.0), 0.1)]
+    )
+    def test_levels_move_probe_fibers_as_composition_does(self, h_obs, b_range, h):
+        # a Newton iterate moves the nearer bracketing probe's fiber by the
+        # same moved_fiber a composition step uses, and traces afresh only
+        # where that move is refused
+        import scoverlap.semiclassics as sc
+
+        probes = probe_loop_actions(h_obs, b_range)
+        bs = [b for b, _, _ in probes.probes]
+        for (b, action, period), fiber in zip(probes.probes, probes.fibers):
+            assert fiber.closed and fiber.level == b
+            assert np.max(np.abs(h_obs.value(fiber.qs, fiber.ps) - b)) <= 1e-14 * max(1, abs(b))
+            assert (fiber.loop_action, fiber.period) == (action, period)
+        levels = probes.levels(h)
+        assert len(levels) > 10
+        for l in levels:
+            k = min(max(int(np.searchsorted(bs, l.b)), 1), len(bs) - 1)
+            held = probes.fibers[k - 1] if l.b - bs[k - 1] <= bs[k] - l.b else probes.fibers[k]
+            fiber = moved_fiber(held, l.b) or sc._traced_loop(h_obs, l.b)
+            assert (l.loop_action, l.period) == (fiber.loop_action, fiber.period)
 
     def test_oscillator_actions_are_exact(self):
         probes = probe_loop_actions(HO, (0.004, 1.0))
@@ -294,7 +307,7 @@ class TestLoopQuadrature:
     def test_double_well_probes_cross_the_separatrix(self, monkeypatch, b_range):
         # the double well's left well closes below 0 and the outer loop
         # around both wells above it; the first probe past the separatrix is
-        # traced afresh, as are left-well probes whose moved guides turn too
+        # traced afresh, as are left-well probes whose moved fibers turn too
         # sharply
         import scoverlap.semiclassics as sc
 
@@ -324,19 +337,19 @@ class TestLoopQuadrature:
     def test_guard_rejects_the_separatrix_whether_or_not_newton_converges(
         self, monkeypatch, steps, check
     ):
-        # with 200 steps every point of the left-well guide converges onto
+        # with 200 steps every sample of the left-well fiber converges onto
         # the outer loop; each geometric check rejects the move on its own
         import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
-        left = sc._traced_loop(DOUBLE_WELL, -0.025)[3]
-        assert geo._moved_guide(DOUBLE_WELL, -0.1, left) is not None
+        left = sc._traced_loop(DOUBLE_WELL, -0.025)
+        assert moved_fiber(left, -0.1) is not None
         monkeypatch.setattr(geo, "_MOVE_STEPS", steps)
         if check == "growth":
             monkeypatch.setattr(geo, "_MOVE_TURN", -2.0)
         if check == "turn":
             monkeypatch.setattr(geo, "_MOVE_STRETCH", math.inf)
-        assert geo._moved_guide(DOUBLE_WELL, 0.0625, left) is None
+        assert moved_fiber(left, 0.0625) is None
 
     def test_one_trace_and_no_loop_data_per_ladder(self, monkeypatch):
         import scoverlap.geometry as geo
@@ -362,24 +375,23 @@ class TestLoopQuadrature:
     @given(a=st.floats(0.3, 0.8), c=st.floats(0.02, 0.15), u=st.floats(0.05, 0.95))
     @settings(max_examples=15, deadline=None)
     def test_quartic_quadrature_matches_loop_data(self, a, c, u):
-        import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
         h_obs = Observable.from_coeffs({(0, 2): 0.5, (2, 0): a, (4, 0): c})
-        guide = sc._traced_loop(h_obs, 0.1)[3]
+        traced = sc._traced_loop(h_obs, 0.1)
         b = 0.1 + 0.2 * u  # up to 0.2 above the traced level
-        assert geo._moved_guide(h_obs, b, guide) is not None
-        action, period, _ = sc._loop_on_level(h_obs, b, guide)
+        moved = moved_fiber(traced, b)
+        assert moved is not None
         ref_action, ref_period = _loop_data_at(h_obs, b)
-        assert abs(action - ref_action) <= 1e-11
-        assert abs(period - ref_period) <= 1e-11
+        assert abs(moved.loop_action - ref_action) <= 1e-11
+        assert abs(moved.period - ref_period) <= 1e-11
         # dA/db = T
         d = 1e-4
         slope = (
-            sc._loop_on_level(h_obs, b + d, guide)[0]
-            - sc._loop_on_level(h_obs, b - d, guide)[0]
+            moved_fiber(traced, b + d).loop_action
+            - moved_fiber(traced, b - d).loop_action
         ) / (2 * d)
-        assert abs(slope - period) <= 1e-7
+        assert abs(slope - moved.period) <= 1e-7
 
 
 class TestOverlap:
@@ -589,15 +601,6 @@ class TestTransitionProbability:
             (Q, 0.4), (HO, 0.475), h, LAM, PrequantumForm(gauge=gauge)
         )
         assert a == pytest.approx(b, rel=1e-12)
-
-    def test_reference_autopick(self):
-        val = transition_probability((Q, 0.4), (HO, 0.475), 0.1)
-        assert val > 0
-        lam = pick_reference_lagrangian((Q, 0.4), (HO, 0.475))
-        assert val == pytest.approx(
-            transition_probability((Q, 0.4), (HO, 0.475), 0.1, lam), rel=1e-12
-        )
-
 
     def test_sweep_density_is_insensitive_to_one_ulp_of_level(self):
         # the q_vs_ho_sweep cases: level nearest 0.54 at each h, positions

@@ -267,25 +267,6 @@ def poisson_bracket(h1: Observable, h2: Observable, x: PhasePoint) -> float:
     return float(_bracket_field(h1, h2, x[0], x[1]))
 
 
-def _bracket_gradient(h1: Observable, h2: Observable, x: PhasePoint) -> tuple[float, float]:
-    """Gradient of {H1, H2}; needs second derivatives of both observables."""
-    q, p = x
-    d = lambda obs, a, b: float(obs.deriv(q, p, a, b))
-    gq = (
-        d(h1, 2, 0) * d(h2, 0, 1)
-        + d(h1, 1, 0) * d(h2, 1, 1)
-        - d(h1, 1, 1) * d(h2, 1, 0)
-        - d(h1, 0, 1) * d(h2, 2, 0)
-    )
-    gp = (
-        d(h1, 1, 1) * d(h2, 0, 1)
-        + d(h1, 1, 0) * d(h2, 0, 2)
-        - d(h1, 0, 2) * d(h2, 1, 0)
-        - d(h1, 0, 1) * d(h2, 1, 1)
-    )
-    return gq, gp
-
-
 @dataclass(frozen=True)
 class PrequantumForm:
     """alpha = p dq + df with a scalar gauge function f (default 0).

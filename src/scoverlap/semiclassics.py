@@ -57,7 +57,6 @@ from .geometry import (
     PrequantumForm,
     ReferenceLagrangian,
     _bracket_field,
-    _bracket_gradient,
     _newton_intersection,
     _newton_on_lagrangian,
     chart_action,
@@ -94,71 +93,39 @@ _BS_TIE = 1e-9
 # Maslov counting
 # ---------------------------------------------------------------------------
 
-def _tangency_newton(
-    transverse: Observable, h2: Observable, b2: float, guess: PhasePoint
-) -> PhasePoint | None:
-    """Polish a point with H2 = b2 and {H1, H2} = 0."""
-    q, p = float(guess[0]), float(guess[1])
-    for _ in range(60):
-        f1 = float(h2.value(q, p)) - b2
-        f2 = poisson_bracket(transverse, h2, PhasePoint(q, p))
-        if abs(f1) < 1e-13 * max(1.0, abs(b2)) and abs(f2) < 1e-12:
-            return PhasePoint(q, p)
-        j11, j12 = float(h2.dq(q, p)), float(h2.dp(q, p))
-        j21, j22 = _bracket_gradient(transverse, h2, PhasePoint(q, p))
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
-            return None
-        q += (-f1 * j22 + f2 * j12) / det
-        p += (-f2 * j11 + f1 * j21) / det
-    return None
-
-
-def _crossing_sign(transverse: Observable, h2: Observable, x: PhasePoint) -> int:
-    """Sign of one tangency crossing, traversed along the flow of ``h2``.
-
-    The tangent line of the fiber rotates through the transverse fibration's
-    fiber direction; a clockwise passage counts +1.  In bracket terms the
-    sign is -sign(d{H1,H2}/ds) * sign(X1 . X2), which for parallel tangents
-    reduces to +1 when the bracket passes from positive to negative along
-    the flow.
-    """
-    gq, gp = _bracket_gradient(transverse, h2, x)
-    x2 = (float(h2.dp(*x)), -float(h2.dq(*x)))
-    x1 = (float(transverse.dp(*x)), -float(transverse.dq(*x)))
-    dbeta = gq * x2[0] + gp * x2[1]
-    dot = x1[0] * x2[0] + x1[1] * x2[1]
-    return int(-math.copysign(1.0, dbeta) * math.copysign(1.0, dot))
-
-
 def _maslov_over_guide(
-    curve: FiberCurve,
-    guide: np.ndarray,
-    transverse: Observable,
-    endpoint_check: bool = True,
+    curve: FiberCurve, guide: np.ndarray, transverse: Observable
 ) -> int:
     """Signed tangency count along ``guide``, a polyline on ``curve`` in flow
-    direction (``FiberCurve.arc``).  Every test below is symmetric under
-    reversal, so the arc traversed against the flow counts minus this."""
-    h2, b2 = curve.observable, curve.level
+    direction (``FiberCurve.arc``).
+
+    A sign change of beta = {H1, H2} between consecutive nonzero samples
+    i < j is one crossing.  The fiber's tangent turns through the transverse
+    fibration's fiber direction there; a clockwise passage counts +1, which
+    is -sign(d beta/ds) * sign(X1 . X2).  Across the cell d beta/ds has the
+    sign of beta_j = -beta_i, and X1 . X2 = grad H1 . grad H2, read at the
+    cell midpoint, so the crossing counts sign(beta_i) * sign(grad H1 .
+    grad H2).  Every test is symmetric under reversal, so the arc traversed
+    against the flow counts minus this.
+    """
+    h2 = curve.observable
     beta = np.asarray(_bracket_field(transverse, h2, guide[:, 0], guide[:, 1]), float)
-    if endpoint_check and (abs(beta[0]) <= TRANS_TOL or abs(beta[-1]) <= TRANS_TOL):
+    if abs(beta[0]) <= TRANS_TOL or abs(beta[-1]) <= TRANS_TOL:
         raise TangencyAtEndpoint(
             "transversality bracket vanishes at a segment endpoint"
         )
-    total = 0
     signs = np.sign(beta)
-    crossing_cells = np.zeros(len(beta), dtype=bool)
-    # a sign change between consecutive nonzero samples i < j is a crossing
     nonzero = np.flatnonzero(signs)
     changes = np.flatnonzero(signs[nonzero[:-1]] != signs[nonzero[1:]])
-    for i, j in zip(nonzero[changes], nonzero[changes + 1]):
-        crossing_cells[i:j] = True
-        mid = PhasePoint(*(0.5 * (guide[i] + guide[j])))
-        tp = _tangency_newton(transverse, h2, b2, mid)
-        if tp is None:
-            tp = mid
-        total += _crossing_sign(transverse, h2, tp)
+    i, j = nonzero[changes], nonzero[changes + 1]
+    q, p = (0.5 * (guide[i] + guide[j])).T
+    dot = transverse.dq(q, p) * h2.dq(q, p) + transverse.dp(q, p) * h2.dp(q, p)
+    total = int(np.sum(signs[i] * np.sign(dot)))
+    # cells i..j-1 of each crossing; the crossings' cells do not overlap
+    step = np.zeros(len(beta), dtype=int)
+    step[i] += 1
+    step[j] -= 1
+    crossing_cells = np.cumsum(step) > 0
     # interior dips of |beta| to ~0 without a sign change: touch points
     mags = np.abs(beta)
     inner = mags[1:-1]
@@ -195,14 +162,19 @@ def maslov_segment(
 
 
 def maslov_loop_index(curve: FiberCurve, transverse: Observable) -> int:
-    """Tangency index of a full closed fiber (starts at maximal |bracket|)."""
+    """Tangency index of a full closed fiber.
+
+    The loop starts and ends at the sample of maximal |bracket|, so only a
+    fiber on which |{H1, H2}| <= TRANS_TOL everywhere raises
+    ``TangencyAtEndpoint``.
+    """
     if not curve.closed:
         raise ValueError("loop index requested for an open fiber")
     beta = np.abs(_bracket_field(transverse, curve.observable, curve.qs, curve.ps))
     i = int(np.argmax(beta))
     s0 = float(curve.arclength[i])
     guide, _ = curve.arc(curve.point(i), curve.point(i), s0, s0)
-    return _maslov_over_guide(curve, guide, transverse, endpoint_check=False)
+    return _maslov_over_guide(curve, guide, transverse)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +395,8 @@ class OverlapTerm:
 class SemiclassicalAmplitude:
     h: float
     terms: tuple[OverlapTerm, ...]
-    prefactor: complex
+    prefactor: float
     value: complex
-    convention: dict
     curve1: FiberCurve | None = None
     curve2: FiberCurve | None = None
     x1: PhasePoint | None = None
@@ -589,14 +560,11 @@ def overlap(
     """
     h1, b1 = sys1
     h2, b2 = sys2
-    convention = {"constant": 1.0, "power_of_2pi_h": -0.5}
 
     points = find_intersections(h1, b1, h2, b2)
     if not points:
         prefactor, value = _prefactor_and_value(h, ())
-        return SemiclassicalAmplitude(
-            h=h, terms=(), prefactor=prefactor, value=value, convention=convention,
-        )
+        return SemiclassicalAmplitude(h=h, terms=(), prefactor=prefactor, value=value)
 
     curve1 = curves[0] or trace_level_curve(h1, b1, points[0].point)
     curve2 = curves[1] or trace_level_curve(h2, b2, points[0].point)
@@ -671,7 +639,6 @@ def overlap(
         terms=tuple(terms),
         prefactor=prefactor,
         value=value,
-        convention=convention,
         curve1=curve1,
         curve2=curve2,
         x1=x1,

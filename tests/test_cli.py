@@ -1,5 +1,6 @@
 """Experiment runner: config validation, pipelines, reproducibility."""
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,17 @@ from scoverlap.geometry import Observable
 from scoverlap.semiclassics import nearest_level, probe_loop_actions
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def _example_runs():
+    """The (command, config) list of ``scripts/run_experiments.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "run_experiments", EXAMPLES.parent / "run_experiments.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUNS
+
 
 HO_SPECTRUM = """
 [systems]
@@ -207,6 +219,14 @@ class TestErrorFloor:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["slope"] == pytest.approx(1.24, abs=0.01)
         assert report["error_floor"] is None
+
+
+@pytest.mark.parametrize(
+    "command, config", _example_runs(), ids=lambda v: v.removesuffix(".ini")
+)
+def test_example_config_runs(tmp_path, command, config):
+    assert main([command, "--config", str(EXAMPLES / config), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["cases"]
 
 
 class TestConfigValidation:

@@ -139,6 +139,32 @@ class TestMaslov:
             maslov_segment(c, turning, PhasePoint(0.0, 1.0), Q)
 
 
+class TestMaslovOtherFibrations:
+    ELLIPSE = Observable.from_coeffs({(2, 0): 2.0, (0, 2): 0.5, (1, 0): -0.6})
+
+    @pytest.mark.parametrize("theta", [0.3, 1.2, math.pi / 2, 2.0, 2.8, -0.9])
+    def test_loop_index_against_a_tilted_line_is_two(self, theta):
+        # the tangent of a simple closed loop turns once, so it passes each
+        # line direction twice, net
+        ellipse = trace_level_curve(self.ELLIPSE, 0.9, PhasePoint(1.0, 0.3))
+        pendulum = trace_level_curve(PEND, -0.3, PhasePoint(math.acos(0.3), 0.0))
+        line = Observable.linear(theta)
+        assert maslov_loop_index(ellipse, line) == maslov_loop_index(pendulum, line) == 2
+
+    def test_line_segment_against_the_oscillator(self):
+        # on p = 0.8 the bracket {H_osc, P} = q changes sign once, at q = 0,
+        # where the oscillator's fiber direction X1 = (0.8, 0) is horizontal
+        line = trace_level_curve(P, 0.8, PhasePoint(0.0, 0.8))
+        a, d = PhasePoint(-1.0, 0.8), PhasePoint(1.5, 0.8)
+        assert maslov_segment(line, a, d, HO) == -maslov_segment(line, d, a, HO) == -1
+
+    def test_loop_tangent_everywhere_is_rejected(self):
+        # {H, H} = 0 on the whole loop: no sample can start the count
+        c = trace_level_curve(HO, 0.5, PhasePoint(1.0, 0.0))
+        with pytest.raises(TangencyAtEndpoint):
+            maslov_loop_index(c, HO)
+
+
 class TestBohrSommerfeld:
     def test_ho_exact_ladder(self):
         levels = bohr_sommerfeld_levels(HO, 0.1, (0.004, 1.0))
@@ -578,7 +604,6 @@ class TestOverlap:
             total += t.contribution
         assert amp.value == amp.prefactor * total
         assert amp.prefactor == pytest.approx(1 / math.sqrt(2 * math.pi * h))
-        assert amp.convention == {"constant": 1.0, "power_of_2pi_h": -0.5}
 
 
 class TestTransitionProbability:

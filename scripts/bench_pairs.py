@@ -22,8 +22,10 @@ workload, every pair (seed, and per side ``run_s``, ``setup_s``,
 ``peak_rss_mb``, ``failed``, ``attempted``, and the ``accuracy`` numbers and
 ``warnings`` of the run's detail line), per metric each side's median and
 quartiles, the number of pairs in which the change reads lower, and whether
-the medians differ by more than the parent's interquartile range, and per
-accuracy number (all lower-is-better) each side's worst value.
+the medians differ by more than the parent's interquartile range, whether
+both hold as a claim of a gain needs them (``claim_rule_met``: lower in at
+least nine tenths of the pairs and that gap), and per accuracy number (all
+lower-is-better) each side's worst value.
 """
 
 from __future__ import annotations
@@ -106,14 +108,15 @@ def _summary(pairs: list[dict]) -> dict:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         before, after = _spread(parent), _spread(change)
+        lower_in = sum(c < p for p, c in zip(parent, change))
+        gap = abs(after["median"] - before["median"]) > before["q3"] - before["q1"]
         out[name] = {
             "parent": before,
             "change": after,
-            "lower_in": sum(c < p for p, c in zip(parent, change)),
+            "lower_in": lower_in,
             "pairs": len(pairs),
-            "median_gap_exceeds_parent_iqr": (
-                abs(after["median"] - before["median"]) > before["q3"] - before["q1"]
-            ),
+            "median_gap_exceeds_parent_iqr": gap,
+            "claim_rule_met": lower_in >= 0.9 * len(pairs) and gap,
         }
     keys = sorted({k for p in pairs for side in SIDES for k in p[side]["accuracy"]})
     out["accuracy_worst"] = {

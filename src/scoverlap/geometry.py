@@ -834,12 +834,16 @@ def find_intersections(
 ) -> list[IntersectionPoint]:
     """All transversal points of {H1 = b1} and {H2 = b2} inside the box.
 
-    Sign-pattern scan followed by 2D Newton polish and deduplication.  A
-    grid cell can hold a crossing only if both level functions straddle zero
-    on its corners, so H1 is evaluated on the whole grid and H2 only at the
-    corners of H1's straddling cells.  Tangential roots (|{H1,H2}| <=
-    TRANS_TOL) raise :class:`TangentialIntersection` carrying the offending
-    points.
+    Sign-pattern scan of a 401^2 grid over the box, then the steps every
+    crossing search shares (``_crossings``).  A grid cell can hold a
+    crossing only if both level functions straddle zero on its corners, so
+    H1 is evaluated on the whole grid and H2 only at the corners of H1's
+    straddling cells; Newton starts at each candidate cell's center, so two
+    crossings within one 0.04 cell are not split and can both be missed.
+    Tangential roots (|{H1,H2}| <= TRANS_TOL) raise
+    :class:`TangentialIntersection` carrying the offending points.  The scan
+    needs no fiber: ``overlap`` uses it unless it holds a straight one, and
+    it is the verifier of ``intersections_along``.
     """
     axis = np.linspace(-DOMAIN_BOUND, DOMAIN_BOUND, _SCAN_CELLS + 1)
     f1 = np.asarray(h1.value(axis[:, None], axis[None, :]), dtype=float) - b1
@@ -851,10 +855,37 @@ def find_intersections(
     cells = _straddling(f2, lambda m: m.any(axis=0))
     ii, jj = ii[cells], jj[cells]
     half = (axis[1] - axis[0]) / 2.0
-    centers = [PhasePoint(axis[i] + half, axis[j] + half) for i, j in zip(ii, jj)]
+    return _crossings(h1, b1, h2, b2, zip(axis[ii] + half, axis[jj] + half))
 
+
+def intersections_along(
+    curve: FiberCurve, h1: Observable, b1: float, h2: Observable, b2: float
+) -> list[IntersectionPoint]:
+    """The points of ``find_intersections(h1, b1, h2, b2)`` read along
+    ``curve``, the sampled fiber of one of the two systems.
+
+    Newton starts where the other system's H - b changes sign between
+    samples, at the linear crossing (``_polyline_hits``, as for the
+    reference graph), and the steps of the grid scan follow (``_crossings``).
+    Only crossings on ``curve`` are found, so this is the whole search when
+    ``curve`` is the whole level set in the box, as a straight fiber is.  A
+    transversal pair of crossings inside one sample segment is missed.
+    """
+    h, b = (h2, b2) if (curve.observable, curve.level) == (h1, b1) else (h1, b1)
+    phi = np.asarray(h.value(curve.qs, curve.ps), dtype=float) - b
+    return _crossings(h1, b1, h2, b2, zip(*_polyline_hits(phi, curve.qs, curve.ps)))
+
+
+def _crossings(
+    h1: Observable, b1: float, h2: Observable, b2: float, starts
+) -> list[IntersectionPoint]:
+    """Transversal points of {H1 = b1} and {H2 = b2} by 2D Newton from each
+    (q, p) in ``starts``: roots outside the box are dropped and roots within
+    DEDUP_RADIUS of an earlier one merged; any root with |{H1, H2}| <=
+    TRANS_TOL raises :class:`TangentialIntersection`; the rest are sorted by
+    (q, p)."""
     roots: list[PhasePoint] = []
-    for c in centers:
+    for c in starts:
         r = _newton_intersection(h1, b1, h2, b2, c)
         if r is None:
             continue
@@ -904,26 +935,27 @@ def _newton_on_lagrangian(
     return None
 
 
-def _graph_hits(qs: np.ndarray, phi: np.ndarray) -> list[float]:
-    """Starting q for each place a polyline meets a graph, phi = p - lam(q)
+def _polyline_hits(phi: np.ndarray, *coords: np.ndarray) -> list[np.ndarray]:
+    """Starting points for each place a polyline meets {phi = 0}, from phi
     at its samples: per segment in order, the segment's first sample when
-    it lies on the graph, else the linear crossing of a sign change; then
-    the last sample when it lies on the graph."""
+    phi is 0 there, else the linear crossing of a sign change; then the last
+    sample when phi is 0 there.  One array per coordinate in ``coords``."""
     a, bb = phi[:-1], phi[1:]
     seg = np.nonzero((a == 0.0) | (a * bb < 0.0))[0]
-    hits = qs[seg]
     cross = a[seg] != 0.0
     i = seg[cross]
-    hits[cross] += a[i] / (a[i] - bb[i]) * (qs[i + 1] - qs[i])
-    hits = hits.tolist()
-    if phi[-1] == 0.0:
-        hits.append(float(qs[-1]))
-    return hits
+    t = a[i] / (a[i] - bb[i])
+    out = []
+    for x in coords:
+        hits = x[seg]
+        hits[cross] += t * (x[i + 1] - x[i])
+        out.append(np.append(hits, x[-1]) if phi[-1] == 0.0 else hits)
+    return out
 
 
 def lagrangian_intersections(curve: FiberCurve, lam: ReferenceLagrangian) -> list[PhasePoint]:
     """Transversal intersections of a traced fiber with the graph p = lam(q)."""
-    hits = _graph_hits(curve.qs, curve.ps - np.asarray(lam.value(curve.qs)))
+    (hits,) = _polyline_hits(curve.ps - np.asarray(lam.value(curve.qs)), curve.qs)
     found: list[PhasePoint] = []
     h, b = curve.observable, curve.level
     for qg in hits:

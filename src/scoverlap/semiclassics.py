@@ -61,6 +61,7 @@ from .geometry import (
     _newton_on_lagrangian,
     chart_action,
     find_intersections,
+    intersections_along,
     lagrangian_intersections,
     moved_fiber,
     poisson_bracket,
@@ -557,11 +558,23 @@ def overlap(
     Each fiber is one component, traced through the first intersection
     unless ``curves`` supplies it; an intersection farther than
     COMPONENT_TOL from either traced polyline raises ``MultipleComponents``.
+    The intersections are read along a supplied straight fiber
+    (``intersections_along``), which is the whole level set in the box, and
+    found by the grid scan (``find_intersections``) when none is supplied.
+    Each source can miss a pair of crossings its resolution cannot split:
+    the scan a pair within one 0.04 cell, the polyline a transversal pair
+    within one sample segment.  In a composition the backstop is
+    ``compose_kernels``, which raises ``BranchStructureChange`` when a
+    kernel's term count at some level differs from its first.
     """
     h1, b1 = sys1
     h2, b2 = sys2
 
-    points = find_intersections(h1, b1, h2, b2)
+    straight = next((c for c in curves if c is not None and c.observable.is_linear), None)
+    if straight is None:
+        points = find_intersections(h1, b1, h2, b2)
+    else:
+        points = intersections_along(straight, h1, b1, h2, b2)
     if not points:
         prefactor, value = _prefactor_and_value(h, ())
         return SemiclassicalAmplitude(h=h, terms=(), prefactor=prefactor, value=value)
@@ -1074,7 +1087,9 @@ def overlap_kernel(
 
     ``fixed_slot`` = 1 puts the fixed system in the linear slot (kernel rows
     labelled by the intermediate), 2 the reverse.  The fixed fiber is traced
-    at the first call and kept in ``kernel.cache["curve"]``.  ``fibers``
+    at the first call and kept in ``kernel.cache["curve"]``; when it is
+    straight, every later call reads the crossings along it and the first
+    is the kernel's only grid scan (``overlap``).  ``fibers``
     maps intermediate levels to fibers; the two kernels of one composition
     share it, and a kernel given none keeps its own.  A level the mapping
     holds is read from it; any other level moves the held fiber of the

@@ -156,4 +156,20 @@ def test_bench_pairs_summarises_a_single_pair(monkeypatch):
     summary = bench_pairs._summary([{"parent": side, "change": dict(side, run_s=0.4)}])
     assert summary["run_s"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert summary["run_s"]["lower_in"] == 1 and summary["run_s"]["pairs"] == 1
+    # one pair has no parent spread: a lower change meets the claim rule
+    assert summary["run_s"]["claim_rule_met"] is True
+    assert summary["setup_s"]["claim_rule_met"] is False
     assert summary["accuracy_worst"]["rel_err"] == {"parent": 1e-15, "change": 1e-15}
+    # nine of ten lower with the gap beyond the parent's IQR (0.02) meets
+    # it; eight of ten, or nine with a gap of 0.005, does not
+    parent_runs = [0.50, 0.51, 0.52, 0.53, 0.54] * 2
+
+    def ten(change_runs):
+        return bench_pairs._summary([
+            {"parent": dict(side, run_s=p), "change": dict(side, run_s=c)}
+            for p, c in zip(parent_runs, change_runs)
+        ])["run_s"]
+
+    assert ten([0.30] * 9 + [0.60])["claim_rule_met"] is True
+    assert ten([0.30] * 8 + [0.60] * 2)["claim_rule_met"] is False
+    assert ten([p - 0.005 for p in parent_runs[:9]] + [0.60])["claim_rule_met"] is False

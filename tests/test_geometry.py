@@ -31,10 +31,12 @@ from scoverlap.geometry import (
     action_along_fiber,
     chart_action,
     find_intersections,
+    intersections_along,
     loop_data,
     moved_fiber,
     poisson_bracket,
     reference_point,
+    seed_on_level,
     trace_level_curve,
 )
 
@@ -246,15 +248,59 @@ def dense_scan_intersections(h1, b1, h2, b2, domain=8.0, grid_n=400):
     return sorted(points, key=lambda ip: (ip.point.q, ip.point.p))
 
 
-def scan_or_tangential(h1, b1, h2, b2):
+def or_tangential(search, *args):
+    """``search(*args)``, or ("tangential", points) where it raises."""
     try:
-        return find_intersections(h1, b1, h2, b2)
+        return search(*args)
     except TangentialIntersection as err:
         return ("tangential", err.points)
 
 
+def scan_or_tangential(h1, b1, h2, b2):
+    return or_tangential(find_intersections, h1, b1, h2, b2)
+
+
 def quartic(a, c):
     return Observable.from_coeffs({(0, 2): 0.5, (2, 0): a, (4, 0): c})
+
+
+def seeded_random_pairs():
+    """24 pairs (h1, b1, h2, b2) drawn from pendulums, oscillators, lines,
+    quartics and general quadratics, with levels met inside |q|, |p| <= 3."""
+    rng = np.random.default_rng(20260418)
+
+    def draw():
+        kind = rng.integers(5)
+        if kind == 0:
+            return PEND
+        if kind == 1:
+            return Observable.harmonic(
+                omega=rng.uniform(0.5, 2.0), center_q=rng.uniform(-2.0, 2.0)
+            )
+        if kind == 2:
+            return Observable.linear(rng.uniform(0.0, math.pi))
+        if kind == 3:
+            return quartic(rng.uniform(0.1, 1.0), rng.uniform(0.01, 0.2))
+        return Observable.from_coeffs(
+            {(a, b): rng.normal() for a in range(3) for b in range(3) if a + b <= 2}
+        )
+
+    pairs = []
+    for _ in range(24):
+        h1, h2 = draw(), draw()
+        b1 = float(h1.value(*rng.uniform(-3.0, 3.0, 2)))
+        b2 = float(h2.value(*rng.uniform(-3.0, 3.0, 2)))
+        pairs.append((h1, b1, h2, b2))
+    return pairs
+
+
+def thin_ellipse(q0, half):
+    """(q - q0)^2 / (2 half^2) + p^2 / 2: at level 1/2 an ellipse of
+    half-width ``half`` in q about q0 and half-height 1 in p."""
+    k = 0.5 / (half * half)
+    return Observable.from_coeffs(
+        {(2, 0): k, (1, 0): -2 * k * q0, (0, 0): k * q0 * q0, (0, 2): 0.5}
+    )
 
 
 class TestIntersectionScan:
@@ -289,31 +335,82 @@ class TestIntersectionScan:
         assert got == dense_scan_intersections(HO, 0.5, Q, 1.0)
 
     def test_seeded_random_pairs_match_dense_scan(self):
-        rng = np.random.default_rng(20260418)
-
-        def draw():
-            kind = rng.integers(5)
-            if kind == 0:
-                return PEND
-            if kind == 1:
-                return Observable.harmonic(
-                    omega=rng.uniform(0.5, 2.0), center_q=rng.uniform(-2.0, 2.0)
-                )
-            if kind == 2:
-                return Observable.linear(rng.uniform(0.0, math.pi))
-            if kind == 3:
-                return quartic(rng.uniform(0.1, 1.0), rng.uniform(0.01, 0.2))
-            return Observable.from_coeffs(
-                {(a, b): rng.normal() for a in range(3) for b in range(3) if a + b <= 2}
-            )
-
-        for _ in range(24):
-            h1, h2 = draw(), draw()
-            b1 = float(h1.value(*rng.uniform(-3.0, 3.0, 2)))
-            b2 = float(h2.value(*rng.uniform(-3.0, 3.0, 2)))
+        for h1, b1, h2, b2 in seeded_random_pairs():
             assert scan_or_tangential(h1, b1, h2, b2) == dense_scan_intersections(
                 h1, b1, h2, b2
             ), (str(h1), b1, str(h2), b2)
+
+    @pytest.mark.parametrize(
+        "h1, b1, h2, b2",
+        [
+            (PEND, -0.5, P, 0.3),
+            (PEND, 0.4, Q, 1.1),
+            (P, 0.3, PEND, -0.5),
+            (quartic(0.4, 0.1), 0.9, Q, 0.7),
+            (HO, 0.5, Q, 2.0),
+            (HO, 0.5, Q, 1.0),
+        ]
+        + [pair for pair in seeded_random_pairs() if pair[0].is_linear or pair[2].is_linear],
+    )
+    def test_search_along_a_straight_fiber_matches_the_scan(self, h1, b1, h2, b2):
+        # along either straight side, sampled over its whole segment in the box
+        want = scan_or_tangential(h1, b1, h2, b2)
+        for h, b in [(h1, b1), (h2, b2)]:
+            if not h.is_linear:
+                continue
+            line = trace_level_curve(h, b, seed_on_level(h, b))
+            got = or_tangential(intersections_along, line, h1, b1, h2, b2)
+            if want and want[0] == "tangential":
+                # the line's seed (1, 0) is a sample and the touch point, so
+                # the polyline sees the tangency (it misses one between two
+                # samples, see below); Newton halves its distance to a
+                # tangency and stops about 1e-7 from it, at a place that
+                # depends on its start
+                assert got[0] == "tangential" and len(got[1]) == len(want[1])
+                assert np.allclose(got[1], want[1], rtol=0.0, atol=DEDUP_RADIUS)
+                continue
+            assert len(got) == len(want)
+            assert [np.sign(x.bracket) for x in got] == [np.sign(x.bracket) for x in want]
+            assert np.allclose(
+                [x.point for x in got], [x.point for x in want], rtol=0.0, atol=1e-12
+            )
+
+    def test_scan_misses_a_pair_inside_one_cell(self):
+        # the ellipse spans q in (0.005, 0.035), inside the cell column
+        # [0, 0.04], so no grid node lies inside it: the scan sees no sign
+        # change of H2 and returns nothing, while the sample at q = 0.0268
+        # on p = 0.3 lies inside and the polyline finds both crossings
+        ellipse = thin_ellipse(0.02, 0.015)
+        line = trace_level_curve(P, 0.3, PhasePoint(0.0, 0.3))
+        assert find_intersections(P, 0.3, ellipse, 0.5) == []
+        got = intersections_along(line, P, 0.3, ellipse, 0.5)
+        half_chord = 0.015 * math.sqrt(1.0 - 0.3**2)
+        assert [x.point.q for x in got] == pytest.approx(
+            [0.02 - half_chord, 0.02 + half_chord], abs=1e-12
+        )
+
+    def test_polyline_misses_a_pair_inside_one_sample_segment(self):
+        # the samples of p = 0.3 from q = 0 lie 8/299 apart, at q = 0.0268
+        # and 0.0535 on either side of the ellipse (0.03, 0.05), which holds
+        # the grid nodes q = 0.04: the scan finds both crossings and the
+        # polyline neither
+        ellipse = thin_ellipse(0.04, 0.01)
+        line = trace_level_curve(P, 0.3, PhasePoint(0.0, 0.3))
+        assert np.sum((line.qs > 0.03) & (line.qs < 0.05)) == 0
+        assert intersections_along(line, P, 0.3, ellipse, 0.5) == []
+        got = find_intersections(P, 0.3, ellipse, 0.5)
+        half_chord = 0.01 * math.sqrt(1.0 - 0.3**2)
+        assert [x.point.q for x in got] == pytest.approx(
+            [0.04 - half_chord, 0.04 + half_chord], abs=1e-12
+        )
+        assert all(abs(x.bracket) > 90.0 for x in got)
+        # a tangency is the limit of such a pair: H - b keeps its sign at
+        # the samples of q = 1 from (1, 0.3), none of which is (1, 0)
+        line = trace_level_curve(Q, 1.0, PhasePoint(1.0, 0.3))
+        assert intersections_along(line, Q, 1.0, HO, 0.5) == []
+        got = scan_or_tangential(Q, 1.0, HO, 0.5)
+        assert got[0] == "tangential"
+        assert np.allclose(got[1], [(1.0, 0.0)], rtol=0.0, atol=DEDUP_RADIUS)
 
 
 class TestActions:
@@ -615,7 +712,7 @@ def _monomial_sum(obs, q, p, dq_order, dp_order):
 
 
 def _loop_hits(qs, phi):
-    """The segment-by-segment walk: the reference for ``_graph_hits``."""
+    """The segment-by-segment walk: the reference for ``_polyline_hits``."""
     hits = []
     for i in range(len(phi) - 1):
         a, bb = phi[i], phi[i + 1]
@@ -693,7 +790,10 @@ class TestKernels:
     def test_graph_hits_match_the_segment_walk(self, phi):
         phi = np.array(phi)
         qs = np.cumsum(np.linspace(0.1, 0.3, len(phi))) - 1.0
-        assert geometry._graph_hits(qs, phi) == _loop_hits(qs, phi)
+        ps = np.sin(3.0 * qs)
+        hits_q, hits_p = geometry._polyline_hits(phi, qs, ps)
+        assert hits_q.tolist() == _loop_hits(qs, phi)
+        assert hits_p.tolist() == _loop_hits(ps, phi)
 
     @pytest.mark.parametrize(
         "obs, b, start, lam",
@@ -713,9 +813,11 @@ class TestKernels:
         if lam == ReferenceLagrangian.flat():
             # the traced curve starts on p = 0: a sample on the Lagrangian
             assert np.any(phi == 0.0)
-        assert geometry._graph_hits(c.qs, phi) == _loop_hits(c.qs, phi)
+        assert geometry._polyline_hits(phi, c.qs)[0].tolist() == _loop_hits(c.qs, phi)
         got = geometry.lagrangian_intersections(c, lam)
-        monkeypatch.setattr(geometry, "_graph_hits", _loop_hits)
+        monkeypatch.setattr(
+            geometry, "_polyline_hits", lambda phi, qs: [np.array(_loop_hits(qs, phi))]
+        )
         assert got == geometry.lagrangian_intersections(c, lam)
 
 

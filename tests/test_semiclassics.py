@@ -452,6 +452,23 @@ class TestOverlap:
         off = sorted(x.q for x in info.value.points)
         assert off == pytest.approx([-0.994, 0.994, 5.289, 7.278], abs=1e-3)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_held_line_meets_the_same_several_wells(self, swap):
+        # crossings read along a held p = 0.3 line are those of the grid
+        # scan, so the traced -2 pi well leaves the same four off the fiber
+        line = trace_level_curve(P, 0.3, PhasePoint(0.0, 0.3))
+        systems, curves = [(PEND, -0.5), (P, 0.3)], [None, line]
+        if swap:
+            systems.reverse()
+            curves.reverse()
+        off = []
+        for held in (curves, [None, None]):
+            with pytest.raises(MultipleComponents) as info:
+                overlap(*systems, LAM, h=0.1, curves=tuple(held))
+            off.append(sorted(x.q for x in info.value.points))
+        assert off[0] == pytest.approx([-0.994, 0.994, 5.289, 7.278], abs=1e-3)
+        assert off[0] == pytest.approx(off[1], abs=1e-12)
+
     def test_plane_wave_closed_form(self):
         b1, b2, h = 1.3, 0.4, 0.1
         amp = overlap((Q, b1), (P, b2), LAM, ALPHA, h)
@@ -1006,6 +1023,36 @@ class TestComposition:
         # and no kernel is called twice at one level
         assert len(set(calls[1])) == len(calls[1])
         assert len(set(calls[2])) == len(calls[2])
+
+    def test_glue_example_scans_the_grid_once_per_kernel(self, monkeypatch):
+        # the first call of each kernel scans the grid; every later one reads
+        # the crossings along its held fixed line and finds as many as the
+        # scan would at that level
+        scans = []
+        scan = semiclassics.find_intersections
+
+        def counted(h1, b1, h2, b2):
+            scans.append((str(h1), str(h2)))
+            return scan(h1, b1, h2, b2)
+
+        monkeypatch.setattr(semiclassics, "find_intersections", counted)
+        h, fibers, terms = 0.2, {}, []
+
+        def kernel(fixed_sys, slot):
+            u = overlap_kernel(fixed_sys, HO, LAM, ALPHA, h, slot, fibers=fibers)
+
+            def wrapped(b):
+                amp = u(b)
+                terms.append((fixed_sys, b, len(amp.terms)))
+                return amp
+
+            return wrapped
+
+        composed = compose_kernels(kernel((P, 0.8), 2), kernel((Q, 0.6), 1), h, (0.36, 0.95))
+        assert composed.terms[0].b_star == pytest.approx(0.5, abs=1e-12)
+        assert scans == [(str(HO), "p"), ("q", str(HO))]
+        assert len(terms) >= 20
+        assert all(n == len(scan(*fixed_sys, HO, b)) for fixed_sys, b, n in terms)
 
     def test_unshared_kernels_move_their_own_fibers(self, monkeypatch):
         # two kernels given no mapping each trace their first intermediate

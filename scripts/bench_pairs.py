@@ -21,11 +21,14 @@ The summary goes to ``BENCH_<label>.json`` in this checkout's root: per
 workload, every pair (seed, and per side ``run_s``, ``setup_s``,
 ``peak_rss_mb``, ``failed``, ``attempted``, and the ``accuracy`` numbers and
 ``warnings`` of the run's detail line), per metric each side's median and
-quartiles, the number of pairs in which the change reads lower, and whether
-the medians differ by more than the parent's interquartile range, whether
-both hold as a claim of a gain needs them (``claim_rule_met``: lower in at
-least nine tenths of the pairs and that gap), and per accuracy number (all
-lower-is-better) each side's worst value.
+quartiles, the numbers of pairs in which the change reads lower and higher,
+whether the medians differ by more than the parent's interquartile range,
+whether both hold as a claim of a gain needs them (``claim_rule_met``: lower
+in at least nine tenths of the pairs and that gap), whether the change may
+have made it worse (``regression_suspect``: its median above the parent's
+upper quartile and higher in more than half the pairs; all three metrics
+are lower-is-better), and per accuracy number (all lower-is-better) each
+side's worst value.
 """
 
 from __future__ import annotations
@@ -109,14 +112,17 @@ def _summary(pairs: list[dict]) -> dict:
         change = [p["change"][name] for p in pairs]
         before, after = _spread(parent), _spread(change)
         lower_in = sum(c < p for p, c in zip(parent, change))
+        higher_in = sum(c > p for p, c in zip(parent, change))
         gap = abs(after["median"] - before["median"]) > before["q3"] - before["q1"]
         out[name] = {
             "parent": before,
             "change": after,
             "lower_in": lower_in,
+            "higher_in": higher_in,
             "pairs": len(pairs),
             "median_gap_exceeds_parent_iqr": gap,
             "claim_rule_met": lower_in >= 0.9 * len(pairs) and gap,
+            "regression_suspect": after["median"] > before["q3"] and higher_in > len(pairs) / 2,
         }
     keys = sorted({k for p in pairs for side in SIDES for k in p[side]["accuracy"]})
     out["accuracy_worst"] = {

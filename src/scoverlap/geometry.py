@@ -56,6 +56,8 @@ _MOVE_TURN = math.cos(math.radians(30.0))
 # cosine of the largest turn of the fiber's normal along one segment of a
 # guide that chart quadrature accepts (see ``moved_fiber``)
 _CHART_TURN = math.cos(math.radians(45.0))
+# ``polar_loop``: fewest and most angles, and the relative change of A and T
+_POLAR_MIN, _POLAR_MAX, _POLAR_RTOL = 16, 4096, 1e-13
 
 
 class PhasePoint(NamedTuple):
@@ -324,7 +326,8 @@ class FiberCurve:
     Overlaps read only the polyline and take every integral by
     ``chart_action``; so do ``loop_action`` and ``period`` of a closed curve
     (the loop integral of p dq, the enclosed area, and the flow period), on
-    their first read.  An open curve has neither (None).
+    their first read; Bohr-Sommerfeld loops take both by ``polar_loop``
+    instead.  An open curve has neither (None).
     """
 
     observable: Observable
@@ -632,9 +635,10 @@ def loop_data(h: Observable, b: float, seed: PhasePoint) -> tuple[float, float]:
     """(loop action, flow period) of a closed fiber, without sampling it.
 
     The ODE verifier: action and time are extra rows of one DOP853 trace at
-    rtol 1e-12.  The engine takes both from ``chart_action`` over a closed
-    polyline (``FiberCurve.loop_action`` and ``.period``,
-    ``semiclassics.probe_loop_actions``); the tests hold it to this.
+    rtol 1e-12.  The engine takes both by the polar rule (``polar_loop``,
+    ``semiclassics.probe_loop_actions``) or by ``chart_action`` over a closed
+    polyline (``FiberCurve.loop_action``, ``.period``); the tests hold both
+    to this.
     """
     x0 = project_to_fiber(h, b, seed)
     if math.hypot(*h.gradient(x0)) < _GRAD_FLOOR:
@@ -764,7 +768,9 @@ def _normal_turns(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
 
 def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
     """The closed fiber ``curve`` moved onto the level b of its observable,
-    or None when the fiber is open or the guard refuses the move.
+    or None when the fiber is open or the guard refuses the move.  A
+    composition moves its intermediate fibers so (``overlap_kernel``);
+    Bohr-Sommerfeld loops use ``polar_loop`` instead.
 
     Every sample takes Newton steps along grad H, all at once
     (``_newton_onto_level``).  The move is accepted only if
@@ -802,6 +808,86 @@ def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
     if not np.min(turn) > _MOVE_TURN:
         return None
     return _polyline_fiber(h, b, q, p, True)
+
+
+def _critical_point(h: Observable, x: PhasePoint) -> PhasePoint:
+    """The critical point of H that Newton reaches from x, or x if it fails."""
+    z = np.array(x)
+    for _ in range(_MOVE_STEPS):
+        try:
+            step = np.linalg.solve(h.hessian(z), h.gradient(z))
+        except np.linalg.LinAlgError:  # a singular Hessian
+            return x
+        z = z - step
+        if np.hypot(*step) <= _PROJ_TOL * max(1.0, np.hypot(*z)):
+            return PhasePoint(float(z[0]), float(z[1]))
+    return x
+
+
+PolarLoop = tuple[PhasePoint, np.ndarray]  # centre z and radii at equispaced angles
+
+
+def polar_guide(curve: FiberCurve) -> PolarLoop:
+    """A centre z of the closed fiber ``curve`` for ``polar_loop``, the
+    critical point of H reached from the samples' centroid (or the centroid;
+    the guard judges it), and the fiber's radii about z at as many
+    equispaced angles as it has segments, linear in angle between samples."""
+    qs, ps = curve.qs[:-1], curve.ps[:-1]
+    z = _critical_point(curve.observable, PhasePoint(float(np.mean(qs)), float(np.mean(ps))))
+    dq, dp = qs - z.q, ps - z.p
+    theta = 2 * np.pi * np.arange(qs.size) / qs.size
+    return z, np.interp(theta, np.arctan2(dp, dq), np.hypot(dq, dp), period=2 * np.pi)
+
+
+def polar_loop(h: Observable, b: float, loop: PolarLoop) -> tuple[float, float, PolarLoop] | None:
+    """(loop action, flow period, loop) of the closed fiber {H = b} as
+    r(theta) about the centre z of ``loop``, a nearby level's, by the
+    periodic trapezoidal rule, or None where the guard refuses.
+
+    Newton solves H(z + r (cos theta, sin theta)) = b on all rays at once,
+    from the held radii of ``loop`` at equispaced angles, and takes one more
+    step once every |H - b| <= 1e-14 max(1, |b|).  A = 1/2 sum r^2 dtheta
+    and T = sum r / H_r dtheta (H_r = grad H . r^) start at half the held
+    angles (at least _POLAR_MIN), which double, the solved rays kept, until
+    A and T change by at most _POLAR_RTOL relative; on an analytic loop the
+    error falls geometrically (Trefethen-Weideman, SIAM Review 56, 2014).
+    The guard, written so that a NaN rejects: every ray converges within
+    _MOVE_STEPS to r > 0 with H_r > 0 (the loop is star-shaped about z),
+    and the doubling converges within _POLAR_MAX angles.
+    """
+    z, radii = loop
+    tol = _PROJ_TOL * max(1.0, abs(b))
+
+    def on_level(theta, r):  # (r, r / H_r) on the rays at theta, or None
+        c, s, converged = np.cos(theta), np.sin(theta), False
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_MOVE_STEPS + 1):
+                q, p = z.q + r * c, z.p + r * s
+                h_r = h.dq(q, p) * c + h.dp(q, p) * s
+                if converged:
+                    return (r, r / h_r) if np.all(r > 0) and np.all(h_r > 0) else None
+                residual = h.value(q, p) - b
+                converged = bool(np.all(np.abs(residual) <= tol))
+                r = r - residual / h_r
+        return None
+
+    n = max(_POLAR_MIN, radii.size // 2)
+    theta = 2 * np.pi * np.arange(n) / n
+    held = 2 * np.pi * np.arange(radii.size) / radii.size
+    rays = on_level(theta, np.interp(theta, held, radii, period=2 * np.pi))
+    last = np.zeros(2)
+    while rays is not None:
+        r, w = rays
+        now = np.array([np.pi * np.mean(r * r), 2 * np.pi * np.mean(w)])
+        if np.all(np.abs(now - last) <= _POLAR_RTOL * now):  # a NaN keeps doubling
+            return float(now[0]), float(now[1]), (z, r)
+        mid = theta + np.pi / n
+        rays = None if 2 * n > _POLAR_MAX else on_level(mid, (r + np.roll(r, -1)) / 2)
+        if rays is not None:  # held angles and new ones between them alternate
+            pairs = zip((theta, r, w), (mid, *rays))
+            theta, *rays = (np.column_stack(pair).ravel() for pair in pairs)
+        last, n = now, 2 * n
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from .geometry import (
     FiberCurve,
     Observable,
     PhasePoint,
+    PolarLoop,
     PrequantumForm,
     ReferenceLagrangian,
     _bracket_field,
@@ -65,6 +66,8 @@ from .geometry import (
     lagrangian_intersections,
     moved_fiber,
     poisson_bracket,
+    polar_guide,
+    polar_loop,
     project_to_fiber,
     reference_point,
     seed_on_level,
@@ -199,20 +202,36 @@ def _traced_loop(h_obs: Observable, b: float) -> FiberCurve:
     return curve
 
 
+def _loop_values(
+    h_obs: Observable, b: float, held: PolarLoop | None, curve: FiberCurve | None = None
+) -> tuple[float, float, PolarLoop | None]:
+    """(loop action, period, polar loop) of the closed fiber {H = b}: the
+    polar rule from ``held``, a nearby level's loop; where none is held or
+    the guard refuses, from a fresh trace (or ``curve``) about its centre
+    (``polar_guide``); where the guard refuses that too, the trace's chart
+    quadrature (``FiberCurve.loop_action``, ``period``) and no loop."""
+    polar = None if held is None else polar_loop(h_obs, b, held)
+    if polar is None:
+        curve = _traced_loop(h_obs, b) if curve is None else curve
+        polar = polar_loop(h_obs, b, polar_guide(curve))
+    return (curve.loop_action, curve.period, None) if polar is None else polar
+
+
 @dataclass(frozen=True)
 class LoopActionProbes:
     """The h-free part of Bohr-Sommerfeld quantization on a level range.
 
     ``probes`` holds (b, loop action A, period T) at evenly spaced levels,
     with A strictly increasing; ``maslov`` is the position fibration's loop
-    index; ``fibers`` holds each probe's closed fiber.  All depend only on
+    index; ``loops`` holds each probe's polar loop (centre and radii,
+    ``polar_loop``), or None where the guard refused it.  All depend only on
     the observable and the range, so one set quantizes every h.
     """
 
     observable: Observable
     probes: tuple[tuple[float, float, float], ...]
     maslov: int
-    fibers: tuple[FiberCurve, ...] = field(compare=False, repr=False)
+    loops: tuple[PolarLoop | None, ...] = field(compare=False, repr=False)
 
     def _quantum_numbers(self, h: float) -> range:
         """Quantum numbers whose levels lie inside the probed range."""
@@ -231,10 +250,9 @@ class LoopActionProbes:
         The loop action has slope dA/db = T(b), the flow period.  The level
         starts from the inverse cubic Hermite interpolant of b(A) on its
         bracketing probes (slopes 1/T) and is polished by Newton steps.  Each
-        iterate moves the fiber of the nearer bracketing probe onto its level
-        (``moved_fiber``, as a composition step does) and reads A and T from
-        it; an iterate whose move the guard refuses traces its fiber afresh.
-        No iterate runs an ODE trace otherwise.
+        iterate takes A and T by the polar rule from the nearer bracketing
+        probe's loop (``_loop_values``), and traces its fiber afresh only
+        where the guard refuses, or that probe holds no loop.
         """
         h_obs, probes, mu = self.observable, self.probes, self.maslov
         target = 2 * math.pi * h * (n + mu / 4.0)
@@ -254,9 +272,8 @@ class LoopActionProbes:
         )
         for _ in range(_BS_NEWTON_MAX):
             b = min(max(b_next, b0), b1)
-            held = self.fibers[k - 1] if b - b0 <= b1 - b else self.fibers[k]
-            fiber = moved_fiber(held, b) or _traced_loop(h_obs, b)
-            act, period = fiber.loop_action, fiber.period
+            held = self.loops[k - 1] if b - b0 <= b1 - b else self.loops[k]
+            act, period, _ = _loop_values(h_obs, b, held)
             b_next = b - (act - target) / period
             if abs(b_next - b) <= 1e-13:
                 break
@@ -303,32 +320,33 @@ def probe_loop_actions(
 ) -> LoopActionProbes:
     """Probe the loop action and period at evenly spaced levels of a closed
     family.  The first closed probe is traced, and the position fibration's
-    Maslov index is counted on that trace; each later probe moves the
-    previous probe's fiber onto its level (``moved_fiber``) and traces it
-    afresh only where the guard refuses the move.  Levels without a closed
-    fiber are skipped with a warning."""
+    Maslov index is counted on that trace.  Each probe takes A and T by the
+    polar rule (``_loop_values``) from the previous probe's loop, the first
+    from its trace, and traces afresh only where the guard refuses the
+    loop.  Levels without a closed fiber are skipped with a warning."""
     probes: list[tuple[float, float, float]] = []  # (b, A, T)
-    fibers: list[FiberCurve] = []
+    loops: list[PolarLoop | None] = []
     mu = None
     for b in np.linspace(b_range[0], b_range[1], _BS_PROBES):
         b = float(b)
         try:
             if mu is None:
-                fiber = _traced_loop(h_obs, b)
-                mu = maslov_loop_index(fiber, Observable.position())
+                curve = _traced_loop(h_obs, b)
+                mu = maslov_loop_index(curve, Observable.position())
+                act, period, loop = _loop_values(h_obs, b, None, curve)
             else:
-                fiber = moved_fiber(fibers[-1], b) or _traced_loop(h_obs, b)
+                act, period, loop = _loop_values(h_obs, b, loops[-1])
         except SingularFiber:
             warnings.warn(f"level {b:.6g} skipped: no closed fiber", LevelSkipped)
             continue
-        probes.append((b, fiber.loop_action, fiber.period))
-        fibers.append(fiber)
+        probes.append((b, act, period))
+        loops.append(loop)
     if len(probes) < 2:
         raise SingularFiber("fewer than two closed levels in the range")
     if not np.all(np.diff([a for _, a, _ in probes]) > 0):
         raise NonMonotoneAction("loop action is not increasing on the requested range")
     return LoopActionProbes(
-        observable=h_obs, probes=tuple(probes), maslov=mu, fibers=tuple(fibers)
+        observable=h_obs, probes=tuple(probes), maslov=mu, loops=tuple(loops)
     )
 
 

@@ -156,9 +156,16 @@ def test_bench_pairs_summarises_a_single_pair(monkeypatch):
     summary = bench_pairs._summary([{"parent": side, "change": dict(side, run_s=0.4)}])
     assert summary["run_s"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert summary["run_s"]["lower_in"] == 1 and summary["run_s"]["pairs"] == 1
+    assert summary["run_s"]["higher_in"] == summary["setup_s"]["higher_in"] == 0
     # one pair has no parent spread: a lower change meets the claim rule
     assert summary["run_s"]["claim_rule_met"] is True
     assert summary["setup_s"]["claim_rule_met"] is False
+    # an equal pair is neither a gain nor a suspected regression
+    assert summary["run_s"]["regression_suspect"] is False
+    assert summary["setup_s"]["regression_suspect"] is False
+    worse = bench_pairs._summary([{"parent": side, "change": dict(side, peak_rss_mb=90.5)}])
+    assert worse["peak_rss_mb"]["higher_in"] == 1
+    assert worse["peak_rss_mb"]["regression_suspect"] is True
     assert summary["accuracy_worst"]["rel_err"] == {"parent": 1e-15, "change": 1e-15}
     # nine of ten lower with the gap beyond the parent's IQR (0.02) meets
     # it; eight of ten, or nine with a gap of 0.005, does not
@@ -173,3 +180,9 @@ def test_bench_pairs_summarises_a_single_pair(monkeypatch):
     assert ten([0.30] * 9 + [0.60])["claim_rule_met"] is True
     assert ten([0.30] * 8 + [0.60] * 2)["claim_rule_met"] is False
     assert ten([p - 0.005 for p in parent_runs[:9]] + [0.60])["claim_rule_met"] is False
+    # a regression is suspected when the change median is above the parent's
+    # q3 (0.53) and the change reads higher in more than half the pairs
+    higher = ten([0.60] * 6 + [0.40] * 4)
+    assert (higher["higher_in"], higher["regression_suspect"]) == (6, True)
+    assert ten([0.60] * 5 + [0.40] * 5)["regression_suspect"] is False
+    assert ten([p + 0.005 for p in parent_runs])["regression_suspect"] is False

@@ -18,7 +18,6 @@ from scoverlap.errors import (
     TangencyAtEndpoint,
 )
 from scoverlap.geometry import (
-    FiberCurve,
     Observable,
     PhasePoint,
     PrequantumForm,
@@ -26,6 +25,8 @@ from scoverlap.geometry import (
     find_intersections,
     loop_data,
     moved_fiber,
+    polar_guide,
+    polar_loop,
     seed_on_level,
     trace_level_curve,
 )
@@ -180,18 +181,28 @@ class TestBohrSommerfeld:
         levels = bohr_sommerfeld_levels(HO, 0.5, (0.004, 1.0))
         assert [round(l.b, 9) for l in levels] == [0.25, 0.75]
 
+    @staticmethod
+    def _fake_action(monkeypatch, action):
+        # every probe and Newton iterate evaluates its loop here, by the
+        # polar rule or by the traced fallback
+        real = semiclassics._loop_values
+
+        def faked(h_obs, b, *args):
+            _, period, loop = real(h_obs, b, *args)
+            return action(b), period, loop
+
+        monkeypatch.setattr(semiclassics, "_loop_values", faked)
+
     def test_non_monotone_rejected(self, monkeypatch):
-        fake_action = property(lambda fiber: 1.0 + math.sin(8 * fiber.level))
-        monkeypatch.setattr(FiberCurve, "loop_action", fake_action)
+        self._fake_action(monkeypatch, lambda b: 1.0 + math.sin(8 * b))
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.004, 2.0))
 
     def test_decreasing_action_rejected(self, monkeypatch):
-        # continuous with the traced first probe (A = 2 pi b at b = 0.5) and
-        # strictly decreasing after it, with a positive period: dA/db = T > 0
-        # rules such a family out, so it is rejected, not solved
-        fake_action = property(lambda fiber: math.pi + 0.5 - fiber.level)
-        monkeypatch.setattr(FiberCurve, "loop_action", fake_action)
+        # continuous with the true action at the first probe (A = 2 pi b at
+        # b = 0.5) and strictly decreasing after it, with a positive period:
+        # dA/db = T > 0 rules such a family out, so it is rejected, not solved
+        self._fake_action(monkeypatch, lambda b: math.pi + 0.5 - b)
         with pytest.raises(NonMonotoneAction):
             bohr_sommerfeld_levels(HO, 0.1, (0.5, 2.0))
 
@@ -237,17 +248,18 @@ class TestBohrSommerfeld:
         import scoverlap.semiclassics as sc
 
         calls = []
-        real = sc.moved_fiber
+        real = sc._loop_values
 
-        def counted(fiber, b):
+        def counted(h_obs, b, *args):
             calls.append(b)
-            return real(fiber, b)
+            return real(h_obs, b, *args)
 
-        monkeypatch.setattr(sc, "moved_fiber", counted)
+        monkeypatch.setattr(sc, "_loop_values", counted)
         levels = bohr_sommerfeld_levels(PEND, 0.05, (-0.92, 0.7))
-        # the first of the 17 probes is traced, the other 16 are moved onto
-        # their levels like each Newton iterate
-        assert (len(calls) - 16) / len(levels) <= 2.5
+        # each of the 17 probes evaluates one loop, and so does each Newton
+        # iterate, at least one per level
+        assert len(calls) - 17 >= len(levels) > 0
+        assert (len(calls) - 17) / len(levels) <= 2.5
         for l in levels:
             target = 2 * math.pi * 0.05 * (l.n + l.loop_maslov / 4.0)
             assert abs(l.loop_action - target) <= 1e-12
@@ -280,9 +292,19 @@ QUARTIC = Observable.from_text("1/2 p^2 + 1/2 q^2 + 1/10 q^4")
 DOUBLE_WELL = Observable.from_text("1/2 p^2 - q^2 + 1/4 q^4")
 
 
+def _radii_about(curve, z):
+    """A closed fiber's radii about z at as many equispaced angles as it has
+    segments, linear in angle between its samples."""
+    qs, ps = curve.qs[:-1] - z.q, curve.ps[:-1] - z.p
+    theta = 2 * np.pi * np.arange(qs.size) / qs.size
+    return np.interp(theta, np.arctan2(ps, qs), np.hypot(qs, ps), period=2 * np.pi)
+
+
 class TestLoopQuadrature:
-    """Probes and levels by chart quadrature over moved fibers, against the
-    ODE verifier ``loop_data``."""
+    """Probes and levels by the polar rule (``polar_loop``, the periodic
+    trapezoidal rule in the angle about the loop's centre), against chart
+    quadrature over a traced fiber and the ODE verifier ``loop_data``; its
+    guard, and the traced fallback where the guard refuses."""
 
     @pytest.mark.parametrize(
         "h_obs, b_range, h",
@@ -290,7 +312,7 @@ class TestLoopQuadrature:
     )
     def test_probes_and_levels_match_loop_data(self, h_obs, b_range, h):
         probes = probe_loop_actions(h_obs, b_range)
-        assert len(probes.probes) == len(probes.fibers) == 17
+        assert len(probes.probes) == len(probes.loops) == 17
         checked = list(probes.probes) + [(l.b, l.loop_action, l.period) for l in probes.levels(h)]
         for b, action, period in checked:
             ref_action, ref_period = _loop_data_at(h_obs, b)
@@ -300,29 +322,26 @@ class TestLoopQuadrature:
     @pytest.mark.parametrize(
         "h_obs, b_range, h", [(PEND, (-0.92, 0.7), 0.05), (QUARTIC, (0.02, 3.0), 0.1)]
     )
-    def test_levels_move_probe_fibers_as_composition_does(self, h_obs, b_range, h):
-        # a Newton iterate moves the nearer bracketing probe's fiber by the
-        # same moved_fiber a composition step uses, and traces afresh only
-        # where that move is refused
-        import scoverlap.semiclassics as sc
-
+    def test_levels_start_from_the_nearer_probe_radii(self, h_obs, b_range, h):
+        # every probe holds its polar loop, whose nodes lie on its level; a
+        # Newton iterate runs the polar rule from the nearer bracketing
+        # probe's radii about that probe's centre
         probes = probe_loop_actions(h_obs, b_range)
         bs = [b for b, _, _ in probes.probes]
-        for (b, action, period), fiber in zip(probes.probes, probes.fibers):
-            assert fiber.closed and fiber.level == b
-            assert np.max(np.abs(h_obs.value(fiber.qs, fiber.ps) - b)) <= 1e-14 * max(1, abs(b))
-            assert (fiber.loop_action, fiber.period) == (action, period)
+        for (b, _, _), (z, radii) in zip(probes.probes, probes.loops):
+            theta = 2 * np.pi * np.arange(radii.size) / radii.size
+            qs, ps = z.q + radii * np.cos(theta), z.p + radii * np.sin(theta)
+            assert np.max(np.abs(h_obs.value(qs, ps) - b)) <= 1e-14 * max(1, abs(b))
         levels = probes.levels(h)
         assert len(levels) > 10
         for l in levels:
             k = min(max(int(np.searchsorted(bs, l.b)), 1), len(bs) - 1)
-            held = probes.fibers[k - 1] if l.b - bs[k - 1] <= bs[k] - l.b else probes.fibers[k]
-            fiber = moved_fiber(held, l.b) or sc._traced_loop(h_obs, l.b)
-            assert (l.loop_action, l.period) == (fiber.loop_action, fiber.period)
+            held = probes.loops[k - 1] if l.b - bs[k - 1] <= bs[k] - l.b else probes.loops[k]
+            assert (l.loop_action, l.period) == polar_loop(h_obs, l.b, held)[:2]
 
     def test_oscillator_actions_are_exact(self):
         probes = probe_loop_actions(HO, (0.004, 1.0))
-        for b, action, period in probes.probes[1:]:  # the first is traced
+        for b, action, period in probes.probes:
             assert abs(action - 2 * math.pi * b) <= 1e-13
             assert abs(period - 2 * math.pi) <= 1e-12
         for l in probes.levels(0.05):
@@ -333,8 +352,8 @@ class TestLoopQuadrature:
     def test_double_well_probes_cross_the_separatrix(self, monkeypatch, b_range):
         # the double well's left well closes below 0 and the outer loop
         # around both wells above it; the first probe past the separatrix is
-        # traced afresh, as are left-well probes whose moved fibers turn too
-        # sharply
+        # traced afresh, because the outer loop is not star-shaped about the
+        # left well's centre
         import scoverlap.semiclassics as sc
 
         traced = []
@@ -378,25 +397,74 @@ class TestLoopQuadrature:
         assert moved_fiber(left, 0.0625) is None
 
     def test_one_trace_and_no_loop_data_per_ladder(self, monkeypatch):
+        # the first probe is the only trace; no loop_data, and by the polar
+        # rule no chart quadrature and no fiber move either
         import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
-        counts = {"trace": 0, "loop_data": 0}
-        real_trace = sc.trace_level_curve
+        counts = dict(trace_level_curve=0, loop_data=0, chart_action=0, moved_fiber=0)
+        spied = [(sc, "trace_level_curve"), (geo, "loop_data"), (geo, "chart_action")]
+        spied += [(sc, "chart_action"), (geo, "moved_fiber"), (sc, "moved_fiber")]
+        for module, name in spied:
 
-        def trace(*args):
-            counts["trace"] += 1
-            return real_trace(*args)
+            def spy(*args, real=getattr(module, name), name=name):
+                counts[name] += 1
+                return real(*args)
 
-        def no_loop_data(*args):
-            counts["loop_data"] += 1
-            raise AssertionError("loop_data called")
-
-        monkeypatch.setattr(sc, "trace_level_curve", trace)
-        monkeypatch.setattr(geo, "loop_data", no_loop_data)
+            monkeypatch.setattr(module, name, spy)
         levels = probe_loop_actions(PEND, (-0.92, 0.7)).levels(0.05)
         assert len(levels) > 10
-        assert counts == {"trace": 1, "loop_data": 0}
+        assert counts == dict(trace_level_curve=1, loop_data=0, chart_action=0, moved_fiber=0)
+
+    @pytest.mark.parametrize(
+        "h_obs, b",
+        [(Observable.from_text("1/2 p^2 + 0.55 q^2 + 0.08 q^4"), b) for b in (0.05, 0.5, 2.0, 6.0)]
+        + [(PEND, b) for b in (-0.95, -0.5, 0.0, 0.5, 0.9, 0.99)]
+        + [(DOUBLE_WELL, b) for b in (0.01, 0.1, 0.5, 2.0)],
+    )
+    def test_polar_rule_matches_chart_quadrature(self, h_obs, b):
+        # about the critical point inside the loop: the minimum of each well,
+        # and the double well's saddle at the origin inside its outer loop
+        import scoverlap.semiclassics as sc
+
+        traced = sc._traced_loop(h_obs, b)
+        z, radii = polar_guide(traced)
+        assert math.hypot(*z) <= 1e-12
+        assert np.array_equal(radii, _radii_about(traced, z))
+        action, period, _ = polar_loop(h_obs, b, (z, radii))
+        assert abs(action - traced.loop_action) <= 1e-12 * traced.loop_action
+        assert abs(period - traced.period) <= 1e-12 * traced.period
+
+    @pytest.mark.parametrize("b", [1e-6, 1e-3, 0.1, 0.5, 1.0])
+    def test_guard_refuses_the_outer_loop_about_a_well_centre(self, b):
+        # rays from the right well's minimum cross the outer loop three
+        # times where they pass the saddle, whatever radii they start from
+        import scoverlap.semiclassics as sc
+
+        traced = sc._traced_loop(DOUBLE_WELL, b)
+        well = PhasePoint(math.sqrt(2.0), 0.0)
+        for start in (_radii_about(traced, well), polar_guide(traced)[1]):
+            assert polar_loop(DOUBLE_WELL, b, (well, start)) is None
+
+    def test_guard_refuses_the_pendulum_next_to_its_separatrix(self):
+        # the corners at q = +-pi need more than 4096 angles
+        import scoverlap.semiclassics as sc
+
+        traced = sc._traced_loop(PEND, 0.999)
+        assert polar_loop(PEND, 0.999, polar_guide(traced)) is None
+
+    def test_refused_probe_keeps_the_traced_chart_quadrature(self):
+        # at 0.999 the rule needs more than 4096 rays, also about the fresh
+        # trace's centre: the probe keeps that trace's chart quadrature and
+        # holds no loop, and its neighbours still hold theirs
+        import scoverlap.semiclassics as sc
+
+        probes = probe_loop_actions(PEND, (0.9, 0.999))
+        (b, action, period), loop = probes.probes[-1], probes.loops[-1]
+        assert b == 0.999 and loop is None
+        assert all(loop is not None for loop in probes.loops[:-1])
+        traced = sc._traced_loop(PEND, b)
+        assert (action, period) == (traced.loop_action, traced.period)
 
     @given(a=st.floats(0.3, 0.8), c=st.floats(0.02, 0.15), u=st.floats(0.05, 0.95))
     @settings(max_examples=15, deadline=None)
@@ -411,13 +479,20 @@ class TestLoopQuadrature:
         ref_action, ref_period = _loop_data_at(h_obs, b)
         assert abs(moved.loop_action - ref_action) <= 1e-11
         assert abs(moved.period - ref_period) <= 1e-11
-        # dA/db = T
+        # the polar rule from the traced level's radii
+        guide = polar_guide(traced)
+        action, period, _ = polar_loop(h_obs, b, guide)
+        assert abs(action - ref_action) <= 1e-11
+        assert abs(period - ref_period) <= 1e-11
+        # dA/db = T, on both paths
         d = 1e-4
         slope = (
             moved_fiber(traced, b + d).loop_action
             - moved_fiber(traced, b - d).loop_action
         ) / (2 * d)
         assert abs(slope - moved.period) <= 1e-7
+        slope = (polar_loop(h_obs, b + d, guide)[0] - polar_loop(h_obs, b - d, guide)[0]) / (2 * d)
+        assert abs(slope - period) <= 1e-7
 
 
 class TestOverlap:

@@ -88,9 +88,11 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def _copy_tracked(dest: Path) -> None:
     """Copy this checkout's tracked files, as in the working tree, to dest."""
-    listed = subprocess.run(["git", "ls-files", "-z"], cwd=CHANGE, check=True,
-                            capture_output=True).stdout.decode()
-    for name in filter(None, listed.split("\0")):
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=CHANGE, capture_output=True)
+    if listed.returncode != 0:
+        raise SystemExit(f"bench_pairs: {CHANGE} is not a git checkout; the change "
+                         "side is copied from the tracked files of one")
+    for name in filter(None, listed.stdout.decode().split("\0")):
         src = CHANGE / name
         if src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)

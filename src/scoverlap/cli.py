@@ -78,6 +78,17 @@ CSV_HEADER_VERSION = "scoverlap-cases v1"
 OUT_ENV_VAR = "SCOVERLAP_OUT"
 
 
+def _numbers(where: str, raw: str) -> list[float]:
+    """The numbers listed in ``raw``, split at commas and blanks; each finite."""
+    try:
+        values = [float(x) for x in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"{where} = {raw!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{where} = {raw!r} is not finite")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -103,10 +114,10 @@ class ExperimentConfig:
             if required:
                 raise ConfigError(f"[scenario] is missing required key {key!r}")
             return []
-        try:
-            return [float(x) for x in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"[scenario] {key} = {raw!r}: {exc}") from None
+        values = _numbers(f"[scenario] {key}", raw)
+        if required and not values:
+            raise ConfigError(f"[scenario] {key} lists no value")
+        return values
 
     def flt(self, key: str, default: float | None = None) -> float:
         raw = self.params.get(key)
@@ -114,10 +125,17 @@ class ExperimentConfig:
             if default is None:
                 raise ConfigError(f"[scenario] is missing required key {key!r}")
             return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[scenario] {key} = {raw!r}: {exc}") from None
+        values = _numbers(f"[scenario] {key}", raw)
+        if len(values) != 1:
+            raise ConfigError(f"[scenario] {key} = {raw!r} is not one number")
+        return values[0]
+
+    def level_range(self, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:
+        """(b_min, b_max), defaulting to (lo, hi), with b_min < b_max."""
+        b_lo, b_hi = self.flt("b_min", lo), self.flt("b_max", hi)
+        if not b_lo < b_hi:
+            raise ConfigError(f"[scenario] b_min = {b_lo} is not below b_max = {b_hi}")
+        return b_lo, b_hi
 
     def integer(self, key: str, default: int, lo: int, hi: int | None = None) -> int:
         """An integer key in lo..hi (no upper bound when hi is None)."""
@@ -211,11 +229,7 @@ def parse_config(path: Path, kind: str | None, out_override: str | None) -> Expe
             f"scenario kind {cfg_kind!r} is not one of {', '.join(SCENARIOS)}"
         )
 
-    hs_raw = params.get("h", "")
-    try:
-        hs = [float(x) for x in hs_raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] h = {hs_raw!r}: {exc}") from None
+    hs = _numbers("[scenario] h", params.get("h", ""))
     if not hs:
         raise ConfigError("[scenario] must list at least one h value")
     if any(h <= 0 for h in hs):
@@ -247,10 +261,10 @@ def parse_config(path: Path, kind: str | None, out_override: str | None) -> Expe
 # ---------------------------------------------------------------------------
 
 def _grid_from(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(
-        half_width=cfg.flt("grid_halfwidth", 10.0),
-        points=cfg.integer("grid_points", 512, 1),
-    )
+    half_width = cfg.flt("grid_halfwidth", 10.0)
+    if not half_width > 0:
+        raise ConfigError(f"[scenario] grid_halfwidth = {half_width} is not positive")
+    return GridSpec(half_width=half_width, points=cfg.integer("grid_points", 512, 1))
 
 
 def _eigensystem_below(
@@ -267,8 +281,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> Report:
     h_obs = cfg.system("system")
     rep = Report(kind="spectrum")
     grid = _grid_from(cfg)
-    b_lo, b_hi = cfg.flt("b_min"), cfg.flt("b_max")
-    probes = probe_loop_actions(h_obs, (b_lo, b_hi))
+    probes = probe_loop_actions(h_obs, cfg.level_range())
     errs = []
     for h in cfg.hs:
         levels = probes.levels(h)
@@ -294,7 +307,7 @@ def _run_probability(cfg: ExperimentConfig, kind: str = "probability") -> Report
     b2_targets = cfg.floats("levels")
     us = cfg.floats("positions")
     qobs = cfg.system("system1")
-    b_lo, b_hi = cfg.flt("b_min", 0.01), cfg.flt("b_max", 1.2)
+    b_lo, b_hi = cfg.level_range(0.01, 1.2)
     probes = probe_loop_actions(h_obs2, (b_lo, b_hi))
     # every h picks its levels first, so one without a level fails before
     # any eigensolve

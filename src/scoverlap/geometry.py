@@ -47,17 +47,14 @@ _LOOP_RTOL, _LOOP_ATOL = 1e-12, 1e-13
 _MAX_ARCLENGTH = 300.0  # flow arclength a trace covers in each direction
 _SCAN_CELLS = 400  # cells per side of find_intersections' grid over the box
 _ON_FIBER_TOL = 1e-6  # |H - b| / max(1, |b|) of action_along_fiber's endpoints
-# guard on a closed polyline moved to a new level: Newton steps allowed per
-# point, the largest growth of one segment over the median segment's, and
-# the cosine of the largest turn of the fiber's normal along one segment
-_MOVE_STEPS = 12
-_MOVE_STRETCH = 4.0
-_MOVE_TURN = math.cos(math.radians(30.0))
+_TRACE_SAMPLES = 600  # about this many samples per traced fiber
+_MOVE_STEPS = 12  # Newton steps allowed per point moved onto a level
 # cosine of the largest turn of the fiber's normal along one segment of a
-# guide that chart quadrature accepts (see ``moved_fiber``)
+# guide that chart quadrature accepts (see ``_chart_runs``)
 _CHART_TURN = math.cos(math.radians(45.0))
 # ``polar_loop``: fewest and most angles, and the relative change of A and T
 _POLAR_MIN, _POLAR_MAX, _POLAR_RTOL = 16, 4096, 1e-13
+_GUIDE_ANGLES = 160  # radii of a ``polar_guide``, which says why 160
 
 
 class PhasePoint(NamedTuple):
@@ -663,18 +660,16 @@ def _sample_solution(chunks, svals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _open_offsets(n: int, s_fwd: float, s_bwd: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arclength offsets of an open fiber's forward and backward samples
-    from the seed, about n in all, shared in proportion to the two reaches."""
-    n_f = max(2, int(n * s_fwd / max(s_fwd + s_bwd, 1e-12)))
-    n_b = max(2, n - n_f)
+def _open_offsets(s_fwd: float, s_bwd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arclength offsets of an open fiber's forward and backward samples from
+    the seed, _TRACE_SAMPLES in all, shared in proportion to the two reaches."""
+    n_f = max(2, int(_TRACE_SAMPLES * s_fwd / max(s_fwd + s_bwd, 1e-12)))
+    n_b = max(2, _TRACE_SAMPLES - n_f)
     return np.linspace(0.0, s_fwd, n_f), np.linspace(0.0, s_bwd, n_b)
 
 
-def _line_samples(
-    x0: PhasePoint, flow: tuple[float, float], n_samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """About n_samples samples of the straight fiber through x0 with flow
+def _line_samples(x0: PhasePoint, flow: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """About _TRACE_SAMPLES samples of the straight fiber through x0 with flow
     direction ``flow``, clipped to the box |q|, |p| <= DOMAIN_BOUND and to
     _MAX_ARCLENGTH on either side of x0, in flow order."""
     v = np.array(flow) / math.hypot(*flow)
@@ -683,7 +678,7 @@ def _line_samples(
         exits = [(math.copysign(DOMAIN_BOUND, di) - xi) / di for xi, di in zip(x0, d) if di]
         return min(_MAX_ARCLENGTH, max(0.0, min(exits)))
 
-    sv_f, sv_b = _open_offsets(n_samples, reach(v), reach(-v))
+    sv_f, sv_b = _open_offsets(reach(v), reach(-v))
     s = np.concatenate([-sv_b[:0:-1], sv_f])
     return x0[0] + s * v[0], x0[1] + s * v[1]
 
@@ -714,9 +709,7 @@ def seed_on_level(h: Observable, b: float) -> PhasePoint:
     raise SingularFiber(f"no seed found on level {b}")
 
 
-def trace_level_curve(
-    h: Observable, b: float, seed: PhasePoint, n_samples: int = 600
-) -> FiberCurve:
+def trace_level_curve(h: Observable, b: float, seed: PhasePoint) -> FiberCurve:
     """Trace the connected component of {H = b} through ``seed``.
 
     The seed is first projected onto the level set.  A linear observable's
@@ -725,7 +718,7 @@ def trace_level_curve(
     arclength, and projected onto the level (``_newton_onto_level``;
     ``SingularFiber`` if that fails).  Closed components are detected by
     return to the start; open components are truncated at the domain box.
-    About ``n_samples`` samples are taken.
+    About _TRACE_SAMPLES samples are taken.
     """
     x0 = project_to_fiber(h, b, seed)
     gq, gp = h.gradient(x0)
@@ -734,16 +727,16 @@ def trace_level_curve(
 
     closed = False
     if h.is_linear:
-        qs, ps = _line_samples(x0, (gp, -gq), n_samples)
+        qs, ps = _line_samples(x0, (gp, -gq))
     else:
         fwd, closure = _trace_direction(h, b, x0, +1.0)
         closed = closure is not None
         if closed:
             # the last sample, back at the start, is the projected first
-            qs, ps = _sample_solution(fwd, np.linspace(0.0, closure[0], n_samples + 1)[:-1])
+            qs, ps = _sample_solution(fwd, np.linspace(0.0, closure[0], _TRACE_SAMPLES + 1)[:-1])
         else:
             bwd, _ = _trace_direction(h, b, x0, -1.0)
-            sv_f, sv_b = _open_offsets(n_samples, float(fwd[-1].t[-1]), float(bwd[-1].t[-1]))
+            sv_f, sv_b = _open_offsets(float(fwd[-1].t[-1]), float(bwd[-1].t[-1]))
             # backward samples describe the curve before the seed; reverse them
             qs, ps = np.concatenate(
                 [_sample_solution(bwd, sv_b)[:, :0:-1], _sample_solution(fwd, sv_f)], axis=1
@@ -757,61 +750,12 @@ def trace_level_curve(
     return _polyline_fiber(h, b, qs, ps, closed)
 
 
-def _normal_turns(gq: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """Cosine of the turn of the fiber normal grad H = (gq, gp) along each
-    segment of a polyline, from the gradients at its points (NaN where a
-    gradient vanishes)."""
-    norm = np.hypot(gq, gp)
-    nq, np_ = gq / norm, gp / norm
-    return nq[:-1] * nq[1:] + np_[:-1] * np_[1:]
-
-
-def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
-    """The closed fiber ``curve`` moved onto the level b of its observable,
-    or None when the fiber is open or the guard refuses the move.  A
-    composition moves its intermediate fibers so (``overlap_kernel``);
-    Bohr-Sommerfeld loops use ``polar_loop`` instead.
-
-    Every sample takes Newton steps along grad H, all at once
-    (``_newton_onto_level``).  The move is accepted only if
-      * every sample reaches |H - b| <= 1e-14 max(1, |b|) within
-        _MOVE_STEPS Newton iterations (a residual check, then a step);
-      * no segment grows by more than _MOVE_STRETCH times the median
-        segment's growth: a fiber dragged across a separatrix or into
-        another well breaks there, one segment jumping while the others
-        follow the level, whether or not Newton converges at the saddle;
-      * the fiber's normal turns by less than 30 degrees along every
-        segment.  ``chart_action`` switches charts at polyline points, where
-        |H_q| and |H_p| cross; a segment that turns by less than 45 degrees
-        cannot reach from that crossing to the fold of the chart it leaves.
-        Across a separatrix the jump joins branches whose normals point
-        apart, so this check rejects that move as well.
-    """
-    if not curve.closed:
-        return None
+def _loop_centre(curve: FiberCurve) -> PhasePoint:
+    """The critical point of H that Newton reaches from the centroid of the
+    closed fiber ``curve``'s samples, or the centroid where Newton fails (the
+    ray guard then judges it)."""
     h = curve.observable
-    onto = _newton_onto_level(h, b, curve.qs[:-1], curve.ps[:-1])
-    if onto is None:
-        return None
-    q, p = onto
-    q, p = np.append(q, q[0]), np.append(p, p[0])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # chords, not differences of the cumulative ``arclength``, which
-        # round differently and could flip a borderline decision
-        growth = np.hypot(np.diff(q), np.diff(p)) / np.hypot(
-            np.diff(curve.qs), np.diff(curve.ps)
-        )
-        turn = _normal_turns(h.dq(q, p), h.dp(q, p))
-    # comparisons written so that a NaN rejects
-    if not np.max(growth) <= _MOVE_STRETCH * np.median(growth):
-        return None
-    if not np.min(turn) > _MOVE_TURN:
-        return None
-    return _polyline_fiber(h, b, q, p, True)
-
-
-def _critical_point(h: Observable, x: PhasePoint) -> PhasePoint:
-    """The critical point of H that Newton reaches from x, or x if it fails."""
+    x = PhasePoint(float(np.mean(curve.qs[:-1])), float(np.mean(curve.ps[:-1])))
     z = np.array(x)
     for _ in range(_MOVE_STEPS):
         try:
@@ -824,18 +768,67 @@ def _critical_point(h: Observable, x: PhasePoint) -> PhasePoint:
     return x
 
 
+def _rays_onto_level(
+    h: Observable, b: float, z: PhasePoint, c: np.ndarray, s: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(r, H_r) where the rays z + r (c, s) with unit directions (c, s) meet
+    {H = b}, H_r = grad H . (c, s), or None where the guard refuses.  Newton
+    in r moves all rays at once from the radii ``r``, with one more step once
+    every |H - b| <= 1e-14 max(1, |b|).  The guard, written so that a NaN
+    rejects: every ray converges within _MOVE_STEPS to r > 0 with H_r > 0
+    (the loop is star-shaped about z)."""
+    tol = _PROJ_TOL * max(1.0, abs(b))
+    converged = False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MOVE_STEPS + 1):
+            q, p = z.q + r * c, z.p + r * s
+            h_r = h.dq(q, p) * c + h.dp(q, p) * s
+            if converged:
+                return (r, h_r) if np.all(r > 0) and np.all(h_r > 0) else None
+            residual = h.value(q, p) - b
+            converged = bool(np.all(np.abs(residual) <= tol))
+            r = r - residual / h_r
+    return None
+
+
+def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
+    """The closed fiber ``curve`` moved onto the level b of its observable,
+    or None when the fiber is open or the guard refuses the move.  A
+    composition moves its intermediate fibers so (``overlap_kernel``).
+
+    Every sample keeps its angle about the fiber's centre z (``_loop_centre``)
+    and moves along its ray by the Newton and guard of ``polar_loop``
+    (``_rays_onto_level``).  A fiber dragged across a separatrix or into
+    another well is not star-shaped about z, so some ray fails the guard."""
+    if not curve.closed:
+        return None
+    h, z = curve.observable, _loop_centre(curve)
+    dq, dp = curve.qs[:-1] - z.q, curve.ps[:-1] - z.p
+    r = np.hypot(dq, dp)
+    c, s = dq / r, dp / r
+    rays = _rays_onto_level(h, b, z, c, s, r)
+    if rays is None:
+        return None
+    q, p = z.q + rays[0] * c, z.p + rays[0] * s
+    return _polyline_fiber(h, b, np.append(q, q[0]), np.append(p, p[0]), True)
+
+
 PolarLoop = tuple[PhasePoint, np.ndarray]  # centre z and radii at equispaced angles
 
 
 def polar_guide(curve: FiberCurve) -> PolarLoop:
-    """A centre z of the closed fiber ``curve`` for ``polar_loop``, the
-    critical point of H reached from the samples' centroid (or the centroid;
-    the guard judges it), and the fiber's radii about z at as many
-    equispaced angles as it has segments, linear in angle between samples."""
-    qs, ps = curve.qs[:-1], curve.ps[:-1]
-    z = _critical_point(curve.observable, PhasePoint(float(np.mean(qs)), float(np.mean(ps))))
-    dq, dp = qs - z.q, ps - z.p
-    theta = 2 * np.pi * np.arange(qs.size) / qs.size
+    """The start of ``polar_loop`` on the closed fiber ``curve``: its centre
+    z (``_loop_centre``) and its radii about z at _GUIDE_ANGLES equispaced
+    angles, linear in angle between samples.
+
+    Why 160: ``polar_loop`` stops when A and T agree at n and 2n angles.  On
+    a loop with 2^a-fold symmetry, an n without the factor 2^a sees the same
+    aliased harmonics at both and stops early: the double well 1/2 p^2 - q^2
+    + 1/4 q^4 at b = 0.5 from 150 radii stops at N = 150 with T off by
+    4.9e-10 (3e-14 from 160).  Every count 160 2^k keeps the factor 2^5."""
+    z = _loop_centre(curve)
+    dq, dp = curve.qs[:-1] - z.q, curve.ps[:-1] - z.p
+    theta = 2 * np.pi * np.arange(_GUIDE_ANGLES) / _GUIDE_ANGLES
     return z, np.interp(theta, np.arctan2(dp, dq), np.hypot(dq, dp), period=2 * np.pi)
 
 
@@ -844,32 +837,19 @@ def polar_loop(h: Observable, b: float, loop: PolarLoop) -> tuple[float, float, 
     r(theta) about the centre z of ``loop``, a nearby level's, by the
     periodic trapezoidal rule, or None where the guard refuses.
 
-    Newton solves H(z + r (cos theta, sin theta)) = b on all rays at once,
-    from the held radii of ``loop`` at equispaced angles, and takes one more
-    step once every |H - b| <= 1e-14 max(1, |b|).  A = 1/2 sum r^2 dtheta
-    and T = sum r / H_r dtheta (H_r = grad H . r^) start at half the held
-    angles (at least _POLAR_MIN), which double, the solved rays kept, until
-    A and T change by at most _POLAR_RTOL relative; on an analytic loop the
-    error falls geometrically (Trefethen-Weideman, SIAM Review 56, 2014).
-    The guard, written so that a NaN rejects: every ray converges within
-    _MOVE_STEPS to r > 0 with H_r > 0 (the loop is star-shaped about z),
-    and the doubling converges within _POLAR_MAX angles.
+    The rays at equispaced angles meet the level by ``_rays_onto_level``,
+    from the held radii of ``loop``.  A = 1/2 sum r^2 dtheta and
+    T = sum r / H_r dtheta start at half the held angles (at least
+    _POLAR_MIN), which double, the solved rays kept, until A and T change by
+    at most _POLAR_RTOL relative; on an analytic loop the error falls
+    geometrically (Trefethen-Weideman, SIAM Review 56, 2014).  The guard is
+    that of ``_rays_onto_level`` on every ray, and the doubling converges
+    within _POLAR_MAX angles.
     """
     z, radii = loop
-    tol = _PROJ_TOL * max(1.0, abs(b))
 
-    def on_level(theta, r):  # (r, r / H_r) on the rays at theta, or None
-        c, s, converged = np.cos(theta), np.sin(theta), False
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(_MOVE_STEPS + 1):
-                q, p = z.q + r * c, z.p + r * s
-                h_r = h.dq(q, p) * c + h.dp(q, p) * s
-                if converged:
-                    return (r, r / h_r) if np.all(r > 0) and np.all(h_r > 0) else None
-                residual = h.value(q, p) - b
-                converged = bool(np.all(np.abs(residual) <= tol))
-                r = r - residual / h_r
-        return None
+    def on_level(theta, r):
+        return _rays_onto_level(h, b, z, np.cos(theta), np.sin(theta), r)
 
     n = max(_POLAR_MIN, radii.size // 2)
     theta = 2 * np.pi * np.arange(n) / n
@@ -877,14 +857,14 @@ def polar_loop(h: Observable, b: float, loop: PolarLoop) -> tuple[float, float, 
     rays = on_level(theta, np.interp(theta, held, radii, period=2 * np.pi))
     last = np.zeros(2)
     while rays is not None:
-        r, w = rays
-        now = np.array([np.pi * np.mean(r * r), 2 * np.pi * np.mean(w)])
+        r, h_r = rays
+        now = np.array([np.pi * np.mean(r * r), 2 * np.pi * np.mean(r / h_r)])
         if np.all(np.abs(now - last) <= _POLAR_RTOL * now):  # a NaN keeps doubling
             return float(now[0]), float(now[1]), (z, r)
         mid = theta + np.pi / n
         rays = None if 2 * n > _POLAR_MAX else on_level(mid, (r + np.roll(r, -1)) / 2)
         if rays is not None:  # held angles and new ones between them alternate
-            pairs = zip((theta, r, w), (mid, *rays))
+            pairs = zip((theta, r, h_r), (mid, *rays))
             theta, *rays = (np.column_stack(pair).ravel() for pair in pairs)
         last, n = now, 2 * n
     return None
@@ -1242,16 +1222,20 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
     the other coordinate on {H = b} at chart coordinates u by Newton from
     the guide's interpolant.
 
-    A switch sits at a guide point, so a segment could otherwise reach past
-    the fold of the chart it leaves; a guide along which the fiber's normal
-    turns by 45 degrees or more on one segment (the bound ``moved_fiber``
-    derives) raises :class:`CoarseGuide`, naming the segment and its turn.
+    A switch sits at a guide point, where |H_q| = |H_p| and the fiber's
+    normal is 45 degrees from the fold of the chart it leaves (H_p = 0 for a
+    q-chart); a segment along which the normal turns by less than 45 degrees
+    cannot reach that fold.  A guide whose normal turns by 45 degrees or more
+    on one segment raises :class:`CoarseGuide`, naming the segment and its
+    turn.
     """
     n = len(guide)
     gq = np.asarray(h.dq(guide[:, 0], guide[:, 1]), dtype=float)
     gp = np.asarray(h.dp(guide[:, 0], guide[:, 1]), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turn = _normal_turns(gq, gp)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where grad H = 0
+        norm = np.hypot(gq, gp)
+        nq, np_ = gq / norm, gp / norm
+        turn = nq[:-1] * nq[1:] + np_[:-1] * np_[1:]  # cosine, per segment
     # written so that a NaN rejects
     coarse = np.flatnonzero(~(turn > _CHART_TURN))
     if coarse.size:

@@ -85,7 +85,6 @@ _COMPOSE_GRID = 9  # levels at which compose_kernels scans (phi', phi'')
 _COMPOSE_XTOL = 1e-12  # Newton on phi' stops at a level this close to b*
 _COMPOSE_NEWTON_MAX = 100
 
-_BS_SAMPLES = 160  # samples of a traced Bohr-Sommerfeld probe fiber
 _BS_PROBES = 17
 _BS_NEWTON_MAX = 30
 # two levels whose distances to a target differ by less than this fraction
@@ -196,7 +195,7 @@ class BSLevel:
 
 def _traced_loop(h_obs: Observable, b: float) -> FiberCurve:
     """The closed fiber {H = b} through ``seed_on_level``, traced afresh."""
-    curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b), _BS_SAMPLES)
+    curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b))
     if not curve.closed:
         raise SingularFiber(f"fiber at {b} is not closed")
     return curve

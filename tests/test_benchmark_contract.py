@@ -4,6 +4,9 @@ terms.  These tests import it unchanged and check that every name it wraps
 still exists and that the audit still runs."""
 
 import math
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -186,3 +189,23 @@ def test_bench_pairs_summarises_a_single_pair(monkeypatch):
     assert (higher["higher_in"], higher["regression_suspect"]) == (6, True)
     assert ten([0.60] * 5 + [0.40] * 5)["regression_suspect"] is False
     assert ten([p + 0.005 for p in parent_runs])["regression_suspect"] is False
+
+
+def test_bench_pairs_outside_a_git_checkout_exits_with_one_line(tmp_path):
+    # the change side is a copy of the checkout's tracked files
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(PERFBENCH.parent / "scripts" / "bench_pairs.py", tmp_path / "scripts")
+    (tmp_path / "parent" / "perfbench").mkdir(parents=True)
+    (tmp_path / "parent" / "perfbench" / "run.py").write_text("")
+    done = subprocess.run(
+        [sys.executable, "scripts/bench_pairs.py", "--parent", "parent", "--label", "x",
+         "--workload", "glue:1", "--first-seed", "1"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, GIT_CEILING_DIRECTORIES=str(tmp_path.parent)),
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"bench_pairs: {tmp_path} is not a git checkout; the change side is "
+        "copied from the tracked files of one"
+    ]
+    assert not list(tmp_path.glob("BENCH_*.json"))

@@ -316,6 +316,39 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key, old, new", [
+        ("h", "h = 0.1", "h = nan"),
+        ("h", "h = 0.1", "h = inf"),
+        ("grid_halfwidth", "grid_halfwidth = 10", "grid_halfwidth = 0"),
+        ("grid_halfwidth", "grid_halfwidth = 10", "grid_halfwidth = nan"),
+        ("grid_halfwidth", "grid_halfwidth = 10", "grid_halfwidth = -10"),
+        ("b_min", "b_min = 0.004\nb_max = 1.0", "b_min = 3.2\nb_max = 0.004"),
+        ("b_max", "b_max = 1.0", "b_max = inf"),
+    ])
+    def test_numbers_are_finite_and_in_range(self, tmp_path, capsys, key, old, new):
+        cfg = tmp_path / "bad.ini"
+        out = tmp_path / "out"
+        text = HO_SPECTRUM.format(out=out)
+        assert old in text
+        cfg.write_text(text.replace(old, new))
+        assert main(["spectrum", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} =" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["positions", "levels"])
+    def test_empty_required_list(self, tmp_path, capsys, key):
+        # with no case the slope is NaN, which report.json cannot hold as JSON
+        cfg = tmp_path / "bad.ini"
+        out = tmp_path / "out"
+        text = SWEEP.format(out=out)
+        line = next(l for l in text.splitlines() if l.startswith(f"{key} ="))
+        cfg.write_text(text.replace(line, f"{key} ="))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
 class TestPipelines:
     def test_spectrum_scenario(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"

@@ -91,13 +91,16 @@ class TestMaslov:
         loop = maslov_loop_index(c, Q)
         assert maslov_segment(c, ca, cb, Q) + maslov_segment(c, cb, ca, Q) == loop
 
-    def test_segment_matches_dense_resampling(self):
+    def test_segment_matches_dense_resampling(self, monkeypatch):
         ellipse = Observable.from_coeffs({(2, 0): 2.0, (0, 2): 0.5, (1, 0): -0.6})
         b = 0.9
+        import scoverlap.geometry as geo
         from scoverlap.geometry import project_to_fiber
 
         coarse = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3))
-        fine = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3), n_samples=6000)
+        monkeypatch.setattr(geo, "_TRACE_SAMPLES", 6000)
+        fine = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3))
+        assert fine.qs.size == 6001
         a = project_to_fiber(ellipse, b, PhasePoint(0.9, 0.5))
         d = project_to_fiber(ellipse, b, PhasePoint(0.2, -0.9))
         assert maslov_segment(coarse, a, d, Q) == maslov_segment(fine, a, d, Q)
@@ -293,10 +296,10 @@ DOUBLE_WELL = Observable.from_text("1/2 p^2 - q^2 + 1/4 q^4")
 
 
 def _radii_about(curve, z):
-    """A closed fiber's radii about z at as many equispaced angles as it has
-    segments, linear in angle between its samples."""
+    """A closed fiber's radii about z at 160 equispaced angles, linear in
+    angle between its samples."""
     qs, ps = curve.qs[:-1] - z.q, curve.ps[:-1] - z.p
-    theta = 2 * np.pi * np.arange(qs.size) / qs.size
+    theta = 2 * np.pi * np.arange(160) / 160
     return np.interp(theta, np.arctan2(ps, qs), np.hypot(qs, ps), period=2 * np.pi)
 
 
@@ -359,9 +362,9 @@ class TestLoopQuadrature:
         traced = []
         real = sc.trace_level_curve
 
-        def counted(h_obs, b, seed, n_samples):
+        def counted(h_obs, b, seed):
             traced.append(b)
-            return real(h_obs, b, seed, n_samples)
+            return real(h_obs, b, seed)
 
         monkeypatch.setattr(sc, "trace_level_curve", counted)
         probes = probe_loop_actions(DOUBLE_WELL, b_range)
@@ -378,23 +381,30 @@ class TestLoopQuadrature:
         assert actions[outer] > 2 * actions[outer - 1]
 
     @pytest.mark.parametrize("steps", [12, 200])
-    @pytest.mark.parametrize("check", ["both", "growth", "turn"])
     def test_guard_rejects_the_separatrix_whether_or_not_newton_converges(
-        self, monkeypatch, steps, check
+        self, monkeypatch, steps
     ):
-        # with 200 steps every sample of the left-well fiber converges onto
-        # the outer loop; each geometric check rejects the move on its own
+        # the outer loop at 0.0625 is not star-shaped about the well's centre:
+        # with 12 steps some rays do not converge, and with 200 every ray
+        # converges but those past the saddle end where H falls outward
         import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
         left = sc._traced_loop(DOUBLE_WELL, -0.025)
         assert moved_fiber(left, -0.1) is not None
         monkeypatch.setattr(geo, "_MOVE_STEPS", steps)
-        if check == "growth":
-            monkeypatch.setattr(geo, "_MOVE_TURN", -2.0)
-        if check == "turn":
-            monkeypatch.setattr(geo, "_MOVE_STRETCH", math.inf)
         assert moved_fiber(left, 0.0625) is None
+
+    @pytest.mark.parametrize("h_obs, b_range", [(DOUBLE_WELL, (-0.99, 2.0)), (PEND, (-0.92, 0.7))])
+    def test_held_loops_keep_a_factor_of_32(self, h_obs, b_range):
+        # the doubling stop compares A and T at n and 2n angles; on a loop
+        # with 2^a-fold symmetry an n without the factor 2^a sees the same
+        # aliased harmonics at both and stops early: the double well at
+        # b = 0.5 from 150 radii stops at N = 150 with T off by 4.9e-10
+        # (3e-14 from 160).  Every held count is 160 2^k.
+        probes = probe_loop_actions(h_obs, b_range)
+        sizes = {radii.size for _, radii in filter(None, probes.loops)}
+        assert sizes and all(n % 160 == 0 and (n // 160).bit_count() == 1 for n in sizes)
 
     def test_one_trace_and_no_loop_data_per_ladder(self, monkeypatch):
         # the first probe is the only trace; no loop_data, and by the polar
@@ -910,6 +920,20 @@ class TestMovedFiber:
             assert tm.slopes == pytest.approx(tt.slopes, abs=1e-12)
             assert tm.curvatures == pytest.approx(tt.curvatures, abs=1e-12)
             assert tm.maslov == tt.maslov
+
+    @pytest.mark.parametrize(
+        "h_obs, b_from, b",
+        [(PEND, -0.5, -0.3), (Observable.from_text("1/2 p^2 + 0.55 q^2 + 0.08 q^4"), 0.5, 0.8)],
+    )
+    def test_move_keeps_each_sample_angle_about_the_centre(self, h_obs, b_from, b):
+        # every sample moves along its own ray from the minimum at the origin;
+        # a move along grad H would turn the samples of these non-circular loops
+        traced = self._traced(h_obs, b_from)
+        moved = moved_fiber(traced, b)
+        assert moved is not None and moved.qs.size == traced.qs.size
+        turn = np.arctan2(moved.ps, moved.qs) - np.arctan2(traced.ps, traced.qs)
+        assert np.max(np.abs(np.angle(np.exp(1j * turn)))) <= 1e-12
+        assert np.max(np.abs(h_obs.value(moved.qs, moved.ps) - b)) <= 1e-14 * max(1, abs(b))
 
     def test_no_move_across_the_pendulum_separatrix(self, monkeypatch):
         below = self._traced(PEND, 0.9)

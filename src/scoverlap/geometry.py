@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -52,8 +52,8 @@ _MOVE_STEPS = 12  # Newton steps allowed per point moved onto a level
 # cosine of the largest turn of the fiber's normal along one segment of a
 # guide that chart quadrature accepts (see ``_chart_runs``)
 _CHART_TURN = math.cos(math.radians(45.0))
-# ``polar_loop``: fewest and most angles, and the relative change of A and T
-_POLAR_MIN, _POLAR_MAX, _POLAR_RTOL = 16, 4096, 1e-13
+# ``polar_loop``: most angles, and the relative change of A and T
+_POLAR_MAX, _POLAR_RTOL = 4096, 1e-13
 _GUIDE_ANGLES = 160  # radii of a ``polar_guide``, which says why 160
 
 
@@ -312,6 +312,9 @@ class ReferenceLagrangian:
         return self.lam.deriv(q, 0.0, 2, 0)
 
 
+PolarLoop = tuple[PhasePoint, np.ndarray]  # centre z and radii at equispaced angles
+
+
 @dataclass(frozen=True)
 class FiberCurve:
     """A level set {H = b} as a polyline of samples in flow direction.
@@ -320,11 +323,16 @@ class FiberCurve:
     lies on the level to |H - b| <= 1e-14 max(1, |b|), and ``arclength`` is
     the cumulative chord length.  Closed curves wrap: the final sample
     repeats the first.  Open curves are truncated at the domain box.
-    Overlaps read only the polyline and take every integral by
-    ``chart_action``; so do ``loop_action`` and ``period`` of a closed curve
-    (the loop integral of p dq, the enclosed area, and the flow period), on
-    their first read; Bohr-Sommerfeld loops take both by ``polar_loop``
-    instead.  An open curve has neither (None).
+
+    A closed curve the ray guard accepts is a polar object: ``polar`` holds
+    ``polar_loop``'s (loop action, period, (z, radii)), the radii at N =
+    160 2^k equispaced angles about the centre z, and the samples are those
+    ray points, clockwise (the flow's sense, since H_r > 0).  Its
+    ``loop_action`` and ``period`` are the polar rule's, and its arc
+    integrals come from the trigonometric interpolant of the radii
+    (``arc_integrals``).  A refused closed curve keeps its traced samples
+    and takes both by ``chart_action``, the loop integrals on their first
+    read.  An open curve has neither (None).
     """
 
     observable: Observable
@@ -333,15 +341,82 @@ class FiberCurve:
     ps: np.ndarray
     arclength: np.ndarray
     closed: bool
+    polar: tuple[float, float, PolarLoop] | None = None
 
     @cached_property
     def _loop(self) -> tuple[float | None, float | None]:
+        if self.polar is not None:
+            return self.polar[:2]
         if not self.closed:
             return None, None
         return chart_action(self.observable, self.level, np.column_stack([self.qs, self.ps]))[:2]
 
     loop_action = property(lambda self: self._loop[0])
     period = property(lambda self: self._loop[1])
+
+    def arc_integrals(self, guide: np.ndarray) -> tuple[float, float, float]:
+        """(integral of p dq, flow time, its level derivative dT/db) along
+        the arc ``guide`` of this fiber, which runs in flow direction from
+        its first entry to its last, both exact on-fiber points (``arc``).
+
+        The one dispatch of arc integrals: a straight fiber's in closed
+        form (``_line_integrals``), a polar fiber's from its radii
+        (``_polar_integrals``), any other's by ``chart_action``, whose
+        convention (both ends moving normal to the fiber) all three share.
+        """
+        if self.observable.is_linear:
+            return _line_integrals(self.observable, guide[0], guide[-1])
+        if self.polar is not None:
+            return self._polar_integrals(guide[0], guide[-1])
+        return chart_action(self.observable, self.level, guide)
+
+    @cached_property
+    def _polar_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The trigonometric interpolants of r^2, r / H_r and (H_r - r H_rr)
+        / H_r^3 on the held rays, from one FFT: their mean values, and the
+        coefficients of the periodic part of their antiderivatives at
+        wavenumbers k = 1 .. N/2 (the Nyquist term counted once)."""
+        _, _, (z, r) = self.polar
+        h, n = self.observable, r.size
+        theta = 2 * np.pi * np.arange(n) / n
+        c, s = np.cos(theta), np.sin(theta)
+        q, p = z.q + r * c, z.p + r * s
+        h_r = h.dq(q, p) * c + h.dp(q, p) * s
+        hqq, hqp, hpp = (h.deriv(q, p, i, 2 - i) for i in (2, 1, 0))
+        h_rr = hqq * c * c + 2 * hqp * c * s + hpp * s * s
+        coef = np.fft.rfft([r * r, r / h_r, (h_r - r * h_rr) / h_r**3], axis=1) / n
+        k = np.arange(1, n // 2 + 1)
+        weight = np.where(2 * k < n, 2.0, 1.0) / (1j * k)
+        return coef[:, 0].real, coef[:, 1:] * weight, k
+
+    def _polar_integrals(self, a, b) -> tuple[float, float, float]:
+        """``arc_integrals`` on a polar fiber, from the ray at angle
+        theta_a back (clockwise) to theta_b, over span = theta_a - theta_b
+        mod 2 pi (2 pi where the ends share their angle).  With X, Y the
+        offsets from z: p dq = z_p dq + d(XY)/2 - r^2 dtheta / 2, and the
+        flow turns at dtheta/dt = -H_r / r, so
+
+          S = z_p [q] + [XY] / 2 + 1/2 int r^2,    T = int r / H_r,
+
+        integrals over (theta_a - span, theta_a).  At a fixed angle r moves
+        by 1 / H_r, so dT/db is int (H_r - r H_rr) / H_r^3 plus, at each
+        end, the flow time between that radial motion and the normal one,
+        (Y H_q - X H_p) / (R H_r |grad H|^2), added at b and subtracted at a.
+        Each integral is that of the interpolant, exact between the ends.
+        """
+        _, _, (z, _) = self.polar
+        mean, series, k = self._polar_series
+        (xa, ya), (xb, yb) = (a[0] - z.q, a[1] - z.p), (b[0] - z.q, b[1] - z.p)
+        ta, tb = math.atan2(ya, xa), math.atan2(yb, xb)
+        span = (ta - tb) % (2 * np.pi) or 2 * np.pi
+        r2, time, dtime = mean * span + (series @ (np.exp(1j * k * ta) - np.exp(1j * k * tb))).real
+
+        def end(x, u, v):  # at the end x, offset (u, v) from z
+            hq, hp = self.observable.gradient(x)
+            return (v * hq - u * hp) / ((u * hq + v * hp) * (hq * hq + hp * hp))
+
+        action = z.p * (b[0] - a[0]) + 0.5 * (xb * yb - xa * ya) + 0.5 * r2
+        return float(action), float(time), float(dtime + end(b, xb, yb) - end(a, xa, ya))
 
     @property
     def total_arclength(self) -> float:
@@ -410,42 +485,23 @@ class FiberCurve:
     def scaffold(self, s_from: float, s_to: float) -> np.ndarray:
         """Polyline guide points covering the forward arc s_from -> s_to.
 
-        On closed curves the arc wraps; on open curves s_from <= s_to.  The
-        returned points interpolate the sample chain (they guide chart
-        quadrature; ``arc`` sets the exact endpoints).
+        On open curves s_from <= s_to.  On closed curves the arc wraps, and
+        is the whole loop when s_from == s_to: it is read off the samples
+        run twice round, from s_from taken modulo the loop's length.  The
+        guide is every sample more than 1e-12 inside the arc, between the
+        chain's points at s_from and s_to (it guides chart quadrature and
+        the tangency count; ``arc`` sets the exact endpoints).
         """
-        s = self.arclength
-        total = self.total_arclength
+        s, qs, ps = self.arclength, self.qs, self.ps
         if self.closed:
-            span = (s_to - s_from) % total
-            if span == 0.0:
-                span = total
-            # samples more than 1e-12 inside the arc, in the order the flow
-            # meets them; s[-1] repeats s[0] and is left out
-            ahead = (s[:-1] - s_from) % total
-            keep = np.flatnonzero((ahead > 1e-12) & (ahead < span - 1e-12))
-            keep = keep[np.argsort(ahead[keep], kind="stable")]
-            a = self._interp_point(s_from % total)
-            b = self._interp_point((s_from + span) % total)
-            inner = np.stack([self.qs[keep], self.ps[keep]], axis=1)
-            return np.vstack([a, inner, b])
-        mask = (s > s_from + 1e-12) & (s < s_to - 1e-12)
-        inner = np.stack([self.qs[mask], self.ps[mask]], axis=1)
-        a = np.array(self._interp_point(s_from))
-        b = np.array(self._interp_point(s_to))
-        return np.vstack([a, inner, b])
-
-    def _interp_point(self, sv: float) -> tuple[float, float]:
-        s = self.arclength
-        sv = min(max(sv, float(s[0])), float(s[-1]))
-        i = int(np.searchsorted(s, sv, side="right")) - 1
-        i = min(max(i, 0), len(s) - 2)
-        ds = s[i + 1] - s[i]
-        t = 0.0 if ds == 0 else (sv - s[i]) / ds
-        return (
-            float(self.qs[i] + t * (self.qs[i + 1] - self.qs[i])),
-            float(self.ps[i] + t * (self.ps[i + 1] - self.ps[i])),
-        )
+            total = self.total_arclength
+            s_from %= total
+            s_to = s_from + ((s_to - s_from) % total or total)
+            s = np.concatenate([s, s[1:] + total])
+            qs, ps = np.concatenate([qs, qs[1:]]), np.concatenate([ps, ps[1:]])
+        inner = (s > s_from + 1e-12) & (s < s_to - 1e-12)
+        ends = [(np.interp(sv, s, qs), np.interp(sv, s, ps)) for sv in (s_from, s_to)]
+        return np.vstack([ends[0], np.stack([qs[inner], ps[inner]], axis=1), ends[1]])
 
     def to_csv(self, path) -> None:
         """Write one row per sample: q, p, arclength."""
@@ -459,6 +515,26 @@ def _polyline_fiber(
     """The fiber {H = b} sampled at (qs, ps), with chord-length arclength."""
     chords = np.hypot(np.diff(qs), np.diff(ps))
     return FiberCurve(h, b, qs, ps, np.concatenate([[0.0], np.cumsum(chords)]), closed)
+
+
+def _polar_fiber(h: Observable, b: float, polar: tuple[float, float, PolarLoop]) -> FiberCurve:
+    """The closed fiber {H = b} held as ``polar_loop``'s result: its samples
+    are the ray points z + r_j (cos, sin)(2 pi j / N) in flow (clockwise)
+    order from j = 0, which they repeat at the end."""
+    z, r = polar[2]
+    j = -np.arange(r.size + 1) % r.size
+    theta = 2 * np.pi * j / r.size
+    curve = _polyline_fiber(h, b, z.q + r[j] * np.cos(theta), z.p + r[j] * np.sin(theta), True)
+    return replace(curve, polar=polar)
+
+
+def _line_integrals(h: Observable, a, b) -> tuple[float, float, float]:
+    """``FiberCurve.arc_integrals`` on the straight fiber of a linear H from
+    a to b (in flow direction): p is linear along it, so p dq integrates to
+    the trapezoid, the flow speed is |grad H| throughout, and dT/db keeps
+    only ``chart_action``'s end terms, which cancel (H_qq = H_pp = 0)."""
+    action = 0.5 * (a[1] + b[1]) * (b[0] - a[0])
+    return action, math.hypot(b[0] - a[0], b[1] - a[1]) / math.hypot(*h.gradient(a)), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +709,9 @@ def loop_data(h: Observable, b: float, seed: PhasePoint) -> tuple[float, float]:
 
     The ODE verifier: action and time are extra rows of one DOP853 trace at
     rtol 1e-12.  The engine takes both by the polar rule (``polar_loop``,
-    ``semiclassics.probe_loop_actions``) or by ``chart_action`` over a closed
-    polyline (``FiberCurve.loop_action``, ``.period``); the tests hold both
+    held by a polar ``FiberCurve`` and ``semiclassics.probe_loop_actions``),
+    or by ``chart_action`` over the traced polyline where the ray guard
+    refuses (``FiberCurve.loop_action``, ``.period``); the tests hold both
     to this.
     """
     x0 = project_to_fiber(h, b, seed)
@@ -718,7 +795,9 @@ def trace_level_curve(h: Observable, b: float, seed: PhasePoint) -> FiberCurve:
     arclength, and projected onto the level (``_newton_onto_level``;
     ``SingularFiber`` if that fails).  Closed components are detected by
     return to the start; open components are truncated at the domain box.
-    About _TRACE_SAMPLES samples are taken.
+    About _TRACE_SAMPLES samples are taken.  A closed trace then seeds the
+    polar rule about its centre (``polar_guide``, ``polar_loop``), and the
+    fiber is that polar object (``FiberCurve``) unless the guard refuses.
     """
     x0 = project_to_fiber(h, b, seed)
     gq, gp = h.gradient(x0)
@@ -745,9 +824,11 @@ def trace_level_curve(h: Observable, b: float, seed: PhasePoint) -> FiberCurve:
     if onto is None:
         raise SingularFiber(f"samples of the fiber {h} = {b} did not project onto the level")
     qs, ps = onto
-    if closed:
-        qs, ps = np.append(qs, qs[0]), np.append(ps, ps[0])
-    return _polyline_fiber(h, b, qs, ps, closed)
+    if not closed:
+        return _polyline_fiber(h, b, qs, ps, False)
+    curve = _polyline_fiber(h, b, np.append(qs, qs[0]), np.append(ps, ps[0]), True)
+    polar = polar_loop(h, b, polar_guide(curve))
+    return curve if polar is None else _polar_fiber(h, b, polar)
 
 
 def _loop_centre(curve: FiberCurve) -> PhasePoint:
@@ -792,28 +873,19 @@ def _rays_onto_level(
 
 
 def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
-    """The closed fiber ``curve`` moved onto the level b of its observable,
-    or None when the fiber is open or the guard refuses the move.  A
-    composition moves its intermediate fibers so (``overlap_kernel``).
+    """The polar fiber ``curve`` moved onto the level b of its observable,
+    or None when the fiber is not polar (open, or refused by the guard) or
+    the guard refuses the move.  A composition moves its intermediate
+    fibers so (``overlap_kernel``).
 
-    Every sample keeps its angle about the fiber's centre z (``_loop_centre``)
-    and moves along its ray by the Newton and guard of ``polar_loop``
-    (``_rays_onto_level``).  A fiber dragged across a separatrix or into
-    another well is not star-shaped about z, so some ray fails the guard."""
-    if not curve.closed:
+    The move is ``polar_loop`` from the held centre z and radii: every ray
+    keeps its angle about z, and no centre is solved again.  A fiber dragged
+    across a separatrix or into another well is not star-shaped about z,
+    so some ray fails the guard."""
+    if curve.polar is None:
         return None
-    h, z = curve.observable, _loop_centre(curve)
-    dq, dp = curve.qs[:-1] - z.q, curve.ps[:-1] - z.p
-    r = np.hypot(dq, dp)
-    c, s = dq / r, dp / r
-    rays = _rays_onto_level(h, b, z, c, s, r)
-    if rays is None:
-        return None
-    q, p = z.q + rays[0] * c, z.p + rays[0] * s
-    return _polyline_fiber(h, b, np.append(q, q[0]), np.append(p, p[0]), True)
-
-
-PolarLoop = tuple[PhasePoint, np.ndarray]  # centre z and radii at equispaced angles
+    polar = polar_loop(curve.observable, b, curve.polar[2])
+    return None if polar is None else _polar_fiber(curve.observable, b, polar)
 
 
 def polar_guide(curve: FiberCurve) -> PolarLoop:
@@ -839,19 +911,22 @@ def polar_loop(h: Observable, b: float, loop: PolarLoop) -> tuple[float, float, 
 
     The rays at equispaced angles meet the level by ``_rays_onto_level``,
     from the held radii of ``loop``.  A = 1/2 sum r^2 dtheta and
-    T = sum r / H_r dtheta start at half the held angles (at least
-    _POLAR_MIN), which double, the solved rays kept, until A and T change by
-    at most _POLAR_RTOL relative; on an analytic loop the error falls
-    geometrically (Trefethen-Weideman, SIAM Review 56, 2014).  The guard is
-    that of ``_rays_onto_level`` on every ray, and the doubling converges
-    within _POLAR_MAX angles.
+    T = sum r / H_r dtheta start at a quarter of the held angles, but at
+    least _GUIDE_ANGLES / 2, which double, the solved rays kept, until A and
+    T change by at most _POLAR_RTOL relative; on an analytic loop the error
+    falls geometrically (Trefethen-Weideman, SIAM Review 56, 2014).  So a
+    chain of loops can halve its count at each step, never below
+    _GUIDE_ANGLES, and every count returned is 160 2^k (``polar_guide``).
+    The guard is that of ``_rays_onto_level`` on every ray, and the
+    doubling converges within _POLAR_MAX angles.  A polar ``FiberCurve``
+    holds the result.
     """
     z, radii = loop
 
     def on_level(theta, r):
         return _rays_onto_level(h, b, z, np.cos(theta), np.sin(theta), r)
 
-    n = max(_POLAR_MIN, radii.size // 2)
+    n = max(_GUIDE_ANGLES // 2, radii.size // 4)
     theta = 2 * np.pi * np.arange(n) / n
     held = 2 * np.pi * np.arange(radii.size) / radii.size
     rays = on_level(theta, np.interp(theta, held, radii, period=2 * np.pi))
@@ -1279,7 +1354,9 @@ def _chart_runs(h: Observable, b: float, guide: np.ndarray):
 
 def chart_action(h: Observable, b: float, guide: np.ndarray) -> tuple[float, float, float]:
     """Integral of p dq, flow time and the flow time's level derivative along
-    the fiber arc described by ``guide``.
+    the fiber arc described by ``guide``: the engine's path on open curved
+    arcs and on closed fibers the ray guard refuses, and the verifiers'
+    reference on every arc.
 
     ``guide`` is a polyline near (not necessarily on) {H = b}; its first and
     last entries are taken as the exact, already-on-fiber endpoints.  The arc

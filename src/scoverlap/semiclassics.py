@@ -18,7 +18,7 @@ transversal intersections of the two level curves: each point contributes
 all behind an overall ``(2 pi h)^(-1/2)`` with unit constant.  Each term
 also carries dS/db1 and dS/db2 in closed form, the flow times along the two
 arcs plus endpoint terms on the reference graph, and d^2 S/db1^2 and
-d^2 S/db2^2, their level derivatives, from the same arc quadratures.
+d^2 S/db2^2, their level derivatives, from the same arc integrals.
 Transition probabilities square this sum, cyclic amplitudes chain it around
 a loop of fibrations, and kernels compose by one-dimensional stationary
 phase on those slopes and curvatures.
@@ -66,7 +66,6 @@ from .geometry import (
     lagrangian_intersections,
     moved_fiber,
     poisson_bracket,
-    polar_guide,
     polar_loop,
     project_to_fiber,
     reference_point,
@@ -206,14 +205,14 @@ def _loop_values(
 ) -> tuple[float, float, PolarLoop | None]:
     """(loop action, period, polar loop) of the closed fiber {H = b}: the
     polar rule from ``held``, a nearby level's loop; where none is held or
-    the guard refuses, from a fresh trace (or ``curve``) about its centre
-    (``polar_guide``); where the guard refuses that too, the trace's chart
-    quadrature (``FiberCurve.loop_action``, ``period``) and no loop."""
+    the guard refuses, those of a fresh trace (or ``curve``), which ran the
+    polar rule about its own centre, and no loop where the guard refused
+    that too (``FiberCurve.loop_action``, ``period``)."""
     polar = None if held is None else polar_loop(h_obs, b, held)
     if polar is None:
         curve = _traced_loop(h_obs, b) if curve is None else curve
-        polar = polar_loop(h_obs, b, polar_guide(curve))
-    return (curve.loop_action, curve.period, None) if polar is None else polar
+        polar = curve.polar or (curve.loop_action, curve.period, None)
+    return polar
 
 
 @dataclass(frozen=True)
@@ -462,7 +461,11 @@ class _PairGeometry:
     def action_at(self, c_anchor: PhasePoint, db1: float, db2: float) -> float:
         """S(b1 + db1, b2 + db2) on the branch anchored at ``c_anchor``,
         without the gauge part f(x2) - f(x1): that is separable in (b1, b2),
-        so its cross derivative vanishes and it would only add rounding."""
+        so its cross derivative vanishes and it would only add rounding.
+
+        Every arc is integrated by ``chart_action`` on the held fiber's
+        guide, whatever the fiber, so the stencil checks the engine's arc
+        integrals (closed form, polar) against quadrature too."""
         curve1, curve2, lam = self.curve1, self.curve2, self.lam
         h1, b1p = curve1.observable, curve1.level + db1
         h2, b2p = curve2.observable, curve2.level + db2
@@ -565,12 +568,14 @@ def overlap(
     term ``_reference_slope`` at x_i (Hamilton-Jacobi).  Its curvatures
     d^2 S/db1^2 = dT1/db1 - de1/db1 and d^2 S/db2^2 = de2/db2 - dT2/db2
     differentiate them once more: dT_i/db_i is the arc's level derivative
-    from ``chart_action`` (both ends moving normal to the fiber) plus the flow
-    time of each end's actual motion along it, tau(c) - tau(x_i)
-    (``_crossing_tau``, ``_reference_tau``), and de_i/db_i is the chain rule
-    on ``_reference_slope`` along lam (``_reference_curvature``).  Each term
-    builds one guide per fiber (``FiberCurve.arc``); fiber 2's carries both
-    S2 and the turning-point count.
+    (both ends moving normal to the fiber) plus the flow time of each end's
+    actual motion along it, tau(c) - tau(x_i) (``_crossing_tau``,
+    ``_reference_tau``), and de_i/db_i is the chain rule on
+    ``_reference_slope`` along lam (``_reference_curvature``).  Each term
+    builds one guide per fiber (``FiberCurve.arc``) and reads S_i, T_i and
+    dT_i/db_i from one ``FiberCurve.arc_integrals`` call: in closed form on
+    a straight fiber, from the radii on a polar one, by ``chart_action``
+    on any other.  Fiber 2's guide also carries the turning-point count.
 
     Each fiber is one component, traced through the first intersection
     unless ``curves`` supplies it; an intersection farther than
@@ -640,8 +645,8 @@ def overlap(
         c = ip.point
         guide1, sign1 = curve1.arc(x1, c, s_x1, curve1.locate(c))
         guide2, sign2 = curve2.arc(x2, c, s_x2, curve2.locate(c))
-        s1, t1, dt1 = (sign1 * v for v in chart_action(h1, b1, guide1))
-        s2, t2, dt2 = (sign2 * v for v in chart_action(h2, b2, guide2))
+        s1, t1, dt1 = (sign1 * v for v in curve1.arc_integrals(guide1))
+        s2, t2, dt2 = (sign2 * v for v in curve2.arc_integrals(guide2))
         dt1 = dt1 + _crossing_tau(h1, h2, c) - tau_x1
         dt2 = dt2 + _crossing_tau(h2, h1, c) - tau_x2
         action = s1 - s2 + gauge
@@ -680,7 +685,10 @@ def complementary_overlap_term(
     amp: SemiclassicalAmplitude, index: int, transverse: Observable
 ) -> OverlapTerm:
     """Recompute one term using the complementary arc on the closed second
-    fiber (independent integration, not loop-action bookkeeping)."""
+    fiber (independent integration, not loop-action bookkeeping).
+
+    Both arcs are integrated by ``chart_action``, so on a polar fiber the
+    result checks the engine's spectral arc integrals against quadrature."""
     t = amp.terms[index]
     curve2 = amp.curve2
     if curve2 is None or not curve2.closed:

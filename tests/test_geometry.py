@@ -1,6 +1,8 @@
 """Phase-plane geometry: brackets, fiber tracing, intersections, actions."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,23 +305,23 @@ def thin_ellipse(q0, half):
     )
 
 
+NAMED_PAIRS = [
+    (PEND, -0.5, P, 0.3),
+    (PEND, 0.4, Q, 1.1),
+    (P, 0.3, PEND, -0.5),
+    (HO, 0.52, PEND, -0.5),
+    (HO, 0.5, Observable.harmonic(center_q=1.0), 0.3),
+    (Observable.harmonic(omega=1.7, center_q=-0.6), 0.8, HO, 0.6),
+    (quartic(0.4, 0.1), 0.9, Q, 0.7),
+    (HO, 0.55, quartic(0.2, 0.05), 0.5),
+]
+
+
 class TestIntersectionScan:
     """The H1-first scan returns exactly what the dense scan of both
     observables returns: same points, same brackets, same raises."""
 
-    @pytest.mark.parametrize(
-        "h1, b1, h2, b2",
-        [
-            (PEND, -0.5, P, 0.3),
-            (PEND, 0.4, Q, 1.1),
-            (P, 0.3, PEND, -0.5),
-            (HO, 0.52, PEND, -0.5),
-            (HO, 0.5, Observable.harmonic(center_q=1.0), 0.3),
-            (Observable.harmonic(omega=1.7, center_q=-0.6), 0.8, HO, 0.6),
-            (quartic(0.4, 0.1), 0.9, Q, 0.7),
-            (HO, 0.55, quartic(0.2, 0.05), 0.5),
-        ],
-    )
+    @pytest.mark.parametrize("h1, b1, h2, b2", NAMED_PAIRS)
     def test_named_pairs_match_dense_scan(self, h1, b1, h2, b2):
         got = scan_or_tangential(h1, b1, h2, b2)
         assert got == dense_scan_intersections(h1, b1, h2, b2)
@@ -374,6 +376,35 @@ class TestIntersectionScan:
             assert np.allclose(
                 [x.point for x in got], [x.point for x in want], rtol=0.0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("h1, b1, h2, b2", NAMED_PAIRS + seeded_random_pairs())
+    def test_arc_integrals_match_chart_quadrature(self, h1, b1, h2, b2):
+        # on the same guides, between samples and the pair's crossings and
+        # round the whole loop: straight arcs in closed form within 1e-13
+        # and polar arcs from their radii within 1e-12 of the GK21 path,
+        # relative above 1; other fibers take the GK21 path itself
+        found = scan_or_tangential(h1, b1, h2, b2)
+        crossings = [] if found and found[0] == "tangential" else [x.point for x in found]
+        for h, b in [(h1, b1), (h2, b2)]:
+            try:
+                curve = trace_level_curve(h, b, seed_on_level(h, b))
+            except SingularFiber:
+                continue
+            if not h.is_linear and curve.polar is None:
+                continue
+            n = curve.qs.size - 1
+            ends = [curve.point(0), curve.point(n // 3), curve.point(2 * n // 3)]
+            ends += [x for x in crossings if curve.distance(x) <= 1e-2]
+            tol = 1e-13 if h.is_linear else 1e-12
+            for a, d in [*itertools.permutations(ends, 2), (ends[1], ends[1])]:
+                guide, _ = curve.arc(a, d, curve.locate(a), curve.locate(d))
+                got = np.array(curve.arc_integrals(guide))
+                with warnings.catch_warnings():
+                    # GK21 on a long line can stop at its panel limit a
+                    # hair above 1e-13; the closed form has no such limit
+                    warnings.simplefilter("ignore", QuadratureLimit)
+                    want = np.array(chart_action(h, b, guide))
+                assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
 
     def test_scan_misses_a_pair_inside_one_cell(self):
         # the ellipse spans q in (0.005, 0.035), inside the cell column
@@ -547,7 +578,18 @@ def parent_walk_scaffold(curve, s_from, s_to):
             cur = sv
         idx += 1
     svals.append(stop)
-    return np.array([curve._interp_point(v % total) for v in svals])
+    return np.array([_interp_point(curve, v % total) for v in svals])
+
+
+def _interp_point(curve, sv):
+    """The sample chain's point at arclength ``sv``, by its own segment."""
+    s = curve.arclength
+    i = min(max(int(np.searchsorted(s, sv, side="right")) - 1, 0), len(s) - 2)
+    t = (sv - s[i]) / (s[i + 1] - s[i])
+    return (
+        curve.qs[i] + t * (curve.qs[i + 1] - curve.qs[i]),
+        curve.ps[i] + t * (curve.ps[i + 1] - curve.ps[i]),
+    )
 
 
 class TestChartQuadrature:

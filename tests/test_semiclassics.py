@@ -22,6 +22,7 @@ from scoverlap.geometry import (
     PhasePoint,
     PrequantumForm,
     ReferenceLagrangian,
+    chart_action,
     find_intersections,
     loop_data,
     moved_fiber,
@@ -97,10 +98,13 @@ class TestMaslov:
         import scoverlap.geometry as geo
         from scoverlap.geometry import project_to_fiber
 
+        # the coarse fiber is polar, 161 ray points; the fine one keeps
+        # its 6001 traced samples, as a fiber the ray guard refuses does
         coarse = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3))
         monkeypatch.setattr(geo, "_TRACE_SAMPLES", 6000)
+        monkeypatch.setattr(geo, "polar_loop", lambda *args: None)
         fine = trace_level_curve(ellipse, b, PhasePoint(1.0, 0.3))
-        assert fine.qs.size == 6001
+        assert coarse.qs.size == 161 and fine.qs.size == 6001
         a = project_to_fiber(ellipse, b, PhasePoint(0.9, 0.5))
         d = project_to_fiber(ellipse, b, PhasePoint(0.2, -0.9))
         assert maslov_segment(coarse, a, d, Q) == maslov_segment(fine, a, d, Q)
@@ -395,6 +399,18 @@ class TestLoopQuadrature:
         monkeypatch.setattr(geo, "_MOVE_STEPS", steps)
         assert moved_fiber(left, 0.0625) is None
 
+    def test_held_count_falls_along_the_chain(self):
+        # each probe starts the polar rule at a quarter of the previous
+        # probe's count, so past the separatrix the outer loop's count
+        # falls from 1280 back to 640, and no probe moves off loop_data
+        probes = probe_loop_actions(DOUBLE_WELL, (-0.9, 0.5))
+        sizes = [radii.size for _, radii in probes.loops]
+        assert sizes == [160] * 10 + [640, 1280] + [640] * 5
+        for b, action, period in probes.probes:
+            ref_action, ref_period = _loop_data_at(DOUBLE_WELL, b)
+            assert abs(action - ref_action) <= 1e-11
+            assert abs(period - ref_period) <= 1e-11
+
     @pytest.mark.parametrize("h_obs, b_range", [(DOUBLE_WELL, (-0.99, 2.0)), (PEND, (-0.92, 0.7))])
     def test_held_loops_keep_a_factor_of_32(self, h_obs, b_range):
         # the doubling stop compares A and T at n and 2n angles; on a loop
@@ -442,8 +458,13 @@ class TestLoopQuadrature:
         assert math.hypot(*z) <= 1e-12
         assert np.array_equal(radii, _radii_about(traced, z))
         action, period, _ = polar_loop(h_obs, b, (z, radii))
-        assert abs(action - traced.loop_action) <= 1e-12 * traced.loop_action
-        assert abs(period - traced.period) <= 1e-12 * traced.period
+        # chart quadrature round the traced fiber's closed polyline
+        ref_action, ref_period, _ = chart_action(h_obs, b, np.column_stack([traced.qs, traced.ps]))
+        assert abs(action - ref_action) <= 1e-12 * ref_action
+        assert abs(period - ref_period) <= 1e-12 * ref_period
+        # the traced fiber holds the polar rule's loop integrals
+        assert traced.polar is not None
+        assert abs(traced.loop_action - ref_action) <= 1e-12 * ref_action
 
     @pytest.mark.parametrize("b", [1e-6, 1e-3, 0.1, 0.5, 1.0])
     def test_guard_refuses_the_outer_loop_about_a_well_centre(self, b):
@@ -973,6 +994,110 @@ class TestMovedFiber:
         assert sorted(fibers) == [0.3, 0.4, 0.5]
 
 
+def _term_arcs(amp):
+    """(fiber, guide) of every arc ``overlap`` integrates: per term, from
+    each fiber's reference point to the crossing."""
+    for t in amp.terms:
+        for curve, x in ((amp.curve1, amp.x1), (amp.curve2, amp.x2)):
+            yield curve, curve.arc(x, t.point, curve.locate(x), curve.locate(t.point))[0]
+
+
+def _arc_deviations(amp):
+    """Per arc, |arc_integrals - chart_action| / max(1, |value|) for
+    (S, T, dT/db) on the same guide."""
+    devs = []
+    for curve, guide in _term_arcs(amp):
+        got = np.array(curve.arc_integrals(guide))
+        want = np.array(chart_action(curve.observable, curve.level, guide))
+        devs.append(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    return devs
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a spy; returns the list of its calls' args."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+QUARTIC_055 = Observable.from_text("1/2 p^2 + 0.55 q^2 + 0.08 q^4")
+
+
+class TestSpectralArcs:
+    """A polar fiber's arc integrals come from its radii (one FFT per
+    fiber) and a straight fiber's in closed form; ``chart_action`` on the
+    same guides is the reference, and stays the path of fibers the ray
+    guard refuses."""
+
+    @pytest.mark.parametrize("sys1, sys2", [
+        ((Q, 0.4), (HO, 0.5)),
+        ((HO, 0.5), (P, 0.3)),
+        ((PEND, -0.3), (Q, 0.4)),
+        ((Q, 0.3), (PEND, 0.5)),
+        ((Q, 0.7), (QUARTIC_055, 2.0)),
+        ((QUARTIC_055, 0.5), (P, 0.4)),
+        ((HO, 0.5), (Observable.harmonic(center_q=1.0), 0.5)),
+        ((Observable.harmonic(omega=1.7, center_q=-0.6), 0.8), (HO, 0.6)),
+    ])
+    @pytest.mark.parametrize("lam", [LAM, ReferenceLagrangian.line(0.5, -0.37)])
+    def test_overlap_arcs_match_chart_quadrature(self, sys1, sys2, lam):
+        amp = overlap(sys1, sys2, lam, GAUGE, 0.1)
+        assert amp.terms
+        for curve in (amp.curve1, amp.curve2):
+            assert curve.observable.is_linear or curve.polar is not None
+        assert max(np.max(d) for d in _arc_deviations(amp)) <= 1e-12
+
+    def test_composition_arcs_match_chart_quadrature(self, monkeypatch):
+        # every kernel call of the glue example: moved oscillator fibers and
+        # held lines, where the oscillator's dT/db is 0
+        amps = []
+        real = semiclassics.overlap
+
+        def kept(*args, **kwargs):
+            amps.append(real(*args, **kwargs))
+            return amps[-1]
+
+        monkeypatch.setattr(semiclassics, "overlap", kept)
+        TestComposition._glue_example({})
+        devs = [d for amp in amps for d in _arc_deviations(amp)]
+        assert len(amps) >= 20 and len(devs) == 4 * len(amps)
+        assert max(np.max(d) for d in devs) <= 1e-12
+        # on the oscillator the flow turns at unit angular speed and the
+        # ends move radially, so every closed arc's dT/db is 0
+        closed = [c.arc_integrals(g)[2] for amp in amps for c, g in _term_arcs(amp) if c.closed]
+        assert closed and max(map(abs, closed)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["double well about a well centre", "pendulum at 0.999"])
+    def test_refused_loops_keep_chart_quadrature(self, monkeypatch, case):
+        import scoverlap.geometry as geo
+
+        if case == "pendulum at 0.999":
+            # the corners at q = +-pi need more than 4096 angles
+            h_obs, b = PEND, 0.999
+        else:
+            # rays from the right well's minimum cross the outer loop three
+            # times where they pass the saddle
+            h_obs, b = DOUBLE_WELL, 0.5
+            monkeypatch.setattr(geo, "_loop_centre", lambda curve: PhasePoint(math.sqrt(2.0), 0.0))
+        curve = trace_level_curve(h_obs, b, seed_on_level(h_obs, b))
+        assert curve.closed and curve.polar is None and curve.qs.size == 601
+        calls = _counting(monkeypatch, geo, "chart_action")
+        amp = overlap((Q, 0.3), (h_obs, b), LAM, ALPHA, 0.1, curves=(None, curve))
+        # one quadrature per term, on the closed arc; the line's arcs are
+        # in closed form
+        assert len(amp.terms) == 2 and len(calls) == 2
+        assert all(args[0] is h_obs for args in calls)
+        for fiber, guide in _term_arcs(amp):
+            if fiber.closed:
+                assert fiber.arc_integrals(guide) == chart_action(h_obs, b, guide)
+
+
 class TestGaugeCovariance:
     @given(
         coeffs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
@@ -1122,6 +1247,27 @@ class TestComposition:
         # and no kernel is called twice at one level
         assert len(set(calls[1])) == len(calls[1])
         assert len(set(calls[2])) == len(calls[2])
+
+    def test_glue_example_runs_no_chart_quadrature(self, monkeypatch):
+        # the oscillator fibers are polar and the lines straight, so no arc
+        # and no loop of the composition takes chart quadrature; the one
+        # traced oscillator fiber solves its centre once, and every move
+        # keeps it
+        import scoverlap.geometry as geo
+
+        quadratures = _counting(monkeypatch, geo, "chart_action")
+        centres = _counting(monkeypatch, geo, "_loop_centre")
+        moves = _counting(monkeypatch, semiclassics, "moved_fiber")
+        traced = _counting(monkeypatch, semiclassics, "trace_level_curve")
+        fibers = {}
+        composed, _ = self._glue_example(fibers)
+        assert len(moves) == len(fibers) - 1 >= 10
+        assert all(f.polar is not None for f in fibers.values())
+        assert sum(h_obs == HO for h_obs, *_ in traced) == len(centres) == 1
+        # the oracle's bridge reads the polar period too
+        bridge = half_density_bridge(1.0, fibers[composed.terms[0].b_star], None, 0.2)
+        assert bridge == pytest.approx(math.sqrt(0.2), abs=1e-15)
+        assert quadratures == []
 
     def test_glue_example_scans_the_grid_once_per_kernel(self, monkeypatch):
         # the first call of each kernel scans the grid; every later one reads

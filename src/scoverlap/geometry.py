@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -510,11 +510,11 @@ class FiberCurve:
 
 
 def _polyline_fiber(
-    h: Observable, b: float, qs: np.ndarray, ps: np.ndarray, closed: bool
+    h: Observable, b: float, qs: np.ndarray, ps: np.ndarray, closed: bool, polar=None
 ) -> FiberCurve:
     """The fiber {H = b} sampled at (qs, ps), with chord-length arclength."""
     chords = np.hypot(np.diff(qs), np.diff(ps))
-    return FiberCurve(h, b, qs, ps, np.concatenate([[0.0], np.cumsum(chords)]), closed)
+    return FiberCurve(h, b, qs, ps, np.concatenate([[0.0], np.cumsum(chords)]), closed, polar)
 
 
 def _polar_fiber(h: Observable, b: float, polar: tuple[float, float, PolarLoop]) -> FiberCurve:
@@ -524,8 +524,8 @@ def _polar_fiber(h: Observable, b: float, polar: tuple[float, float, PolarLoop])
     z, r = polar[2]
     j = -np.arange(r.size + 1) % r.size
     theta = 2 * np.pi * j / r.size
-    curve = _polyline_fiber(h, b, z.q + r[j] * np.cos(theta), z.p + r[j] * np.sin(theta), True)
-    return replace(curve, polar=polar)
+    qs, ps = z.q + r[j] * np.cos(theta), z.p + r[j] * np.sin(theta)
+    return _polyline_fiber(h, b, qs, ps, True, polar)
 
 
 def _line_integrals(h: Observable, a, b) -> tuple[float, float, float]:

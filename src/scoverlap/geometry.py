@@ -1,9 +1,10 @@
 """Symplectic geometry of the phase plane.
 
 Observables (Hamiltonians with analytic derivatives), level-curve fibers
-sampled on the level (straight lines in closed form, curved fibers traced
-along the Hamiltonian flow and projected), fiber intersections, and line
-integrals of the prequantization one-form ``p dq + df``.
+sampled on the level (straight lines in closed form, curved fibers walked
+by predictor-corrector continuation and projected), fiber intersections,
+and line integrals of the prequantization one-form ``p dq + df``; the ODE
+of ``loop_data`` only verifies them.
 
 Conventions, fixed once for the whole package:
   * symplectic form  dq ^ dp,
@@ -21,7 +22,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CoarseGuide,
@@ -39,11 +39,11 @@ DOMAIN_BOUND = 8.0
 
 _PROJ_TOL = 1e-14
 _GRAD_FLOOR = 1e-9
-# DOP853 tolerances of a fiber trace, whose samples are projected onto the
-# level (at rtol 1e-7 the oscillator already misses the 1e-6 return test),
-# and of the verifier ``loop_data``, whose action and period are ODE rows
-_TRACE_RTOL, _TRACE_ATOL = 1e-9, 1e-10
-_LOOP_RTOL, _LOOP_ATOL = 1e-12, 1e-13
+_LOOP_RTOL, _LOOP_ATOL = 1e-12, 1e-13  # DOP853 tolerances of the verifier ``loop_data``
+# ``_walk``: first and largest step, and the cosines of the normal's turn
+# over a step below which the step grows and above which it halves
+_WALK_STEP, _WALK_MAX_STEP = 0.02, 0.5
+_WALK_GROW, _WALK_SHRINK = math.cos(math.radians(2.9)), math.cos(math.radians(8.6))
 _MAX_ARCLENGTH = 300.0  # flow arclength a trace covers in each direction
 _SCAN_CELLS = 400  # cells per side of find_intersections' grid over the box
 _ON_FIBER_TOL = 1e-6  # |H - b| / max(1, |b|) of action_along_fiber's endpoints
@@ -319,10 +319,11 @@ PolarLoop = tuple[PhasePoint, np.ndarray]  # centre z and radii at equispaced an
 class FiberCurve:
     """A level set {H = b} as a polyline of samples in flow direction.
 
-    ``trace_level_curve`` and ``moved_fiber`` both make one.  Every sample
-    lies on the level to |H - b| <= 1e-14 max(1, |b|), and ``arclength`` is
-    the cumulative chord length.  Closed curves wrap: the final sample
-    repeats the first.  Open curves are truncated at the domain box.
+    ``trace_level_curve`` (from a continuation walk) and ``moved_fiber``
+    both make one.  Every sample lies on the level to |H - b| <= 1e-14
+    max(1, |b|), and ``arclength`` is the cumulative chord length.  Closed
+    curves wrap: the final sample repeats the first.  Open curves are
+    truncated at the domain box.
 
     A closed curve the ray guard accepts is a polar object: ``polar`` holds
     ``polar_loop``'s (loop action, period, (z, radii)), the radii at N =
@@ -612,129 +613,125 @@ class IntersectionPoint:
 # Level-curve tracing
 # ---------------------------------------------------------------------------
 
-def _trace_direction(
-    h: Observable, b: float, x0: PhasePoint, sign: float, verify: bool = False
-):
-    """Integrate the arclength-normalized flow from x0; return the solver
-    chunks and, if the fiber closes, (arclength, state) at the return.
+def _walk(h: Observable, b: float, x0: PhasePoint, sign: float) -> tuple[np.ndarray, bool]:
+    """Walk along {H = b} from x0, with the flow (``sign`` +1) or against it
+    (-1): the rows s, q, p of the walk's polyline, s its chord length, and
+    whether it closed.
 
-    The state (q, p) is integrated at _TRACE_RTOL with dense output; with
-    ``verify`` (``loop_data``) it also carries the action of p dq and the
-    flow time, at _LOOP_RTOL without dense output.
+    Each step goes ds along the tangent sign (H_p, -H_q) / |grad H| and back
+    onto the level by Newton along grad H (``project_to_fiber``; Allgower and
+    Georg, Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2
+    and 6).  ds grows 1.5x, up to _WALK_MAX_STEP, while the normal turns by
+    less than 2.9 degrees over a step, and halves above 8.6 degrees or when
+    Newton fails or lands where |grad H| < _GRAD_FLOOR.  The walk closes when
+    a step crosses the seed's normal plane forward within four steps of the
+    seed, and the polyline then ends at x0.  It stops at the box, its last
+    point clipped onto it, and past _MAX_ARCLENGTH.  A step halved below
+    1e-13 cannot pass a critical point on the level: ``SingularFiber``.
     """
-    h_dq = h.dq
-    h_dp = h.dp
-
-    def rhs(s, y):
-        q, p = y[0], y[1]
-        gq = h_dq(q, p)
-        gp = h_dp(q, p)
+    def normal(x):
+        gq, gp = h.gradient(x)
         norm = math.hypot(gq, gp)
-        if norm < _GRAD_FLOOR:
-            return (0.0,) * len(y)
-        vq = sign * gp / norm
-        vp = -sign * gq / norm
-        return (vq, vp, p * vq, 1.0 / norm) if verify else (vq, vp)
+        return (gq / norm, gp / norm) if norm >= _GRAD_FLOOR else (math.nan, math.nan)
 
-    def singular(s, y):
-        return math.hypot(h_dq(y[0], y[1]), h_dp(y[0], y[1])) - _GRAD_FLOOR
-
-    singular.terminal = True
-
-    def box_exit(s, y):
-        return DOMAIN_BOUND - max(abs(y[0]), abs(y[1]))
-
-    box_exit.terminal = True
-
-    gq0 = h_dq(x0[0], x0[1])
-    gp0 = h_dp(x0[0], x0[1])
-    norm0 = math.hypot(gq0, gp0)
-    v0 = (sign * gp0 / norm0, -sign * gq0 / norm0)
-
-    r_act = 1e-3
-
-    def left_seed(s, y):
-        return math.hypot(y[0] - x0[0], y[1] - x0[1]) - r_act
-
-    left_seed.terminal = True
-
-    rtol, atol = (_LOOP_RTOL, _LOOP_ATOL) if verify else (_TRACE_RTOL, _TRACE_ATOL)
-
-    def solve(s0, y, events):
-        return solve_ivp(
-            rhs, (s0, _MAX_ARCLENGTH), y, method="DOP853", rtol=rtol, atol=atol,
-            events=events, dense_output=not verify,
-        )
-
-    y0 = [x0[0], x0[1], 0.0, 0.0] if verify else [x0[0], x0[1]]
-    sol_a = solve(0.0, y0, (singular, box_exit, left_seed))
-    if sol_a.t_events[0].size:
-        raise SingularFiber(
-            f"gradient of {h} vanished while tracing level {b}"
-        )
-    if sol_a.t_events[1].size or not sol_a.t_events[2].size:
-        return [sol_a], None  # exited box (or stalled) before leaving seed ball
-
-    s_start = float(sol_a.t_events[2][0])
-    y_start = sol_a.y_events[2][0]
-
-    def plane(s, y):
-        return (y[0] - x0[0]) * v0[0] + (y[1] - x0[1]) * v0[1]
-
-    plane.direction = 1.0
-    plane.terminal = True
-
-    chunks = [sol_a]
-    closure = None
-    s_cur, y_cur = s_start, y_start
-    for _ in range(64):
-        sol_b = solve(s_cur, y_cur, (singular, box_exit, plane))
-        chunks.append(sol_b)
-        if sol_b.t_events[0].size:
-            raise SingularFiber(f"gradient of {h} vanished while tracing level {b}")
-        if sol_b.t_events[2].size:
-            s_ev = float(sol_b.t_events[2][0])
-            y_ev = sol_b.y_events[2][0]
-            if math.hypot(y_ev[0] - x0[0], y_ev[1] - x0[1]) <= 1e-6:
-                closure = (s_ev, y_ev)
-                break
-            s_cur, y_cur = s_ev, y_ev  # distant plane crossing: keep going
+    n = normal(x0)
+    t0 = (sign * n[1], -sign * n[0])
+    x, ds, s, walk = x0, _WALK_STEP, 0.0, [(0.0, *x0)]
+    while s < _MAX_ARCLENGTH:
+        try:
+            y = project_to_fiber(h, b, PhasePoint(x.q + ds * sign * n[1], x.p - ds * sign * n[0]))
+            m = normal(y)
+        except SingularFiber:
+            m = (math.nan, math.nan)
+        turn = n[0] * m[0] + n[1] * m[1]
+        if not turn > _WALK_SHRINK:  # a NaN halves
+            ds /= 2
+            if ds < 1e-13:
+                z = np.round(_critical_point(h, x), 12) + 0.0  # no -0
+                raise SingularFiber(
+                    f"{h} = {b} runs into the critical point ({z[0]:.6g}, {z[1]:.6g})")
             continue
-        break  # box exit or ran out of arclength
-    return chunks, closure
+        step = math.dist(x, y)
+        ahead = [(u[0] - x0.q) * t0[0] + (u[1] - x0.p) * t0[1] for u in (x, y)]
+        if ahead[0] < 0.0 <= ahead[1] and math.dist(x, x0) <= 4 * step:
+            walk.append((s + math.dist(x, x0), *x0))
+            return np.array(walk).T, True
+        if max(abs(y.q), abs(y.p)) > DOMAIN_BOUND:
+            f = min((math.copysign(DOMAIN_BOUND, v) - u) / (v - u)
+                    for u, v in zip(x, y) if abs(v) > DOMAIN_BOUND)
+            walk.append((s + f * step, x.q + f * (y.q - x.q), x.p + f * (y.p - x.p)))
+            break
+        s += step
+        walk.append((s, *y))
+        x, n = y, m
+        if turn > _WALK_GROW:
+            ds = min(1.5 * ds, _WALK_MAX_STEP)
+    return np.array(walk).T, False
 
 
 def loop_data(h: Observable, b: float, seed: PhasePoint) -> tuple[float, float]:
     """(loop action, flow period) of a closed fiber, without sampling it.
 
-    The ODE verifier: action and time are extra rows of one DOP853 trace at
-    rtol 1e-12.  The engine takes both by the polar rule (``polar_loop``,
-    held by a polar ``FiberCurve`` and ``semiclassics.probe_loop_actions``),
-    or by ``chart_action`` over the traced polyline where the ray guard
-    refuses (``FiberCurve.loop_action``, ``.period``); the tests hold both
-    to this.
+    The package's only ODE, kept as the independent verifier: action and
+    time are extra rows of a DOP853 integration of the flow at rtol 1e-12,
+    with its own seed-return events; ``scipy.integrate`` loads on the first
+    call.  The engine takes both by the polar rule (``polar_loop``, held by a
+    polar ``FiberCurve`` and ``semiclassics.probe_loop_actions``), or by
+    ``chart_action`` over the traced polyline where the ray guard refuses
+    (``FiberCurve.loop_action``, ``.period``); the tests hold both to this.
     """
+    from scipy.integrate import solve_ivp
+
     x0 = project_to_fiber(h, b, seed)
-    if math.hypot(*h.gradient(x0)) < _GRAD_FLOOR:
+    gq0, gp0 = h.gradient(x0)
+    norm0 = math.hypot(gq0, gp0)
+    if norm0 < _GRAD_FLOOR:
         raise SingularFiber(f"gradient vanishes at seed {tuple(x0)}")
-    _, closure = _trace_direction(h, b, x0, +1.0, verify=True)
-    if closure is None:
-        raise SingularFiber(f"fiber of {h} at {b} is not closed inside the box")
-    _, y_end = closure
-    return float(y_end[2]), float(y_end[3])
+    v0 = (gp0 / norm0, -gq0 / norm0)
+
+    def rhs(s, y):
+        gq, gp = h.dq(y[0], y[1]), h.dp(y[0], y[1])
+        norm = math.hypot(gq, gp)
+        if norm < _GRAD_FLOOR:
+            return (0.0,) * 4
+        vq = gp / norm
+        return vq, -gq / norm, y[1] * vq, 1.0 / norm
+
+    def singular(s, y):
+        return math.hypot(h.dq(y[0], y[1]), h.dp(y[0], y[1])) - _GRAD_FLOOR
+
+    def box_exit(s, y):
+        return DOMAIN_BOUND - max(abs(y[0]), abs(y[1]))
+
+    def left_seed(s, y):
+        return math.hypot(y[0] - x0[0], y[1] - x0[1]) - 1e-3
+
+    def plane(s, y):
+        return (y[0] - x0[0]) * v0[0] + (y[1] - x0[1]) * v0[1]
+
+    singular.terminal = box_exit.terminal = left_seed.terminal = plane.terminal = True
+    plane.direction = 1.0
+    # leave the seed's ball first, then stop at each forward plane crossing
+    s, y, stop = 0.0, [x0[0], x0[1], 0.0, 0.0], left_seed
+    for _ in range(65):
+        sol = solve_ivp(
+            rhs, (s, _MAX_ARCLENGTH), y, method="DOP853", rtol=_LOOP_RTOL,
+            atol=_LOOP_ATOL, events=(singular, box_exit, stop),
+        )
+        if sol.t_events[0].size:
+            raise SingularFiber(f"gradient of {h} vanished while tracing level {b}")
+        if sol.t_events[1].size or not sol.t_events[2].size:
+            break  # left the box, or ran out of arclength
+        s, y = float(sol.t_events[2][0]), sol.y_events[2][0]
+        if stop is plane and math.hypot(y[0] - x0[0], y[1] - x0[1]) <= 1e-6:
+            return float(y[2]), float(y[3])
+        stop = plane
+    raise SingularFiber(f"fiber of {h} at {b} is not closed inside the box")
 
 
-def _sample_solution(chunks, svals: np.ndarray) -> np.ndarray:
-    """The dense solution of consecutive solver chunks at arclengths svals."""
-    out = np.empty((chunks[0].y.shape[0], svals.size))
-    done = np.zeros(svals.size, dtype=bool)
-    for k, sol in enumerate(chunks):
-        hi = float(sol.t[-1])
-        mask = (~done) & (svals <= hi + 1e-12) if k < len(chunks) - 1 else ~done
-        if mask.any():
-            out[:, mask] = sol.sol(np.clip(svals[mask], float(sol.t[0]), hi))
-        done |= mask
-    return out
+def _walk_at(walk: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """The rows q, p of the polyline of ``_walk`` at chord lengths svals."""
+    return np.array([np.interp(svals, walk[0], walk[1]), np.interp(svals, walk[0], walk[2])])
 
 
 def _open_offsets(s_fwd: float, s_bwd: float) -> tuple[np.ndarray, np.ndarray]:
@@ -790,12 +787,12 @@ def trace_level_curve(h: Observable, b: float, seed: PhasePoint) -> FiberCurve:
     """Trace the connected component of {H = b} through ``seed``.
 
     The seed is first projected onto the level set.  A linear observable's
-    fiber is the straight segment through it, in closed form; any other is
-    integrated along the flow at _TRACE_RTOL, sampled evenly in flow
-    arclength, and projected onto the level (``_newton_onto_level``;
-    ``SingularFiber`` if that fails).  Closed components are detected by
-    return to the start; open components are truncated at the domain box.
-    About _TRACE_SAMPLES samples are taken.  A closed trace then seeds the
+    fiber is the straight segment through it, in closed form.  Any other is
+    walked by continuation (``_walk``) with the flow, and against it unless
+    the walk closes, resampled at equal chord lengths and projected onto the
+    level (``_newton_onto_level``; ``SingularFiber`` if that fails).  Open
+    components are truncated at the domain box, and about _TRACE_SAMPLES
+    samples are taken.  A closed trace then seeds the
     polar rule about its centre (``polar_guide``, ``polar_loop``), and the
     fiber is that polar object (``FiberCurve``) unless the guard refuses.
     """
@@ -808,18 +805,15 @@ def trace_level_curve(h: Observable, b: float, seed: PhasePoint) -> FiberCurve:
     if h.is_linear:
         qs, ps = _line_samples(x0, (gp, -gq))
     else:
-        fwd, closure = _trace_direction(h, b, x0, +1.0)
-        closed = closure is not None
+        fwd, closed = _walk(h, b, x0, +1.0)
         if closed:
             # the last sample, back at the start, is the projected first
-            qs, ps = _sample_solution(fwd, np.linspace(0.0, closure[0], _TRACE_SAMPLES + 1)[:-1])
+            qs, ps = _walk_at(fwd, np.linspace(0.0, fwd[0, -1], _TRACE_SAMPLES + 1)[:-1])
         else:
-            bwd, _ = _trace_direction(h, b, x0, -1.0)
-            sv_f, sv_b = _open_offsets(float(fwd[-1].t[-1]), float(bwd[-1].t[-1]))
+            bwd, _ = _walk(h, b, x0, -1.0)
+            sv_f, sv_b = _open_offsets(fwd[0, -1], bwd[0, -1])
             # backward samples describe the curve before the seed; reverse them
-            qs, ps = np.concatenate(
-                [_sample_solution(bwd, sv_b)[:, :0:-1], _sample_solution(fwd, sv_f)], axis=1
-            )
+            qs, ps = np.concatenate([_walk_at(bwd, sv_b)[:, :0:-1], _walk_at(fwd, sv_f)], axis=1)
     onto = _newton_onto_level(h, b, qs, ps)
     if onto is None:
         raise SingularFiber(f"samples of the fiber {h} = {b} did not project onto the level")
@@ -831,12 +825,9 @@ def trace_level_curve(h: Observable, b: float, seed: PhasePoint) -> FiberCurve:
     return curve if polar is None else _polar_fiber(h, b, polar)
 
 
-def _loop_centre(curve: FiberCurve) -> PhasePoint:
-    """The critical point of H that Newton reaches from the centroid of the
-    closed fiber ``curve``'s samples, or the centroid where Newton fails (the
-    ray guard then judges it)."""
-    h = curve.observable
-    x = PhasePoint(float(np.mean(curve.qs[:-1])), float(np.mean(curve.ps[:-1])))
+def _critical_point(h: Observable, x: PhasePoint) -> PhasePoint:
+    """The critical point of H that Newton on grad H reaches from x, or x
+    where that Newton fails."""
     z = np.array(x)
     for _ in range(_MOVE_STEPS):
         try:
@@ -847,6 +838,13 @@ def _loop_centre(curve: FiberCurve) -> PhasePoint:
         if np.hypot(*step) <= _PROJ_TOL * max(1.0, np.hypot(*z)):
             return PhasePoint(float(z[0]), float(z[1]))
     return x
+
+
+def _loop_centre(curve: FiberCurve) -> PhasePoint:
+    """The ``_critical_point`` of H from the centroid of the closed fiber
+    ``curve``'s samples (the ray guard judges a centroid Newton leaves)."""
+    x = PhasePoint(float(np.mean(curve.qs[:-1])), float(np.mean(curve.ps[:-1])))
+    return _critical_point(curve.observable, x)
 
 
 def _rays_onto_level(
@@ -1177,9 +1175,10 @@ _QUAD_LIMIT = 200
 
 def _gk21_panels(
     f, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """GK21 estimates of ``f`` and their QUADPACK error bounds on panels
-    [lo_i, hi_i], with the nodes (one row per panel) and f's values there.
+    [lo_i, hi_i], the bounds' rounding floors 50 eps int |f|, and the nodes
+    (one row per panel) and f's values there.
 
     ``f`` is called once, on the nodes of every panel.
     """
@@ -1197,8 +1196,8 @@ def _gk21_panels(
     err[scaled] = resasc[scaled] * np.minimum(
         1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5
     )
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk * half, err, nodes, fv
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return resk * half, np.maximum(err, floor), floor, nodes, fv
 
 
 def _adaptive_gk21(
@@ -1206,7 +1205,9 @@ def _adaptive_gk21(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Globally adaptive GK21 integral from a to b of a vectorized ``f``.
 
-    Stops when the summed error bound meets max(_QUAD_TOL, _QUAD_TOL |I|).
+    Stops when the summed error bound meets max(_QUAD_TOL, _QUAD_TOL |I|),
+    or equals the summed rounding floor, which no bisection lowers (where
+    int |f| is ten times |int f|, the floor alone can exceed the tolerance).
     Each round bisects every panel whose bound exceeds its even share of
     that tolerance, worst first and at most _QUAD_LIMIT panels in all, and
     evaluates the new panels in one call; a :class:`QuadratureLimit`
@@ -1217,12 +1218,12 @@ def _adaptive_gk21(
     values is summed on the same panels (``_gk21_sum``) without refining.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    vals, errs, nodes, fv = _gk21_panels(f, lo, hi)
+    vals, errs, floors, nodes, fv = _gk21_panels(f, lo, hi)
     while True:
         total = float(vals.sum())
         tol = max(_QUAD_TOL, _QUAD_TOL * abs(total))
         err = float(errs.sum())
-        if err <= tol:
+        if err <= tol or err <= float(floors.sum()):
             break
         room = _QUAD_LIMIT - lo.size
         if room <= 0:
@@ -1239,13 +1240,10 @@ def _adaptive_gk21(
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_nodes, new_fv = _gk21_panels(f, new_lo, new_hi)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        nodes = np.concatenate([nodes[keep], new_nodes])
-        fv = np.concatenate([fv[keep], new_fv])
+        panels = zip((lo, hi, vals, errs, floors, nodes, fv),
+                     (new_lo, new_hi, *_gk21_panels(f, new_lo, new_hi)))
+        lo, hi, vals, errs, floors, nodes, fv = (
+            np.concatenate([old[keep], new]) for old, new in panels)
     return total, nodes, fv, 0.5 * (hi - lo)
 
 

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -137,10 +140,10 @@ class TestTracing:
 
     @pytest.mark.parametrize("theta, b", [(0.0, 0.3), (math.pi / 2, -0.4), (0.7, 1.1), (2.9, 0.45)])
     def test_linear_fiber_is_a_closed_form_segment(self, theta, b, monkeypatch):
-        def no_ode(*args, **kwargs):
-            raise AssertionError("solve_ivp called for a straight fiber")
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a straight fiber was walked")
 
-        monkeypatch.setattr(geometry, "solve_ivp", no_ode)
+        monkeypatch.setattr(geometry, "_walk", no_walk)
         h = Observable.linear(theta)
         c = trace_level_curve(h, b, PhasePoint(0.2, -0.1))
         assert not c.closed and c.period is None
@@ -179,6 +182,42 @@ class TestTracing:
     def test_separatrix_seed_is_singular(self):
         with pytest.raises(SingularFiber):
             trace_level_curve(PEND, -1.0, PhasePoint(0.0, 0.0))
+
+    def test_lobe_of_a_figure_eight_raises(self):
+        # the double well's separatrix b = 0 crosses itself at the saddle
+        # (0, 0); one lobe traced from (2, 0) is neither a closed fiber nor
+        # an open one ending at the saddle
+        double_well = quartic(-1.0, 0.25)
+        with pytest.raises(SingularFiber, match=r"runs into the critical point \(0, 0\)"):
+            trace_level_curve(double_well, 0.0, PhasePoint(2.0, 0.0))
+
+    def test_pendulum_separatrix_passes_the_saddles(self):
+        # b = 1 from (0, 2) passes the saddles (+-pi, 0), where the gradient
+        # stays above the floor, out to the box on both sides: an open fiber
+        c = trace_level_curve(PEND, 1.0, PhasePoint(0.0, 2.0))
+        assert not c.closed and c.period is None
+        assert np.max(np.abs(PEND.value(c.qs, c.ps) - 1.0)) <= _PROJ_TOL
+        assert [c.qs[0], c.qs[-1]] == pytest.approx([-8.0, 8.0], abs=1e-2)
+        for q in (-math.pi, math.pi):
+            assert c.distance(PhasePoint(q, 0.0)) < 1e-2
+
+    def test_only_the_verifier_imports_scipy_integrate(self):
+        # the engine runs no ODE; loop_data imports its integrator on call
+        code = (
+            "import math, sys\n"
+            "import scoverlap, scoverlap.cli\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+            "from scoverlap.geometry import Observable, PhasePoint, loop_data\n"
+            "a, t = loop_data(Observable.harmonic(), 0.5, PhasePoint(1.0, 0.0))\n"
+            "print(a - math.pi, t - 2 * math.pi)\n"
+        )
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0, done.stderr
+        assert [float(x) for x in done.stdout.split()] == pytest.approx([0.0, 0.0], abs=1e-10)
 
     def test_reseeded_loop_agrees(self):
         a1, t1 = loop_data(HO, 0.5, PhasePoint(1.0, 0.0))
@@ -400,9 +439,7 @@ class TestIntersectionScan:
                 guide, _ = curve.arc(a, d, curve.locate(a), curve.locate(d))
                 got = np.array(curve.arc_integrals(guide))
                 with warnings.catch_warnings():
-                    # GK21 on a long line can stop at its panel limit a
-                    # hair above 1e-13; the closed form has no such limit
-                    warnings.simplefilter("ignore", QuadratureLimit)
+                    warnings.simplefilter("error", QuadratureLimit)
                     want = np.array(chart_action(h, b, guide))
                 assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
 

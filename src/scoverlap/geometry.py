@@ -38,6 +38,9 @@ DEDUP_RADIUS = 1e-6
 DOMAIN_BOUND = 8.0
 
 _PROJ_TOL = 1e-14
+# |H - b| within this times the sum of |terms| of H - b is rounding: near
+# the box H's terms can be large enough that |H - b| never reaches _PROJ_TOL
+_ROUNDING = 4 * math.ulp(1.0)
 _GRAD_FLOOR = 1e-9
 _LOOP_RTOL, _LOOP_ATOL = 1e-12, 1e-13  # DOP853 tolerances of the verifier ``loop_data``
 # ``_walk``: first and largest step, and the cosines of the normal's turn
@@ -206,6 +209,14 @@ class Observable:
     def dp(self, q, p):
         return self.deriv(q, p, 0, 1)
 
+    def magnitude(self, q, p):
+        """The sum of the absolute values of H's terms at (q, p), the scale of
+        the rounding of ``value`` there."""
+        if self.kind == "pendulum":
+            return p * p / 2.0 + np.abs(np.cos(q))
+        q, p = np.abs(q), np.abs(p)
+        return sum(abs(c) * q**a * p**b for (a, b), c in self.coeffs)
+
     def gradient(self, x: PhasePoint) -> tuple[float, float]:
         return float(self.dq(x[0], x[1])), float(self.dp(x[0], x[1]))
 
@@ -321,9 +332,10 @@ class FiberCurve:
 
     ``trace_level_curve`` (from a continuation walk) and ``moved_fiber``
     both make one.  Every sample lies on the level to |H - b| <= 1e-14
-    max(1, |b|), and ``arclength`` is the cumulative chord length.  Closed
-    curves wrap: the final sample repeats the first.  Open curves are
-    truncated at the domain box.
+    max(1, |b|), or where H's terms are too large for that, to rounding
+    (``_newton_onto_level``).  ``arclength`` is the cumulative chord
+    length.  Closed curves wrap: the final sample repeats the first.  Open
+    curves are truncated at the domain box.
 
     A closed curve the ray guard accepts is a polar object: ``polar`` holds
     ``polar_loop``'s (loop action, period, (z, radii)), the radii at N =
@@ -514,18 +526,20 @@ def _polyline_fiber(
     h: Observable, b: float, qs: np.ndarray, ps: np.ndarray, closed: bool, polar=None
 ) -> FiberCurve:
     """The fiber {H = b} sampled at (qs, ps), with chord-length arclength."""
-    chords = np.hypot(np.diff(qs), np.diff(ps))
-    return FiberCurve(h, b, qs, ps, np.concatenate([[0.0], np.cumsum(chords)]), closed, polar)
+    arclength = np.zeros(qs.size)
+    np.cumsum(np.hypot(qs[1:] - qs[:-1], ps[1:] - ps[:-1]), out=arclength[1:])
+    return FiberCurve(h, b, qs, ps, arclength, closed, polar)
 
 
 def _polar_fiber(h: Observable, b: float, polar: tuple[float, float, PolarLoop]) -> FiberCurve:
     """The closed fiber {H = b} held as ``polar_loop``'s result: its samples
     are the ray points z + r_j (cos, sin)(2 pi j / N) in flow (clockwise)
-    order from j = 0, which they repeat at the end."""
+    order from j = 0, which they repeat at the end: the rays in angle order,
+    reversed behind the first."""
     z, r = polar[2]
-    j = -np.arange(r.size + 1) % r.size
-    theta = 2 * np.pi * j / r.size
-    qs, ps = z.q + r[j] * np.cos(theta), z.p + r[j] * np.sin(theta)
+    theta = 2 * np.pi * np.arange(r.size) / r.size
+    q, p = z.q + r * np.cos(theta), z.p + r * np.sin(theta)
+    qs, ps = np.concatenate([q[:1], q[::-1]]), np.concatenate([p[:1], p[::-1]])
     return _polyline_fiber(h, b, qs, ps, True, polar)
 
 
@@ -543,20 +557,26 @@ def _line_integrals(h: Observable, a, b) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def project_to_fiber(h: Observable, b: float, x: PhasePoint) -> PhasePoint:
-    """Pull a nearby point exactly onto {H = b} by Newton along the gradient."""
-    q, p = float(x[0]), float(x[1])
+    """Pull a nearby point exactly onto {H = b} by Newton along the gradient,
+    to |H - b| <= _PROJ_TOL max(1, |b|) within 80 steps.  Where that fails,
+    Newton runs again from x and also stops where |H - b| is rounding
+    (_ROUNDING)."""
     scale = max(1.0, abs(b))
-    for _ in range(80):
-        r = float(h.value(q, p)) - b
-        if abs(r) <= _PROJ_TOL * scale:
-            return PhasePoint(q, p)
-        gq, gp = float(h.dq(q, p)), float(h.dp(q, p))
-        g2 = gq * gq + gp * gp
-        if g2 < _GRAD_FLOOR**2:
-            raise SingularFiber(f"gradient vanishes near ({q:.6g}, {p:.6g})")
-        step = r / g2
-        q -= gq * step
-        p -= gp * step
+    for rounding in (False, True):
+        q, p = float(x[0]), float(x[1])
+        for _ in range(80):
+            r = float(h.value(q, p)) - b
+            if abs(r) <= _PROJ_TOL * scale or (
+                rounding and abs(r) <= _ROUNDING * (h.magnitude(q, p) + abs(b))
+            ):
+                return PhasePoint(q, p)
+            gq, gp = float(h.dq(q, p)), float(h.dp(q, p))
+            g2 = gq * gq + gp * gp
+            if g2 < _GRAD_FLOOR**2:
+                raise SingularFiber(f"gradient vanishes near ({q:.6g}, {p:.6g})")
+            step = r / g2
+            q -= gq * step
+            p -= gp * step
     raise SingularFiber(f"projection onto level {b} did not converge from {tuple(x)}")
 
 
@@ -564,18 +584,26 @@ def _newton_onto_level(
     h: Observable, b: float, q: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The points (q, p) moved onto {H = b} by Newton steps along grad H,
-    all points at once, or None unless every point reaches
-    |H - b| <= _PROJ_TOL max(1, |b|) within _MOVE_STEPS iterations (a
-    residual check, then a step)."""
-    scale = max(1.0, abs(b))
+    all points at once, or None: once every point reaches |H - b| <=
+    _PROJ_TOL max(1, |b|) within _MOVE_STEPS iterations (a residual check,
+    then a step).  Where that fails, Newton runs again from (q, p), and a
+    point also stops where |H - b| is rounding (_ROUNDING), so that a trace
+    near the box, where H's terms are large, does not fail on rounding."""
+    tol, start = _PROJ_TOL * max(1.0, abs(b)), (q, p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MOVE_STEPS):
-            r = h.value(q, p) - b
-            if np.all(np.abs(r) <= _PROJ_TOL * scale):
-                return q, p
-            gq, gp = h.dq(q, p), h.dp(q, p)
-            step = r / (gq * gq + gp * gp)
-            q, p = q - gq * step, p - gp * step
+        for rounding in (False, True):
+            q, p = start
+            for _ in range(_MOVE_STEPS):
+                r = h.value(q, p) - b
+                on_level = np.abs(r) <= tol
+                if rounding:  # a point on the level takes no more steps
+                    on_level |= np.abs(r) <= _ROUNDING * (h.magnitude(q, p) + abs(b))
+                    r = np.where(on_level, 0.0, r)
+                if np.all(on_level):
+                    return q, p
+                gq, gp = h.dq(q, p), h.dp(q, p)
+                step = r / (gq * gq + gp * gp)
+                q, p = q - gq * step, p - gp * step
     return None
 
 
@@ -676,9 +704,10 @@ def loop_data(h: Observable, b: float, seed: PhasePoint) -> tuple[float, float]:
     time are extra rows of a DOP853 integration of the flow at rtol 1e-12,
     with its own seed-return events; ``scipy.integrate`` loads on the first
     call.  The engine takes both by the polar rule (``polar_loop``, held by a
-    polar ``FiberCurve`` and ``semiclassics.probe_loop_actions``), or by
-    ``chart_action`` over the traced polyline where the ray guard refuses
-    (``FiberCurve.loop_action``, ``.period``); the tests hold both to this.
+    polar ``FiberCurve``, which ``semiclassics.probe_loop_actions`` moves),
+    or by ``chart_action`` over the traced polyline where the ray guard
+    refuses (``FiberCurve.loop_action``, ``.period``); the tests hold both
+    to this.
     """
     from scipy.integrate import solve_ivp
 
@@ -863,9 +892,9 @@ def _rays_onto_level(
             q, p = z.q + r * c, z.p + r * s
             h_r = h.dq(q, p) * c + h.dp(q, p) * s
             if converged:
-                return (r, h_r) if np.all(r > 0) and np.all(h_r > 0) else None
+                return (r, h_r) if (r > 0).all() and (h_r > 0).all() else None
             residual = h.value(q, p) - b
-            converged = bool(np.all(np.abs(residual) <= tol))
+            converged = bool((np.abs(residual) <= tol).all())
             r = r - residual / h_r
     return None
 
@@ -874,7 +903,8 @@ def moved_fiber(curve: FiberCurve, b: float) -> FiberCurve | None:
     """The polar fiber ``curve`` moved onto the level b of its observable,
     or None when the fiber is not polar (open, or refused by the guard) or
     the guard refuses the move.  A composition moves its intermediate
-    fibers so (``overlap_kernel``).
+    fibers so (``overlap_kernel``), and Bohr-Sommerfeld its probes and
+    Newton iterates (``semiclassics._closed_fiber``).
 
     The move is ``polar_loop`` from the held centre z and radii: every ray
     keeps its angle about z, and no centre is solved again.  A fiber dragged
@@ -930,12 +960,13 @@ def polar_loop(h: Observable, b: float, loop: PolarLoop) -> tuple[float, float, 
     rays = on_level(theta, np.interp(theta, held, radii, period=2 * np.pi))
     last = np.zeros(2)
     while rays is not None:
-        r, h_r = rays
-        now = np.array([np.pi * np.mean(r * r), 2 * np.pi * np.mean(r / h_r)])
-        if np.all(np.abs(now - last) <= _POLAR_RTOL * now):  # a NaN keeps doubling
+        r, h_r = rays  # the means as np.mean takes them, without its wrapper's cost
+        now = np.array([np.pi * ((r * r).sum() / n), 2 * np.pi * ((r / h_r).sum() / n)])
+        if (np.abs(now - last) <= _POLAR_RTOL * now).all():  # a NaN keeps doubling
             return float(now[0]), float(now[1]), (z, r)
         mid = theta + np.pi / n
-        rays = None if 2 * n > _POLAR_MAX else on_level(mid, (r + np.roll(r, -1)) / 2)
+        ahead = np.concatenate([r[1:], r[:1]])  # the next held ray's radius
+        rays = None if 2 * n > _POLAR_MAX else on_level(mid, (r + ahead) / 2)
         if rays is not None:  # held angles and new ones between them alternate
             pairs = zip((theta, r, h_r), (mid, *rays))
             theta, *rays = (np.column_stack(pair).ravel() for pair in pairs)

@@ -54,7 +54,6 @@ from .geometry import (
     FiberCurve,
     Observable,
     PhasePoint,
-    PolarLoop,
     PrequantumForm,
     ReferenceLagrangian,
     _bracket_field,
@@ -66,7 +65,6 @@ from .geometry import (
     lagrangian_intersections,
     moved_fiber,
     poisson_bracket,
-    polar_loop,
     project_to_fiber,
     reference_point,
     seed_on_level,
@@ -200,19 +198,11 @@ def _traced_loop(h_obs: Observable, b: float) -> FiberCurve:
     return curve
 
 
-def _loop_values(
-    h_obs: Observable, b: float, held: PolarLoop | None, curve: FiberCurve | None = None
-) -> tuple[float, float, PolarLoop | None]:
-    """(loop action, period, polar loop) of the closed fiber {H = b}: the
-    polar rule from ``held``, a nearby level's loop; where none is held or
-    the guard refuses, those of a fresh trace (or ``curve``), which ran the
-    polar rule about its own centre, and no loop where the guard refused
-    that too (``FiberCurve.loop_action``, ``period``)."""
-    polar = None if held is None else polar_loop(h_obs, b, held)
-    if polar is None:
-        curve = _traced_loop(h_obs, b) if curve is None else curve
-        polar = curve.polar or (curve.loop_action, curve.period, None)
-    return polar
+def _closed_fiber(h_obs: Observable, b: float, held: FiberCurve | None) -> FiberCurve:
+    """The closed fiber {H = b}: ``held``, a nearby level's, moved onto b
+    (``moved_fiber``), or a fresh trace where none is held or the move is
+    refused."""
+    return (held and moved_fiber(held, b)) or _traced_loop(h_obs, b)
 
 
 @dataclass(frozen=True)
@@ -221,15 +211,21 @@ class LoopActionProbes:
 
     ``probes`` holds (b, loop action A, period T) at evenly spaced levels,
     with A strictly increasing; ``maslov`` is the position fibration's loop
-    index; ``loops`` holds each probe's polar loop (centre and radii,
-    ``polar_loop``), or None where the guard refused it.  All depend only on
-    the observable and the range, so one set quantizes every h.
+    index; ``fibers`` holds each probe's closed fiber, polar unless the
+    guard refused it (``FiberCurve``).  All depend only on the observable and
+    the range, so one set quantizes every h.
     """
 
     observable: Observable
     probes: tuple[tuple[float, float, float], ...]
     maslov: int
-    loops: tuple[PolarLoop | None, ...] = field(compare=False, repr=False)
+    fibers: tuple[FiberCurve, ...] = field(compare=False, repr=False)
+
+    def _cell(self, column: int, x: float) -> int:
+        """The k whose probes k - 1 and k bracket x in the probes' ``column``
+        (0: b, 1: A), clamped to the first and last interval."""
+        xs = [probe[column] for probe in self.probes]
+        return min(max(int(np.searchsorted(xs, x)), 1), len(xs) - 1)
 
     def _quantum_numbers(self, h: float) -> range:
         """Quantum numbers whose levels lie inside the probed range."""
@@ -248,16 +244,13 @@ class LoopActionProbes:
         The loop action has slope dA/db = T(b), the flow period.  The level
         starts from the inverse cubic Hermite interpolant of b(A) on its
         bracketing probes (slopes 1/T) and is polished by Newton steps.  Each
-        iterate takes A and T by the polar rule from the nearer bracketing
-        probe's loop (``_loop_values``), and traces its fiber afresh only
-        where the guard refuses, or that probe holds no loop.
+        iterate reads A and T off the nearer bracketing probe's fiber moved
+        onto its level (``_closed_fiber``), traced afresh only where that
+        fiber is not polar or the guard refuses the move.
         """
         h_obs, probes, mu = self.observable, self.probes, self.maslov
         target = 2 * math.pi * h * (n + mu / 4.0)
-        k = min(
-            max(int(np.searchsorted([a for _, a, _ in probes], target)), 1),
-            len(probes) - 1,
-        )
+        k = self._cell(1, target)
         (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
         # inverse cubic Hermite: b(A) through both probes with db/dA = 1/T
         da = a1 - a0
@@ -270,8 +263,9 @@ class LoopActionProbes:
         )
         for _ in range(_BS_NEWTON_MAX):
             b = min(max(b_next, b0), b1)
-            held = self.loops[k - 1] if b - b0 <= b1 - b else self.loops[k]
-            act, period, _ = _loop_values(h_obs, b, held)
+            held = self.fibers[k - 1] if b - b0 <= b1 - b else self.fibers[k]
+            fiber = _closed_fiber(h_obs, b, held)
+            act, period = fiber.loop_action, fiber.period
             b_next = b - (act - target) / period
             if abs(b_next - b) <= 1e-13:
                 break
@@ -295,10 +289,7 @@ class LoopActionProbes:
             return ()
         probes = self.probes
         b = min(max(b, probes[0][0]), probes[-1][0])
-        k = min(
-            max(int(np.searchsorted([p[0] for p in probes], b)), 1),
-            len(probes) - 1,
-        )
+        k = self._cell(0, b)
         (b0, a0, t0), (b1, a1, t1) = probes[k - 1], probes[k]
         db = b1 - b0
         u = (b - b0) / db
@@ -317,34 +308,32 @@ def probe_loop_actions(
     h_obs: Observable, b_range: tuple[float, float]
 ) -> LoopActionProbes:
     """Probe the loop action and period at evenly spaced levels of a closed
-    family.  The first closed probe is traced, and the position fibration's
-    Maslov index is counted on that trace.  Each probe takes A and T by the
-    polar rule (``_loop_values``) from the previous probe's loop, the first
-    from its trace, and traces afresh only where the guard refuses the
-    loop.  Levels without a closed fiber are skipped with a warning."""
+    family.  Each probe's fiber is the previous probe's moved onto its level
+    (``_closed_fiber``), the first traced, and traced afresh where the move
+    is refused; A and T are read off it, and the position fibration's Maslov
+    index is counted on the first.  Levels without a closed fiber are
+    skipped with a warning."""
     probes: list[tuple[float, float, float]] = []  # (b, A, T)
-    loops: list[PolarLoop | None] = []
+    fibers: list[FiberCurve] = []
     mu = None
     for b in np.linspace(b_range[0], b_range[1], _BS_PROBES):
         b = float(b)
         try:
+            fiber = _closed_fiber(h_obs, b, fibers[-1] if fibers else None)
             if mu is None:
-                curve = _traced_loop(h_obs, b)
-                mu = maslov_loop_index(curve, Observable.position())
-                act, period, loop = _loop_values(h_obs, b, None, curve)
-            else:
-                act, period, loop = _loop_values(h_obs, b, loops[-1])
+                mu = maslov_loop_index(fiber, Observable.position())
+            probe = (b, fiber.loop_action, fiber.period)
         except SingularFiber:
             warnings.warn(f"level {b:.6g} skipped: no closed fiber", LevelSkipped)
             continue
-        probes.append((b, act, period))
-        loops.append(loop)
+        probes.append(probe)
+        fibers.append(fiber)
     if len(probes) < 2:
         raise SingularFiber("fewer than two closed levels in the range")
     if not np.all(np.diff([a for _, a, _ in probes]) > 0):
         raise NonMonotoneAction("loop action is not increasing on the requested range")
     return LoopActionProbes(
-        observable=h_obs, probes=tuple(probes), maslov=mu, loops=tuple(loops)
+        observable=h_obs, probes=tuple(probes), maslov=mu, fibers=tuple(fibers)
     )
 
 

@@ -40,6 +40,7 @@ from scoverlap.geometry import (
     loop_data,
     moved_fiber,
     poisson_bracket,
+    project_to_fiber,
     reference_point,
     seed_on_level,
     trace_level_curve,
@@ -161,6 +162,37 @@ class TestTracing:
         monkeypatch.setattr(geometry, "_MOVE_STEPS", 1)
         with pytest.raises(SingularFiber, match="did not project onto the level"):
             trace_level_curve(HO, 0.6, PhasePoint(1.1, 0.0))
+
+    @pytest.mark.parametrize("text, b, stalled", [
+        # the samples' projection stalled at |H - b| = 1.4e-14 > 1e-14
+        ("0.606 q^2 - 1.043 q p - 0.742 p^2 - 0.0587 q - 0.608 p - 0.065", 0.3027,
+         (-4.457, 7.569)),
+        # the walk's projection stalled, so its step halved down to 1e-13
+        ("-0.68 q^3 - 0.569 q^2 p + 0.978 q p^2 + 0.244 p^3 + 0.585 q^2 + 0.991 q p"
+         " + 0.107 p^2 + 0.009 q - 0.11 p + 0.225", -0.9121,
+         (3.95467690616806, 3.1773183285704794)),
+    ], ids=["hyperbola", "cubic"])
+    def test_projection_stops_at_rounding(self, text, b, stalled):
+        # near the box H's terms sum to 100 and more, so at some points
+        # |H - b| cannot round below 1e-14 max(1, |b|); Newton stops there
+        # once |H - b| is within 4 eps of the sum of |terms|, and each fiber
+        # is open from box to box, every sample on the level to that bound
+        h = Observable.from_text(text)
+        terms = Observable.from_coeffs({k: abs(v) for k, v in h.coeffs})
+
+        def rounding(q, p):
+            floor = 4 * np.finfo(float).eps * (terms.value(np.abs(q), np.abs(p)) + abs(b))
+            return np.maximum(floor, _PROJ_TOL * max(1.0, abs(b)))
+
+        c = trace_level_curve(h, b, seed_on_level(h, b))
+        assert not c.closed and c.period is None
+        assert np.all(np.abs(h.value(c.qs, c.ps) - b) <= rounding(c.qs, c.ps))
+        magnitude = terms.value(np.abs(c.qs), np.abs(c.ps))
+        assert np.allclose(h.magnitude(c.qs, c.ps), magnitude, rtol=1e-14, atol=0.0)
+        for i in (0, -1):
+            assert max(abs(c.qs[i]), abs(c.ps[i])) == pytest.approx(8.0, abs=1e-4)
+        x = project_to_fiber(h, b, PhasePoint(*stalled))
+        assert abs(h.value(*x) - b) <= rounding(*x)
 
     def test_position_fiber_is_open(self):
         c = trace_level_curve(Q, 0.3, PhasePoint(0.3, 0.0))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,15 +191,15 @@ class TestBohrSommerfeld:
 
     @staticmethod
     def _fake_action(monkeypatch, action):
-        # every probe and Newton iterate evaluates its loop here, by the
-        # polar rule or by the traced fallback
-        real = semiclassics._loop_values
+        # every probe and Newton iterate takes its fiber here, a held fiber
+        # moved onto its level or a fresh trace, and reads A and T off it
+        real = semiclassics._closed_fiber
 
-        def faked(h_obs, b, *args):
-            _, period, loop = real(h_obs, b, *args)
-            return action(b), period, loop
+        def faked(h_obs, b, held):
+            fiber = real(h_obs, b, held)
+            return replace(fiber, polar=(action(b), fiber.period, fiber.polar[2]))
 
-        monkeypatch.setattr(semiclassics, "_loop_values", faked)
+        monkeypatch.setattr(semiclassics, "_closed_fiber", faked)
 
     def test_non_monotone_rejected(self, monkeypatch):
         self._fake_action(monkeypatch, lambda b: 1.0 + math.sin(8 * b))
@@ -255,13 +256,13 @@ class TestBohrSommerfeld:
         import scoverlap.semiclassics as sc
 
         calls = []
-        real = sc._loop_values
+        real = sc._closed_fiber
 
-        def counted(h_obs, b, *args):
+        def counted(h_obs, b, held):
             calls.append(b)
-            return real(h_obs, b, *args)
+            return real(h_obs, b, held)
 
-        monkeypatch.setattr(sc, "_loop_values", counted)
+        monkeypatch.setattr(sc, "_closed_fiber", counted)
         levels = bohr_sommerfeld_levels(PEND, 0.05, (-0.92, 0.7))
         # each of the 17 probes evaluates one loop, and so does each Newton
         # iterate, at least one per level
@@ -319,7 +320,7 @@ class TestLoopQuadrature:
     )
     def test_probes_and_levels_match_loop_data(self, h_obs, b_range, h):
         probes = probe_loop_actions(h_obs, b_range)
-        assert len(probes.probes) == len(probes.loops) == 17
+        assert len(probes.probes) == len(probes.fibers) == 17
         checked = list(probes.probes) + [(l.b, l.loop_action, l.period) for l in probes.levels(h)]
         for b, action, period in checked:
             ref_action, ref_period = _loop_data_at(h_obs, b)
@@ -330,12 +331,13 @@ class TestLoopQuadrature:
         "h_obs, b_range, h", [(PEND, (-0.92, 0.7), 0.05), (QUARTIC, (0.02, 3.0), 0.1)]
     )
     def test_levels_start_from_the_nearer_probe_radii(self, h_obs, b_range, h):
-        # every probe holds its polar loop, whose nodes lie on its level; a
+        # every probe holds its polar fiber, whose nodes lie on its level; a
         # Newton iterate runs the polar rule from the nearer bracketing
         # probe's radii about that probe's centre
         probes = probe_loop_actions(h_obs, b_range)
         bs = [b for b, _, _ in probes.probes]
-        for (b, _, _), (z, radii) in zip(probes.probes, probes.loops):
+        for (b, _, _), fiber in zip(probes.probes, probes.fibers):
+            z, radii = fiber.polar[2]
             theta = 2 * np.pi * np.arange(radii.size) / radii.size
             qs, ps = z.q + radii * np.cos(theta), z.p + radii * np.sin(theta)
             assert np.max(np.abs(h_obs.value(qs, ps) - b)) <= 1e-14 * max(1, abs(b))
@@ -343,8 +345,8 @@ class TestLoopQuadrature:
         assert len(levels) > 10
         for l in levels:
             k = min(max(int(np.searchsorted(bs, l.b)), 1), len(bs) - 1)
-            held = probes.loops[k - 1] if l.b - bs[k - 1] <= bs[k] - l.b else probes.loops[k]
-            assert (l.loop_action, l.period) == polar_loop(h_obs, l.b, held)[:2]
+            held = probes.fibers[k - 1] if l.b - bs[k - 1] <= bs[k] - l.b else probes.fibers[k]
+            assert (l.loop_action, l.period) == polar_loop(h_obs, l.b, held.polar[2])[:2]
 
     def test_oscillator_actions_are_exact(self):
         probes = probe_loop_actions(HO, (0.004, 1.0))
@@ -404,7 +406,7 @@ class TestLoopQuadrature:
         # probe's count, so past the separatrix the outer loop's count
         # falls from 1280 back to 640, and no probe moves off loop_data
         probes = probe_loop_actions(DOUBLE_WELL, (-0.9, 0.5))
-        sizes = [radii.size for _, radii in probes.loops]
+        sizes = [fiber.polar[2][1].size for fiber in probes.fibers]
         assert sizes == [160] * 10 + [640, 1280] + [640] * 5
         for b, action, period in probes.probes:
             ref_action, ref_period = _loop_data_at(DOUBLE_WELL, b)
@@ -419,12 +421,13 @@ class TestLoopQuadrature:
         # b = 0.5 from 150 radii stops at N = 150 with T off by 4.9e-10
         # (3e-14 from 160).  Every held count is 160 2^k.
         probes = probe_loop_actions(h_obs, b_range)
-        sizes = {radii.size for _, radii in filter(None, probes.loops)}
+        sizes = {f.polar[2][1].size for f in probes.fibers if f.polar is not None}
         assert sizes and all(n % 160 == 0 and (n // 160).bit_count() == 1 for n in sizes)
 
     def test_one_trace_and_no_loop_data_per_ladder(self, monkeypatch):
-        # the first probe is the only trace; no loop_data, and by the polar
-        # rule no chart quadrature and no fiber move either
+        # the first probe is the only trace; every later probe and every
+        # Newton iterate moves a held polar fiber, so no loop_data and no
+        # chart quadrature
         import scoverlap.geometry as geo
         import scoverlap.semiclassics as sc
 
@@ -439,8 +442,8 @@ class TestLoopQuadrature:
 
             monkeypatch.setattr(module, name, spy)
         levels = probe_loop_actions(PEND, (-0.92, 0.7)).levels(0.05)
-        assert len(levels) > 10
-        assert counts == dict(trace_level_curve=1, loop_data=0, chart_action=0, moved_fiber=0)
+        assert len(levels) == 38
+        assert counts == dict(trace_level_curve=1, loop_data=0, chart_action=0, moved_fiber=93)
 
     @pytest.mark.parametrize(
         "h_obs, b",
@@ -487,15 +490,39 @@ class TestLoopQuadrature:
     def test_refused_probe_keeps_the_traced_chart_quadrature(self):
         # at 0.999 the rule needs more than 4096 rays, also about the fresh
         # trace's centre: the probe keeps that trace's chart quadrature and
-        # holds no loop, and its neighbours still hold theirs
+        # holds the traced fiber, and its neighbours still hold polar ones
         import scoverlap.semiclassics as sc
 
         probes = probe_loop_actions(PEND, (0.9, 0.999))
-        (b, action, period), loop = probes.probes[-1], probes.loops[-1]
-        assert b == 0.999 and loop is None
-        assert all(loop is not None for loop in probes.loops[:-1])
+        (b, action, period), fiber = probes.probes[-1], probes.fibers[-1]
+        assert b == 0.999 and fiber.polar is None
+        assert all(f.polar is not None for f in probes.fibers[:-1])
         traced = sc._traced_loop(PEND, b)
         assert (action, period) == (traced.loop_action, traced.period)
+
+    @pytest.mark.parametrize(
+        "h_obs, b_range",
+        [(PEND, (-0.92, 0.7)), (DOUBLE_WELL, (-0.99, 2.0)), (PEND, (0.9, 0.999))],
+    )
+    def test_probes_hold_their_closed_fibers(self, h_obs, b_range):
+        # each probe holds the closed fiber its A and T were read off: polar,
+        # or the fresh trace where the guard refused it (the pendulum at
+        # 0.999, whose samples are that trace's)
+        import scoverlap.semiclassics as sc
+
+        probes = probe_loop_actions(h_obs, b_range)
+        assert len(probes.fibers) == len(probes.probes) == 17
+        for (b, action, period), fiber in zip(probes.probes, probes.fibers):
+            assert fiber.closed and fiber.observable == h_obs and fiber.level == b
+            assert (fiber.loop_action, fiber.period) == (action, period)
+        refused = [i for i, fiber in enumerate(probes.fibers) if fiber.polar is None]
+        if b_range[1] == 0.999:
+            assert refused == [16]
+            traced = sc._traced_loop(PEND, 0.999)
+            assert np.array_equal(probes.fibers[16].qs, traced.qs)
+            assert np.array_equal(probes.fibers[16].ps, traced.ps)
+        else:
+            assert refused == []
 
     @given(a=st.floats(0.3, 0.8), c=st.floats(0.02, 0.15), u=st.floats(0.05, 0.95))
     @settings(max_examples=15, deadline=None)

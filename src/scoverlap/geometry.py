@@ -1289,25 +1289,33 @@ def _solve_on_fiber(
     """Newton for p(q) (``solve_p``) or q(p) on {H = b} at every node at once.
 
     ``known`` holds the fixed coordinate and ``guess`` the starting values.
-    Each node stops once |H - b| <= _PROJ_TOL max(1, |b|); a node that needs
-    more than 60 steps or meets a derivative below 1e-14 raises
-    :class:`PointNotOnFiber`.
+    Each node stops once |H - b| <= _PROJ_TOL max(1, |b|).  Where that fails
+    (more than 60 steps, or a derivative below 1e-14), Newton runs again from
+    the guesses of the nodes left, and a node also stops where |H - b| is
+    rounding (_ROUNDING), as in ``project_to_fiber``; a node that fails both
+    runs raises :class:`PointNotOnFiber`.
     """
-    out = np.array(guess, dtype=float)
+    guess = np.asarray(guess, dtype=float)
+    out = guess.copy()
     todo = np.arange(out.size)
     scale = max(1.0, abs(b))
-    for _ in range(60):
-        x, y = known[todo], out[todo]
-        q, p = (x, y) if solve_p else (y, x)
-        r = h.value(q, p) - b
-        live = ~(np.abs(r) <= _PROJ_TOL * scale)  # a NaN residual stays live
-        todo, r, q, p = todo[live], r[live], q[live], p[live]
-        if todo.size == 0:
-            return out
-        d = h.dp(q, p) if solve_p else h.dq(q, p)
-        if np.any(np.abs(d) < 1e-14):
-            break
-        out[todo] -= r / d
+    for rounding in (False, True):
+        out[todo] = guess[todo]
+        for _ in range(60):
+            x, y = known[todo], out[todo]
+            q, p = (x, y) if solve_p else (y, x)
+            r = h.value(q, p) - b
+            done = np.abs(r) <= _PROJ_TOL * scale
+            if rounding:
+                done |= np.abs(r) <= _ROUNDING * (h.magnitude(q, p) + abs(b))
+            live = ~done  # a NaN residual stays live
+            todo, r, q, p = todo[live], r[live], q[live], p[live]
+            if todo.size == 0:
+                return out
+            d = h.dp(q, p) if solve_p else h.dq(q, p)
+            if np.any(np.abs(d) < 1e-14):
+                break
+            out[todo] -= r / d
     k = todo[0]
     args = f"{known[k]:.6g}, p" if solve_p else f"q, {known[k]:.6g}"
     raise PointNotOnFiber(f"cannot solve H({args}) = {b} near {guess[k]:.6g}")

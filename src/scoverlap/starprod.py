@@ -8,13 +8,13 @@ The product is the constant-symplectic-structure bidifferential series
 summed monomial pair by monomial pair through its closed-form (Groenewold)
 coefficients and held as a formal power series in h with polynomial
 coefficients over exact complex rationals, so associativity is an identity
-rather than an approximation.  The sums run on an integer lattice: each
-factor is cleared to Gaussian-integer numerators over one common
-denominator, the h^n weight is an integer over the shared 2^order order!,
-and one ``Fraction`` pair is built per surviving output coefficient.  The
-module also carries the symmetric-ordered operator
-correspondence and the matrix-element representation built on the overlap
-engine.
+rather than an approximation.  A series is held on the integer lattice:
+one common denominator and, per h-power, Gaussian-integer rows.  Products,
+sums and differences run on those rows (the h^n weight is an integer over
+the shared 2^order order!), and ``Fraction``s are built only when
+coefficients are read.  The module also carries the symmetric-ordered
+operator correspondence and the matrix-element representation built on the
+overlap engine.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -39,6 +40,8 @@ from .semiclassics import (
 )
 
 MAX_ORDER = 8
+
+Row = tuple[int, int, int, int]  # (a, b, D re, D im) of a term c q^a p^b over D
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,19 @@ class PolynomialObservable:
     def conjugate(self) -> "PolynomialObservable":
         return PolynomialObservable(tuple((k, v.conjugate()) for k, v in self.terms))
 
+    @functools.cached_property
+    def _lattice(self) -> tuple[int, tuple[Row, ...]]:
+        """Least common denominator D of every real and imaginary part, and
+        the nonzero terms as rows (a, b, D re, D im) in (a, b) order, once
+        per polynomial."""
+        terms = sorted(((k, z) for k, z in self.terms if z), key=lambda t: t[0])
+        den = math.lcm(*(part.denominator for _, z in terms for part in (z.re, z.im)))
+        return den, tuple(
+            (a, b, z.re.numerator * (den // z.re.denominator),
+             z.im.numerator * (den // z.im.denominator))
+            for (a, b), z in terms
+        )
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -178,23 +194,72 @@ class PolynomialObservable:
         return format_monomials(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FormalSeries:
-    """Power series in h, truncated at ``order``, with polynomial coefficients."""
+    """Power series in h, truncated at ``order``, with polynomial coefficients.
+
+    Held on the integer lattice: one common denominator ``den`` and, per
+    h-power, the rows (a, b, D re, D im) of its nonzero terms in (a, b)
+    order, with D = ``den`` the least common denominator of every
+    coefficient, so that equal series have equal fields.  ``coeffs`` builds
+    the polynomials when it is read.
+    """
 
     order: int
-    coeffs: tuple[PolynomialObservable, ...]
+    den: int
+    rows: tuple[tuple[Row, ...], ...]
+
+    def __init__(self, order: int, coeffs) -> None:
+        if len(coeffs) != order + 1:
+            raise OrderMismatch(
+                f"a series truncated at order {order} needs {order + 1} "
+                f"coefficients, not {len(coeffs)}"
+            )
+        den = math.lcm(*(poly._lattice[0] for poly in coeffs))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", tuple(
+            tuple((a, b, x * (den // d), y * (den // d)) for a, b, x, y in rows)
+            for d, rows in (poly._lattice for poly in coeffs)
+        ))
+
+    @classmethod
+    def _on_lattice(cls, order: int, den: int, tables) -> "FormalSeries":
+        """The series with terms {(a, b): (D re, D im)} over D = den per
+        h-power, reduced to the least denominator by one gcd over den and
+        every numerator."""
+        common = math.gcd(den, *chain.from_iterable(
+            chain.from_iterable(table.values() for table in tables)))
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "den", den // common)
+        object.__setattr__(out, "rows", tuple([
+            tuple([(a, b, x // common, y // common)
+                   for (a, b), (x, y) in sorted(table.items()) if x or y])
+            for table in tables
+        ]))
+        return out
 
     @staticmethod
     def lift(f, order: int) -> "FormalSeries":
-        if isinstance(f, FormalSeries):
-            if f.order == order:
-                return f
-            padded = list(f.coeffs[: order + 1])
-            padded += [PolynomialObservable.zero()] * (order + 1 - len(padded))
-            return FormalSeries(order, tuple(padded))
-        coeffs = [f] + [PolynomialObservable.zero()] * order
-        return FormalSeries(order, tuple(coeffs))
+        if isinstance(f, FormalSeries) and f.order == order:
+            return f
+        den, rows = _lattice_rows(f, order)
+        tables = [{(a, b): (x, y) for a, b, x, y in row} for row in rows]
+        return FormalSeries._on_lattice(order, den, tables + [{}] * (order + 1 - len(rows)))
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[PolynomialObservable, ...]:
+        den = self.den
+        return tuple(
+            PolynomialObservable(tuple(
+                ((a, b), QQi(Fraction(x, den), Fraction(y, den))) for a, b, x, y in row
+            ))
+            for row in self.rows
+        )
+
+    def __repr__(self) -> str:
+        return f"FormalSeries(order={self.order!r}, coeffs={self.coeffs!r})"
 
     def _check_order(self, other: "FormalSeries") -> None:
         if self.order != other.order:
@@ -202,21 +267,30 @@ class FormalSeries:
                 f"cannot combine series truncated at orders {self.order} and {other.order}"
             )
 
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
+    def _combine(self, other: "FormalSeries", sign: int) -> "FormalSeries":
+        """self + sign other over the lcm of the two denominators."""
         self._check_order(other)
-        return FormalSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        tables = []
+        for left, right in zip(self.rows, other.rows):
+            table = {(a, b): [x * mine, y * mine] for a, b, x, y in left}
+            for a, b, x, y in right:
+                acc = table.setdefault((a, b), [0, 0])
+                acc[0] += x * theirs
+                acc[1] += y * theirs
+            tables.append(table)
+        return FormalSeries._on_lattice(self.order, den, tables)
+
+    def __add__(self, other: "FormalSeries") -> "FormalSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        self._check_order(other)
-        return FormalSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, -1)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.rows)
 
     def at(self, h: float) -> PolynomialObservable:
         """Sum the series exactly at the rational value of the float h."""
@@ -230,6 +304,14 @@ class FormalSeries:
         return " + ".join(
             f"h^{n} ({poly})" for n, poly in enumerate(self.coeffs) if not poly.is_zero
         ) or "0"
+
+
+def _lattice_rows(f, order: int) -> tuple[int, tuple[tuple[Row, ...], ...]]:
+    """A polynomial's or a series' denominator and its rows up to h^order."""
+    if isinstance(f, FormalSeries):
+        return f.den, f.rows[: order + 1]
+    den, rows = f._lattice
+    return den, (rows,)
 
 
 @functools.cache
@@ -246,38 +328,22 @@ def _moyal_sum(a: int, b: int, c: int, d: int, n: int) -> int:
     )
 
 
-def _cleared(series: FormalSeries) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
-    """Common denominator D and, per h-power, terms (a, b, D re, D im) in integers.
-
-    D is the lcm of every real and imaginary denominator in the series.
-    """
-    den = math.lcm(*(
-        part.denominator
-        for poly in series.coeffs for _, z in poly.terms for part in (z.re, z.im)
-    ))
-    return den, [
-        [(a, b, z.re.numerator * (den // z.re.denominator),
-          z.im.numerator * (den // z.im.denominator)) for (a, b), z in poly.terms]
-        for poly in series.coeffs
-    ]
-
-
 def moyal_product(f, g, order: int) -> FormalSeries:
     """Star product truncated at h^order (an int in 0..MAX_ORDER).
 
     Monomial pairs use the closed-form Moyal coefficients: the h^n term of
     q^a p^b * q^c p^d is i^n _moyal_sum(a, b, c, d, n) / (2^n n!)
     q^(a+c-n) p^(b+d-n), and it vanishes once n > min(a, d) + min(b, c).
-    The sums run on an integer lattice: each factor is cleared to Gaussian
-    integers over its common denominator D_f or D_g, the h^n weight becomes
-    the integer _moyal_sum * 2^(order-n) order!/n! over 2^order order!, and
-    i^n swaps and negates the integer pair.  Each surviving output
-    coefficient is divided once by D_f D_g 2^order order!.
+    The sums run on the integer lattice: each factor's rows are Gaussian
+    integers over its denominator D_f or D_g, the h^n weight becomes the
+    integer _moyal_sum * 2^(order-n) order!/n! over 2^order order!, and i^n
+    swaps and negates the integer pair.  The product is the integer sums
+    over D_f D_g 2^order order!, reduced by one gcd.
     """
     if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
         raise OrderOverflow(f"truncation order {order!r} is not an int in 0..{MAX_ORDER}")
-    den_f, fs = _cleared(FormalSeries.lift(f, order))
-    den_g, gs = _cleared(FormalSeries.lift(g, order))
+    den_f, fs = _lattice_rows(f, order)
+    den_g, gs = _lattice_rows(g, order)
     # 2^(order-n) order!/n!, with the sign of i^n folded in: + for n % 4 in (0, 1)
     scale = [
         (-1) ** (n // 2) * 2 ** (order - n) * (math.factorial(order) // math.factorial(n))
@@ -306,14 +372,7 @@ def moyal_product(f, g, order: int) -> FormalSeries:
                         else:
                             acc[0] += x
                             acc[1] += y
-    den = den_f * den_g * 2**order * math.factorial(order)
-    return FormalSeries(order, tuple(
-        PolynomialObservable.from_dict({
-            key: QQi(Fraction(x, den), Fraction(y, den))
-            for key, (x, y) in table.items() if x or y
-        })
-        for table in out
-    ))
+    return FormalSeries._on_lattice(order, den_f * den_g * 2**order * math.factorial(order), out)
 
 
 def associativity_defect(f, g, k, order: int) -> FormalSeries:
@@ -326,7 +385,9 @@ def associativity_defect(f, g, k, order: int) -> FormalSeries:
 def star_conjugate(f) -> FormalSeries:
     """Coefficient conjugation combined with the h -> -h-like grading flip."""
     if isinstance(f, FormalSeries):
-        return FormalSeries(f.order, tuple(c.conjugate() for c in f.coeffs))
+        return FormalSeries._on_lattice(
+            f.order, f.den, [{(a, b): (x, -y) for a, b, x, y in row} for row in f.rows]
+        )
     return f.conjugate()
 
 

@@ -697,6 +697,26 @@ class TestChartQuadrature:
         assert got_action == pytest.approx(action, abs=1e-11)
         assert got_time == pytest.approx(period, abs=1e-10)
 
+    def test_nodes_stop_at_rounding_near_the_box(self):
+        # a closed cubic fiber out to |q| ~ 5 that the ray guard refuses, so
+        # its loop integrals come from chart quadrature; there H's terms are
+        # large enough that some node's |H - b| cannot round below
+        # 1e-14 max(1, |b|), and its Newton stops at H's rounding instead
+        h = Observable.from_text(
+            "-0.5219921347258212 q^3 + 0.9855947571190407 q^2 p"
+            " + 0.08495718071980507 q p^2 - 0.8348845483648184 p^3"
+            " + 0.5352177824823992 q^2 + 0.006309194672373675 q p"
+            " - 0.7674612075571452 p^2 + 0.7560438580625186 q"
+            " + 0.9477472116140364 p - 0.7664148293954673"
+        )
+        b = -0.4211567672320078
+        seed = seed_on_level(h, b)
+        c = trace_level_curve(h, b, seed)
+        assert c.closed and c.polar is None
+        action, period = loop_data(h, b, seed)
+        assert c.loop_action == pytest.approx(action, abs=1e-10)
+        assert c.period == pytest.approx(period, abs=1e-10)
+
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.9])
     def test_linear_fiber_is_exact(self, theta):
         # q cos(theta) + p sin(theta) = b: p is linear along the fiber, so

@@ -201,6 +201,37 @@ class TestFormalSeries:
         with pytest.raises(OrderMismatch, match="2 and 3"):
             getattr(lhs, f"__{op}__")(rhs)
 
+    def test_coefficient_count_must_match_the_order(self):
+        with pytest.raises(OrderMismatch, match="order 2 needs 3 coefficients, not 1"):
+            FormalSeries(2, (MQ,))
+
+    @given(s=mixed_series(), t=mixed_series())
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_form_round_trips(self, s, t):
+        top = max(s.order, t.order)
+        s, t = FormalSeries.lift(s, top), FormalSeries.lift(t, top)
+        assert FormalSeries(s.order, s.coeffs).coeffs == s.coeffs
+        # through t's denominators and back: equal series, equal fields
+        back = (s + t) - t
+        assert back == s and hash(back) == hash(s)
+        assert (back.den, back.rows) == (s.den, s.rows)
+        assert star_conjugate(s).coeffs == tuple(c.conjugate() for c in s.coeffs)
+
+    @given(
+        f=st.one_of(mixed_series(), complex_polynomials()),
+        g=st.one_of(mixed_series(), complex_polynomials()),
+        order=st.integers(1, 8),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_commutator_matches_bidifferential_difference(self, f, g, order):
+        def series(x):
+            return x if isinstance(x, FormalSeries) else FormalSeries(0, (x,))
+
+        fg = series_reference(series(f), series(g), order).coeffs
+        gf = series_reference(series(g), series(f), order).coeffs
+        got = moyal_product(f, g, order) - moyal_product(g, f, order)
+        assert got.coeffs == tuple(a - b for a, b in zip(fg, gf))
+
 
 class TestExactNumerics:
     def test_series_sums_exactly(self):

@@ -1,18 +1,21 @@
 """Exact finite-dimensional quantum mechanics on a position grid.
 
-Symmetric (Weyl) ordered quantization with Fourier spectral momentum,
-eigendecomposition, discrete inner products, and the normalization bridge
-between half-density kernels and discrete-spectrum overlaps.
+Symmetric (Weyl) ordered quantization with Fourier spectral momentum; an
+eigensystem from one tridiagonal reduction per parity block, with every
+eigenvalue computed at once and each state only when it is read; discrete
+inner products, and the normalization bridge between half-density kernels
+and discrete-spectrum overlaps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import circulant, eigh
+from scipy.linalg import circulant, eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from .errors import CountMismatch, GridMismatch, OpenFiber, UnsupportedOrdering
 from .geometry import FiberCurve, Observable
@@ -103,8 +106,18 @@ def weyl_operator(
             f"momentum degree {degree} > 2 is not representable on the grid"
         )
     needs_p1 = 1 in slices or (2 in slices and not _is_constant(slices[2]))
-    real = not needs_p1 and all(np.isrealobj(c) for c in slices.values())
-    op = np.zeros((grid.points, grid.points), dtype=float if real else complex)
+    n = grid.points
+    if not needs_p1 and all(np.isrealobj(c) for c in slices.values()):
+        # one array: c P^2 scaled in place, the p^0 slice added on its diagonal
+        if 2 in slices:
+            op = momentum_matrix(grid, h, 2)
+            op *= slices[2][0]
+        else:
+            op = np.zeros((n, n))
+        if 0 in slices:
+            op.flat[:: n + 1] += slices[0]
+        return op
+    op = np.zeros((n, n), dtype=complex)
     p1 = momentum_matrix(grid, h, 1) if needs_p1 else None
     for b, c in sorted(slices.items()):
         op += weyl_monomial_matrix(c, b, grid, h, p1)
@@ -155,21 +168,89 @@ class StateVector:
 
 
 @dataclass(frozen=True)
+class _Block:
+    """A Hermitian block as ``?sytrd``/``?hetrd`` (lower) leave it: A = Q T Q^H,
+    T tridiagonal (``d``, ``e``), Q the reflectors below the subdiagonal of
+    ``reflectors`` with scalars ``tau``.  ``parity`` is 0 for a whole
+    operator and +1/-1 for the even/odd block of ``_parity_blocks``."""
+
+    reflectors: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    tau: np.ndarray
+    parity: int
+
+    @classmethod
+    def reduce(cls, a: np.ndarray, parity: int) -> "_Block":
+        """Reduce the Fortran-ordered ``a`` in place."""
+        name = "sytrd" if np.isrealobj(a) else "hetrd"
+        trd, query = lapack.get_lapack_funcs((name, name + "_lwork"), (a,))
+        lwork = int(query(len(a), lower=1)[0].real)
+        c, d, e, tau, _ = trd(a, lower=1, lwork=lwork, overwrite_a=1)
+        return cls(c, d, e, tau, parity)
+
+    def vectors(self, lo: int, hi: int) -> np.ndarray:
+        """Unit grid columns of the block's eigenvectors lo..hi (ascending):
+        T's by inverse iteration (``stein``), each signed so that its largest
+        entry is positive whichever others are built with it, then times Q
+        by ``?ormqr``/``?unmqr`` (what LAPACK's ``?ormtr`` does, lower)."""
+        _, z = eigh_tridiagonal(
+            self.d, self.e, select="i", select_range=(lo, hi), lapack_driver="stebz"
+        )
+        z *= np.sign(z[np.argmax(np.abs(z), axis=0), np.arange(z.shape[1])])
+        v = z.astype(self.reflectors.dtype)
+        if len(v) > 1:
+            ormqr = lapack.dormqr if np.isrealobj(v) else lapack.zunmqr
+            args = ("L", "N", self.reflectors[1:, :-1], self.tau, v[1:])
+            lwork = int(ormqr(*args, -1)[1][0].real)
+            v[1:] = ormqr(*args, lwork)[0]
+        if self.parity == 0:
+            return v
+        if self.parity < 0:  # the odd basis has no e_0 or e_m component
+            v = np.pad(v, ((1, 1), (0, 0)))
+        m = len(v) - 1
+        out = np.empty((2 * m, v.shape[1]))
+        out[0], out[m] = v[0], v[m]
+        out[1:m] = v[1:m] / np.sqrt(2.0)
+        out[:m:-1] = self.parity * out[1:m]
+        return out
+
+
+@dataclass(frozen=True)
 class Eigensystem:
+    """Kept eigenvalues, ascending; state n, eigenvector ``index[n]`` of
+    ``blocks[block[n]]``, is built when read, Delta-q normalized."""
+
     eigenvalues: np.ndarray
-    states: np.ndarray  # columns, Delta-q normalized
     grid: GridSpec
     h: float
+    blocks: tuple[_Block, ...] = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
 
     def state(self, n: int) -> StateVector:
-        return StateVector(values=self.states[:, n], grid=self.grid)
+        """State n alone: one tridiagonal eigenvector, one back-transform."""
+        j = int(self.index[n])
+        v = self.blocks[self.block[n]].vectors(j, j)[:, 0]
+        return StateVector(values=v / np.sqrt(self.grid.dq), grid=self.grid)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Every kept state as a column, each block's built in one pass."""
+        out = np.empty((self.grid.points, self.count), self.blocks[0].reflectors.dtype)
+        for b, blk in enumerate(self.blocks):
+            cols = np.nonzero(self.block == b)[0]
+            if cols.size:
+                out[:, cols] = blk.vectors(0, cols.size - 1)
+        out /= np.sqrt(self.grid.dq)
+        return out
 
     def residual(self, operator: np.ndarray, n: int) -> float:
-        v = self.states[:, n]
+        v = self.state(n).values
         return float(np.linalg.norm(operator @ v - self.eigenvalues[n] * v))
 
     def export(self, directory) -> None:
@@ -203,70 +284,43 @@ class Eigensystem:
 def eigensystem(
     gq: GridQuantization, retain_below: float | None = None
 ) -> Eigensystem:
-    """Eigendecomposition, keeping states below the box-contamination cutoff.
+    """Eigenvalues below the box-contamination cutoff, with lazy states.
 
     The default cutoff is H(half_width, 0)/2; pass ``retain_below`` to
     override (e.g. the top level a caller compares against plus one level
     spacing, or a natural compact domain with no contamination).  When no
-    eigenvalue lies below the cutoff, the lowest 8 states are kept.
+    eigenvalue lies below the cutoff, the lowest 8 are kept.
 
-    A real operator on an even grid that commutes exactly (bit for bit)
-    with the reflection k -> n - k, i.e. q -> -q, is diagonalized through
-    its even and odd parity blocks, about a quarter of the dense work; its
-    states then have definite parity.  Any other operator is diagonalized
-    whole.  A ``retain_below`` under the default cutoff asks for few states,
-    so each block (or the whole operator) takes LAPACK's ``evr`` solve of
-    only the eigenpairs below it; at the default cutoff the kept share is
-    large enough that the full ``np.linalg.eigh`` is faster, and it runs
-    unchanged.
+    One path for every operator and cutoff (LAPACK Users' Guide, 3rd ed.,
+    1999): each Hermitian block is reduced once to tridiagonal form
+    (``?sytrd``/``?hetrd``), and all its eigenvalues come from that form by
+    ``sterf``.  A real operator on an even grid that commutes exactly (bit
+    for bit) with the reflection k -> n - k, i.e. q -> -q, splits into its
+    even and odd parity blocks, each reduced in place as it is built, and
+    its states have definite parity; any other operator is one block,
+    reduced in a copy.  The result holds each block's reflectors, d, e and
+    tau (about (n/2)^2 float64 per parity block, 2.1 MB at n = 1024; n^2
+    float64 or complex128 for one whole block), and a state is computed only
+    when ``state(n)`` or ``states`` reads it.
     """
     a = gq.operator
-    default = float(gq.observable.value(gq.grid.half_width, 0.0)) / 2.0
-    cutoff = default if retain_below is None else retain_below
-    subset = cutoff if cutoff < default else None
+    if retain_below is None:
+        retain_below = float(gq.observable.value(gq.grid.half_width, 0.0)) / 2.0
     if _reflection_even(a):
-        evals, columns = _parity_eigh(a, subset)
+        blocks = _parity_blocks(a)
     else:
-        ((evals, vecs),) = _block_eigh([a], subset)
-
-        def columns(keep: np.ndarray) -> np.ndarray:
-            return vecs[:, keep]
-
-    keep = evals < cutoff
-    if not np.any(keep):
-        keep = np.zeros_like(evals, dtype=bool)
-        keep[: min(8, len(evals))] = True
-    states = columns(keep)  # a new array: normalized in place
-    states /= np.sqrt(gq.grid.dq)
+        blocks = (_Block.reduce(np.array(a, order="F"), 0),)
+    values = [eigvalsh_tridiagonal(b.d, b.e, lapack_driver="sterf") for b in blocks]
+    evals = np.concatenate(values)
+    kept = int(np.count_nonzero(evals < retain_below)) or min(8, len(evals))
+    order = np.argsort(evals, kind="stable")[:kept]
+    sizes = [len(w) for w in values]
+    block = np.repeat(np.arange(len(blocks)), sizes)[order]
+    index = order - np.cumsum([0] + sizes[:-1])[block]
     return Eigensystem(
-        eigenvalues=evals[keep],
-        states=states,
-        grid=gq.grid,
-        h=gq.h,
+        eigenvalues=evals[order], grid=gq.grid, h=gq.h,
+        blocks=blocks, block=block, index=index,
     )
-
-
-def _block_eigh(blocks: list[np.ndarray], cutoff: float | None):
-    """(eigenvalues, eigenvectors) of each Hermitian block.
-
-    With no ``cutoff``, every eigenpair from the dense ``np.linalg.eigh``.
-    Otherwise only the eigenpairs at or below ``cutoff``; when no block has
-    an eigenvalue strictly below it, the lowest min(8, size) of each block,
-    which hold the lowest 8 overall.
-    """
-    if cutoff is None:
-        return [np.linalg.eigh(block) for block in blocks]
-    if cutoff > -np.inf:
-        pairs = [
-            eigh(block, subset_by_value=(-np.inf, cutoff), driver="evr")
-            for block in blocks
-        ]
-        if any(np.any(w < cutoff) for w, _ in pairs):
-            return pairs
-    return [
-        eigh(block, subset_by_index=(0, min(8, len(block)) - 1), driver="evr")
-        for block in blocks
-    ]
 
 
 def _reflection_even(a: np.ndarray) -> bool:
@@ -275,23 +329,20 @@ def _reflection_even(a: np.ndarray) -> bool:
     n = a.shape[0]
     return bool(
         np.isrealobj(a)
-        and n % 2 == 0
+        and n % 2 == 0 and n > 2  # n = 2 would leave an empty odd block
         and np.array_equal(a[1:, 1:], a[:0:-1, :0:-1])
         and np.array_equal(a[0, 1:], a[0, :0:-1])
         and np.array_equal(a[1:, 0], a[:0:-1, 0])
     )
 
 
-def _parity_eigh(a: np.ndarray, cutoff: float | None):
-    """Spectrum of a reflection-even operator from its two parity blocks.
+def _parity_blocks(a: np.ndarray) -> tuple[_Block, _Block]:
+    """The even and odd blocks of a reflection-even operator, reduced.
 
     The even basis is e_0, (e_k + e_{n-k})/sqrt2 for k = 1..m-1, e_m with
     m = n/2; the odd basis is (e_k - e_{n-k})/sqrt2.  Both blocks are read
-    off A's entries and solved by ``_block_eigh`` with ``cutoff``, so each
-    may return fewer than all its eigenpairs.  Returns the merged
-    eigenvalues in ascending order and a function ``columns(keep)`` that
-    writes only the eigenvectors selected by the boolean ``keep`` (over the
-    merged order) into a new array of unit-norm grid-basis columns.
+    off A's entries into new arrays, which are symmetric, so their
+    transposes are the Fortran-ordered blocks that ``?sytrd`` overwrites.
     """
     n = a.shape[0]
     m = n // 2
@@ -302,30 +353,8 @@ def _parity_eigh(a: np.ndarray, cutoff: float | None):
     even[m, 1:m] = even[1:m, m] = np.sqrt(2.0) * a[m, 1:m]
     even[0, 0], even[m, m] = a[0, 0], a[m, m]
     even[0, m] = even[m, 0] = a[0, m]
-    (ev_even, vec_even), (ev_odd, vec_odd) = _block_eigh(
-        [even, a[1:m, 1:m] - mirror], cutoff
-    )
-    evals = np.concatenate((ev_even, ev_odd))
-    order = np.argsort(evals, kind="stable")
-    n_even = ev_even.size
-
-    def columns(keep: np.ndarray) -> np.ndarray:
-        picked = order[keep]
-        is_even = picked < n_even
-        out = np.empty((n, picked.size))
-        cols = np.nonzero(is_even)[0]
-        v = vec_even[:, picked[is_even]]
-        out[0, cols] = v[0]
-        out[m, cols] = v[m]
-        out[1:m, cols] = v[1:m] / np.sqrt(2.0)
-        out[:m:-1, cols] = out[1:m, cols]
-        cols = np.nonzero(~is_even)[0]
-        out[0, cols] = out[m, cols] = 0.0
-        out[1:m, cols] = vec_odd[:, picked[~is_even] - n_even] / np.sqrt(2.0)
-        out[:m:-1, cols] = -out[1:m, cols]
-        return out
-
-    return evals[order], columns
+    odd = a[1:m, 1:m] - mirror
+    return _Block.reduce(even.T, 1), _Block.reduce(odd.T, -1)
 
 
 def exact_overlap(u: StateVector, v: StateVector) -> complex:

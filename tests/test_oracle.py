@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scoverlap.errors import CountMismatch, GridMismatch, OpenFiber, UnsupportedOrdering
 from scoverlap.geometry import Observable, PhasePoint, trace_level_curve
@@ -16,6 +17,8 @@ from scoverlap.oracle import (
     exact_overlap,
     half_density_bridge,
     match_levels,
+    momentum_matrix,
+    weyl_monomial_matrix,
 )
 from scoverlap.semiclassics import BSLevel, bohr_sommerfeld_levels
 
@@ -135,6 +138,26 @@ class TestOperatorDtype:
         ref = _reference_operator(obs, grid, 0.1)
         assert np.max(np.abs(op - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize(
+        "obs, grid",
+        [
+            (HO, GRID),
+            (Observable.from_coeffs({(4, 0): 0.1, (2, 0): -0.5, (0, 2): 0.5}), GRID),
+            (PEND, PEND_GRID),
+            (Observable.from_coeffs({(2, 0): 0.5, (0, 2): 0.5, (1, 0): 0.3}), GRID),
+            (Observable.from_coeffs({(1, 1): 1.0}), GRID),
+        ],
+        ids=["oscillator", "quartic", "pendulum", "displaced oscillator", "q p"],
+    )
+    def test_operator_equals_the_sum_of_slice_matrices(self, obs, grid):
+        # bit for bit the zero matrix plus each slice's Weyl matrix in turn
+        op = build_weyl_operator(obs, grid, 0.1).operator
+        ref = np.zeros_like(op)
+        p1 = None if np.isrealobj(op) else momentum_matrix(grid, 0.1, 1)
+        for b, fn in sorted(obs.momentum_decomposition().items()):
+            ref += weyl_monomial_matrix(np.asarray(fn(grid.qs), dtype=float), b, grid, 0.1, p1)
+        assert np.array_equal(op, ref)
+
     @pytest.mark.parametrize("name", sorted(REAL_SYSTEMS))
     def test_real_eigh_matches_complex_eigh(self, name):
         obs, grid = REAL_SYSTEMS[name]
@@ -232,10 +255,11 @@ class TestParityBlocks:
             assert es.count == 8
         else:
             assert es.count > 8
-            # at or above the default cutoff the full solve runs unchanged
+            # the eigenvalues do not depend on the cutoff, and the states,
+            # built per block in one pass, only by rounding
             full = eigensystem(gq, retain_below=np.inf)
             assert np.array_equal(es.eigenvalues, full.eigenvalues[: es.count])
-            assert np.array_equal(es.states, full.states[:, : es.count])
+            assert np.max(np.abs(es.states - full.states[:, : es.count])) <= 1e-13
         scale = np.max(np.abs(np.linalg.eigvalsh(gq.operator)))
         assert np.max(np.abs(es.eigenvalues - ref_vals)) <= 1e-12 * scale
         low = min(es.count, 20)
@@ -246,9 +270,9 @@ class TestParityBlocks:
             # the blocked solve: every state is exactly even or exactly odd
             for v in es.states.T:
                 assert np.array_equal(v[1:], v[:0:-1]) or np.array_equal(v[1:], -v[:0:-1])
-        elif cut != "keep" and cut != "ground":
-            assert np.array_equal(es.eigenvalues, ref_vals)
-            assert np.array_equal(es.states, ref_states)
+        else:
+            # an odd grid has no parity blocks: the operator is one block
+            assert len(es.blocks) == 1
 
     @pytest.mark.parametrize(
         "obs, kept",
@@ -260,22 +284,19 @@ class TestParityBlocks:
         ],
         ids=["displaced oscillator", "q p", "displaced oscillator-keep", "q p-keep"],
     )
-    def test_other_operators_take_the_dense_solve(self, obs, kept):
+    def test_other_operators_are_one_block(self, obs, kept):
         gq = build_weyl_operator(obs, SMALL_GRID, 0.1)
         retain = None if kept is None else _caller_cutoff(gq, kept)
         es = eigensystem(gq, retain_below=retain)
         ref_vals, ref_states = _dense_eigensystem(gq, retain)
-        if kept is None:
-            assert np.array_equal(es.eigenvalues, ref_vals)
-            assert np.array_equal(es.states, ref_states)
-            return
-        # below a caller cutoff the whole operator takes the subset solve
-        assert retain < _default_cutoff(gq) and es.count == len(ref_vals) == kept
+        assert len(es.blocks) == 1 and es.count == len(ref_vals)
+        if kept is not None:
+            assert retain < _default_cutoff(gq) and es.count == kept
         scale = np.max(np.abs(np.linalg.eigvalsh(gq.operator)))
         assert np.max(np.abs(es.eigenvalues - ref_vals)) <= 1e-12 * scale
         assert np.max(np.abs(np.abs(es.states) ** 2 - np.abs(ref_states) ** 2)) <= 1e-10
         gram = es.states.conj().T @ es.states * SMALL_GRID.dq
-        assert np.max(np.abs(gram - np.eye(kept))) <= 1e-12
+        assert np.max(np.abs(gram - np.eye(es.count))) <= 1e-12
 
     @pytest.mark.parametrize("half_width, points", [(math.pi, 256), (10.0, 1024), (7.3, 300)])
     def test_grid_is_reflection_exact(self, half_width, points):
@@ -287,6 +308,44 @@ class TestParityBlocks:
     def test_grid_matches_offset_formula_at_half_width_10(self, points):
         grid = GridSpec(10.0, points)
         assert np.array_equal(grid.qs, -10.0 + grid.dq * np.arange(points))
+
+
+SHIFTED_HO = Observable.from_coeffs({(2, 0): 0.5, (0, 2): 0.5, (0, 1): 0.3})
+# (system, grid, retain_below, parity blocks, complex states)
+LAZY_CASES = {
+    "oscillator": (HO, GRID, None, 2, False),
+    "momentum-shifted oscillator": (SHIFTED_HO, SMALL_GRID, None, 1, True),
+    "q p": (Observable.from_coeffs({(1, 1): 1.0}), SMALL_GRID, None, 1, True),
+    "quartic-7.3x300": (*_random_even_system(0, 0, (7.3, 300)), None, 2, False),
+    "quartic-7.3x299": (*_random_even_system(0, 1, (7.3, 299)), None, 1, False),
+    "lowest 8": (HO, GRID, 0.0, 2, False),
+}
+
+
+class TestLazyStates:
+    @pytest.mark.parametrize("name", sorted(LAZY_CASES))
+    def test_states_read_one_at_a_time(self, name, monkeypatch):
+        obs, grid, retain, blocks, is_complex = LAZY_CASES[name]
+        gq = build_weyl_operator(obs, grid, 0.1)
+
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("eigensystem ran a dense eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_dense_solve)
+        monkeypatch.setattr(scipy.linalg, "eigh", no_dense_solve)
+        es = eigensystem(gq, retain_below=retain)
+        assert len(es.blocks) == blocks
+        assert (es.count == 8) if retain == 0.0 else (es.count > 8)
+        one = np.column_stack([es.state(n).values for n in range(es.count)])
+        assert np.iscomplexobj(one) == is_complex
+        gram = one.conj().T @ one * grid.dq
+        assert np.max(np.abs(gram - np.eye(es.count))) <= 1e-12
+        # the same columns, signs included, from the one-pass build, and a
+        # state read after it is the one read before
+        assert np.max(np.abs(one - es.states)) <= 1e-13
+        for n in (0, es.count // 2, es.count - 1):
+            assert np.array_equal(es.state(n).values, one[:, n])
+            assert es.residual(gq.operator, n) < 1e-8 * np.max(np.abs(gq.operator))
 
 
 class TestOverlaps:
